@@ -187,6 +187,10 @@ def _decode_affine(doc) -> AffineRatFn:
 def _decode_part(model: SurfaceModel, doc):
     mult = rational(doc['mult'])
     if 'gen' in doc:
+        if doc['gen'] not in model.gen_names:
+            raise CatalogError(
+                f'{model.name}: boundary part names unknown generator '
+                f'{doc["gen"]!r}; have {list(model.gen_names)}')
         return doc['gen'], mult
     cls = model.lattice.div(rational_vector(doc['class']))
     if 'label' in doc:
@@ -290,6 +294,10 @@ def _load_resolved(path_str: str) -> Catalog:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CatalogError(f'catalog resource {path_str} is not JSON: {exc}')
+    missing = [k for k in ('surfaces', 'fixtures', 'walls')
+               if not isinstance(doc, dict) or k not in doc]
+    if missing:
+        raise CatalogError(f'catalog resource {path_str} has no {missing[0]!r} section')
     surfaces = tuple(surface_from_doc(d).validate() for d in doc['surfaces'])
     index = {m.name: m for m in surfaces}
     fixtures = tuple(_decode_fixture(index, d) for d in doc['fixtures'])

@@ -2,9 +2,9 @@
 command line front end over the shipped fixture catalog
 
 Every run prints a single report: markdown by default, json with --json.  A
-report carries the normalised command line, the catalog path with a sha256 of
-its bytes, the results, and a status.  Nothing else goes in, so two runs over
-the same catalog produce byte-identical output whatever the thread count.
+report carries the command line, the catalog path with a sha256 of its bytes,
+the results, and a status.  Nothing else goes in, so two runs over the same
+catalog produce byte-identical output.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 the engine refused
 (a class outside the pseudo-effective cone, say), 4 a recomputation
@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,27 +103,6 @@ def _quad_text(coeffs) -> str:
         else:
             parts.append(f'+ {body}' if c > 0 else f'- {body}')
     return ' '.join(parts) if parts else '0'
-
-
-def _echo(argv: list[str]) -> list[str]:
-    '''
-    command echo for reports; worker-count flags never change results, so
-    they are stripped to keep reports byte-identical across thread counts
-
-    TESTS::
-
-        >>> _echo(['walls', '--threads', '8', '--diff'])
-        ['kwall', 'walls', '--diff']
-    '''
-    out, skip = [], False
-    for a in argv:
-        if skip:
-            skip = False
-        elif a == '--threads':
-            skip = True
-        elif not a.startswith('--threads='):
-            out.append(a)
-    return ['kwall', *out]
 
 
 def _catalog_input() -> dict:
@@ -359,17 +337,11 @@ def cmd_walls(args) -> tuple[dict, list[str], str, int]:
     ids = cat.ids(args.family)
     if not ids:
         raise CatalogError(f'no fixtures match family {args.family!r}')
-    if args.threads < 1:
-        raise ConfigurationError('--threads must be at least 1')
-
-    def solve_one(fid: str):
+    rows = []
+    for fid in ids:
         f = cat.fixture(fid)
         sol = solve_wall(beta(f.pair, f.valuation), f.pair.c_lo, f.pair.c_hi)
-        return fid, sol.root, f.expected.wall
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        futures = [pool.submit(solve_one, fid) for fid in ids]
-        rows = [fut.result() for fut in as_completed(futures)]
+        rows.append((fid, sol.root, f.expected.wall))
     rows.sort(key=lambda r: (r[1] is None, r[1] or Fraction(0), r[0]))
 
     found = sorted({root for _, root, _ in rows if root is not None})
@@ -541,8 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--family', help='restrict to fixture ids with this family prefix')
     p.add_argument('--diff', action='store_true',
                    help='compare the wall set against the stored table')
-    p.add_argument('--threads', type=int, default=1,
-                   help='worker threads; stripped from the report echo')
     p.set_defaults(handler=cmd_walls)
 
     p = sub.add_parser('bounds', parents=[common],
@@ -598,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as exc:
         print(f'engine failure: {exc}', file=sys.stderr)
         return EXIT_ENGINE
-    report = {'command': _echo(raw), 'inputs': inputs,
+    report = {'command': ['kwall', *raw], 'inputs': inputs,
               'results': results, 'status': status}
     if getattr(args, 'json', False):
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -3,13 +3,17 @@ Exact rational bilinear-form algebra for divisor classes.
 
 Everything downstream (nef tests, Zariski decompositions, volume integrals,
 wall coefficients) reduces to arithmetic in a finite-rank lattice with a
-Q-valued symmetric pairing. All scalars are fractions.Fraction; no floats
-appear anywhere in this module.
+Q-valued symmetric pairing. All scalars are fractions.Fraction, computed
+through integer numerators over common denominators; no floats appear
+anywhere in this module.
 '''
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -38,7 +42,10 @@ def rational(x: int | str | Fraction) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f'zero denominator in {x!r}') from None
     raise ValueError(f'not a rational: {x!r}')
 
 
@@ -49,6 +56,32 @@ def rational_str(x: Fraction) -> str:
 
 def rational_vector(xs: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
     return tuple(rational(x) for x in xs)
+
+
+def integral(xs: Iterable[int | Fraction]) -> tuple[int, tuple[int, ...]]:
+    '''
+    (d, ns) with xs = ns / d: integer numerators over the least common
+    denominator
+
+    TESTS:
+        >>> integral([Fraction(1, 2), Fraction(-1, 3), 4])
+        (6, (3, -2, 24))
+    '''
+    # built from lists: a tuple grown from a generator is resized as it
+    # grows, and the interpreter then keeps the discarded ones in its tuple
+    # free lists, which costs resident memory on hot paths
+    xs = list(xs)
+    d = lcm(*[x.denominator for x in xs])
+    return d, tuple([x.numerator * (d // x.denominator) for x in xs])
+
+
+def integral_matrix(rows: Sequence[Sequence[int | Fraction]]
+                    ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    '''(d, ns) with rows = ns / d: integer rows over one common denominator'''
+    n = len(rows)
+    d, flat = integral(x for row in rows for x in row)
+    w = len(flat) // n if n else 0
+    return d, tuple([flat[i * w:(i + 1) * w] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -69,6 +102,11 @@ class IntersectionLattice:
     '''
     names: tuple[str, ...]
     gram: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def scaled_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        '''(d, rows): the Gram matrix as integer rows over one denominator d'''
+        return integral_matrix(self.gram)
 
     def __post_init__(self):
         assert len(set(self.names)) == len(self.names), 'duplicate basis names'
@@ -121,6 +159,11 @@ class DivClass:
     lattice: IntersectionLattice
     coords: tuple[Fraction, ...]
 
+    @cached_property
+    def numerators(self) -> tuple[int, tuple[int, ...]]:
+        '''(d, ns): the coordinates as integer numerators over one denominator'''
+        return integral(self.coords)
+
     def _check_mate(self, other: 'DivClass') -> None:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise ValueError('classes live on different lattices')
@@ -165,14 +208,11 @@ def pair(a: DivClass, b: DivClass) -> Fraction:
         Fraction(7, 1)
     '''
     a._check_mate(b)
-    g = a.lattice.gram
-    total = Fraction(0)
-    for i, ai in enumerate(a.coords):
-        if ai == 0:
-            continue
-        row = g[i]
-        total += ai * sum((row[j] * bj for j, bj in enumerate(b.coords) if bj != 0), Fraction(0))
-    return total
+    dg, rows = a.lattice.scaled_gram
+    da, xa = a.numerators
+    db, xb = b.numerators
+    total = sum(x * sum(map(mul, row, xb)) for x, row in zip(xa, rows) if x)
+    return Fraction(total, dg * da * db)
 
 
 @dataclass(frozen=True)
@@ -192,13 +232,21 @@ def signature(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
     (positive, negative, zero) inertia of a symmetric rational matrix,
     via exact congruence diagonalization
 
+    The matrix is scaled to integers by the lcm of all its denominators, a
+    positive factor that keeps the inertia.  Elimination is fraction-free
+    (Bareiss 1968): the trailing block after each pivot is the integer
+    matrix of bordered minors, the previous pivot divides it exactly, and
+    the sign of each Gaussian pivot is the sign of the ratio of two
+    successive Bareiss pivots.
+
     TESTS:
         >>> signature([[Fraction(-2), Fraction(1)], [Fraction(1), Fraction(0)]])
         (1, 1, 0)
     '''
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = [list(row) for row in integral_matrix(rows)[1]]
     pos = neg = zero = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             for j in range(k + 1, n):
@@ -206,29 +254,26 @@ def signature(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
                     continue
                 # symmetric row+column addition keeps the congruence class;
                 # one of the two signs always yields a nonzero diagonal entry
-                lam = next(s for s in (Fraction(1), Fraction(-1))
-                           if s * (2 * a[j][k] + s * a[j][j]) != 0)
-                for m in range(n):
+                lam = 1 if 2 * a[j][k] + a[j][j] != 0 else -1
+                for m in range(k, n):
                     a[k][m] += lam * a[j][m]
-                for m in range(n):
+                for m in range(k, n):
                     a[m][k] += lam * a[m][j]
                 break
         p = a[k][k]
         if p == 0:
             zero += 1
             continue
-        if p > 0:
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for j in range(k + 1, n):
-            if a[j][k] == 0:
-                continue
-            f = a[j][k] / p
-            for m in range(n):
-                a[j][m] -= f * a[k][m]
-            for m in range(n):
-                a[m][j] -= f * a[m][k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            row = a[i]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - f * a[k][j]) // prev
+        prev = p
     return pos, neg, zero
 
 
@@ -256,30 +301,48 @@ def validate_lattice(lat: IntersectionLattice) -> LatticeReport:
     return LatticeReport(symmetric, sig, tuple(failures))
 
 
-def solve_linear(rows: Sequence[Sequence[Fraction]],
-                 rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def solve_linear(rows: Sequence[Sequence[Fraction]], rhs):
     '''
     exact solution of a square linear system; raises SingularSystem when the
     matrix is singular
+
+    ``rhs`` is one right-hand side vector, or, as in numpy.linalg.solve, a
+    matrix whose columns are several right-hand sides: its rows are then
+    tuples or lists, and the rows of the solution are tuples.  One fraction-free (Bareiss
+    1968) elimination serves every column, and back substitution stays in
+    integers because det * x is integral (Cramer's rule).
 
     TESTS:
         >>> solve_linear([[Fraction(-2), Fraction(1)], [Fraction(1), Fraction(-2)]],
         ...              [Fraction(-1), Fraction(0)])
         (Fraction(2, 3), Fraction(1, 3))
+        >>> solve_linear([[Fraction(-2)]], [(Fraction(1), Fraction(-4))])
+        ((Fraction(-1, 2), Fraction(2, 1)),)
     '''
     n = len(rows)
     if any(len(row) != n for row in rows) or len(rhs) != n:
         raise ValueError('system is not square')
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+    several = n > 0 and isinstance(rhs[0], (tuple, list))
+    cols = [tuple(b) if several else (b,) for b in rhs]
+    # scaling a row of the augmented matrix keeps the solution
+    a = [list(integral((*row, *b))[1]) for row, b in zip(rows, cols)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
         if piv is None:
-            raise SingularSystem(f'no pivot in column {col}')
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
+            raise SingularSystem(f'no pivot in column {k}')
+        a[k], a[piv] = a[piv], a[k]
+        top = a[k]
+        p = top[k]
+        for r in range(k + 1, n):
+            f = a[r][k]
+            a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    # y[i][c] = det * x[i][c], solved from the bottom row up
+    y: list[list[int]] = [[] for _ in range(n)]
+    for i in reversed(range(n)):
+        row = a[i]
+        y[i] = [(prev * row[n + c] - sum(row[j] * y[j][c] for j in range(i + 1, n))) // row[i]
+                for c in range(len(cols[i]))]
+    out = tuple([tuple([Fraction(v, prev) for v in yi]) for yi in y])
+    return out if several else tuple([x for (x,) in out])

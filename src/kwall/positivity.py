@@ -13,18 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .lattice import (
     DivClass,
     EngineError,
-    IntersectionLattice,
+    integral,
     is_negative_definite,
     pair,
     rational_str,
-    solve_linear,
 )
-from .surface import ConfigurationError, SurfaceModel
+from .surface import ConfigurationError, SurfaceModel, support_solve
 
 
 class NotPseudoEffective(EngineError):
@@ -95,17 +94,34 @@ class ZariskiResult:
         return tuple(out)
 
 
-def _support_solve(model: SurfaceModel, d: DivClass,
-                   support: Sequence[str]) -> list[Fraction]:
-    '''coefficients making d - sum a_i C_i orthogonal to the support'''
-    if not support:
-        return []
-    cs = [model.gen(n) for n in support]
-    gram = [[pair(a, b) for b in cs] for a in cs]
-    if not is_negative_definite(gram):
-        raise ConfigurationError(
-            f'{model.name}: support {list(support)} is not negative definite')
-    return solve_linear(gram, [pair(d, c) for c in cs])
+def _off_support(model: SurfaceModel, base, coeffs, idx):
+    '''
+    pairings of d - sum_s a_s C_s with every generator, from the pairings
+    ``base`` of d with them and the generator pairing matrix
+
+    ``base``, ``coeffs`` and the result are (denominator, integer numerators)
+    pairs; the result's denominator is positive but not reduced.
+    '''
+    (db, bs), (da, As) = base, coeffs
+    dm, m = model.gen_pairing
+    rows = [m[i] for i in idx]
+    scale = da * dm
+    return db * scale, [b * scale - db * sum(a * row[j] for a, row in zip(As, rows))
+                        for j, b in enumerate(bs)]
+
+
+def _along(x, y, t) -> list[int]:
+    '''numerators of x + t y over a positive denominator, for x and y given
+    as (denominator, numerators); only their signs are meaningful'''
+    (dx, xs), (dy, ys) = x, y
+    p, q = t.numerator, t.denominator
+    return [a * dy * q + p * b * dx for a, b in zip(xs, ys)]
+
+
+def _dot(coeffs, pairings, idx) -> Fraction:
+    '''sum_s a_s pairings[idx_s], both given as (denominator, numerators)'''
+    (da, As), (dp, ps) = coeffs, pairings
+    return Fraction(sum(a * ps[i] for a, i in zip(As, idx)), da * dp)
 
 
 def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
@@ -118,28 +134,33 @@ def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
     '''
     if d.lattice != model.lattice:
         raise ValueError('class does not live on the model lattice')
-    support: list[str] = []
+    pd = [pair(d, c) for _, c in model.mori_gens]
+    base = integral(pd)
+    support: tuple[str, ...] = ()
     for _ in range(len(model.mori_gens) + 1):
+        idx = [model.gen_index[n] for n in support]
         try:
-            coeffs = _support_solve(model, d, support)
+            coeffs = [x for (x,) in support_solve(model, support,
+                                                  [(pd[i],) for i in idx])]
         except ConfigurationError:
             # the accumulated support left the negative definite cone, which
             # can only happen when d is outside the pseudo-effective cone
             raise NotPseudoEffective(
                 f'{model.name}: support walk left the negative definite '
                 f'cone at {list(support)}') from None
-        p = d
-        for a, n in zip(coeffs, support):
-            p = p - a * model.gen(n)
-        violators = [n for n, c in model.mori_gens
-                     if n not in support and pair(p, c) < 0]
+        _, pc = _off_support(model, base, integral(coeffs), idx)
+        violators = [n for j, n in enumerate(model.gen_names)
+                     if j not in idx and pc[j] < 0]
         if not violators:
+            p = d
+            for a, n in zip(coeffs, support):
+                p = p - a * model.gen(n)
             result = ZariskiResult(model, d, p, tuple(zip(support, coeffs)))
             fails = result.failures()
             if fails:
                 raise NotPseudoEffective(f'{model.name}: ' + '; '.join(fails))
             return result
-        support.extend(violators)
+        support += tuple(violators)
     raise NotPseudoEffective(
         f'{model.name}: no nef part found with all generators in the support')
 
@@ -256,15 +277,23 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
     '''
     if origin.lattice != model.lattice or direction.lattice != model.lattice:
         raise ValueError('classes do not live on the model lattice')
-    rep = is_nef(model, origin)
-    if not rep:
+    # the walk runs in generator coordinates: the ray is paired with every
+    # generator once, and each chamber is solved from those pairings and the
+    # generator pairing matrix
+    po = [pair(origin, c) for _, c in model.mori_gens]
+    witness = next((n for n, x in zip(model.gen_names, po) if x < 0), None)
+    if witness is not None:
         raise ConfigurationError(
-            f'{model.name}: profile origin is not nef (witness {rep.witness})')
-    degree = pair(origin, origin)
-    if degree <= 0:
+            f'{model.name}: profile origin is not nef (witness {witness})')
+    oo = pair(origin, origin)
+    if oo <= 0:
         raise ConfigurationError(f'{model.name}: profile origin is not big')
     if direction.is_zero():
         raise ConfigurationError(f'{model.name}: zero profile direction')
+    # v0 = -direction
+    pv = [-pair(direction, c) for _, c in model.mori_gens]
+    ov, vv = -pair(origin, direction), pair(direction, direction)
+    po_n, pv_n = integral(po), integral(pv)
 
     t0 = Fraction(0)
     support: tuple[str, ...] = ()
@@ -275,24 +304,24 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
         if guard > 6 * len(model.mori_gens) + 12:
             raise EngineError(f'{model.name}: chamber walk did not terminate')
 
-        coeffs0 = _support_solve(model, origin, support)
-        coeffs1 = _support_solve(model, -1 * direction, support)
-        u, v = origin, -1 * direction
-        for a0, a1, n in zip(coeffs0, coeffs1, support):
-            u = u - a0 * model.gen(n)
-            v = v - a1 * model.gen(n)
-        # P(t) = u + t v on this chamber
-        q = (pair(u, u), 2 * pair(u, v), pair(v, v))
+        # P(t) = u + t v on this chamber, with u = origin - sum a0_s C_s and
+        # v = v0 - sum a1_s C_s orthogonal to the support
+        idx = [model.gen_index[n] for n in support]
+        sol = support_solve(model, support, [(po[i], pv[i]) for i in idx])
+        a0, a1 = integral(x for x, _ in sol), integral(y for _, y in sol)
+        q = (oo - _dot(a0, po_n, idx), 2 * (ov - _dot(a0, pv_n, idx)),
+             vv - _dot(a1, pv_n, idx))
+        fu, fv = _off_support(model, po_n, a0, idx), _off_support(model, pv_n, a1, idx)
+        outside = [j for j in range(len(po)) if j not in idx]
 
-        immediate = [n for n, c in model.mori_gens if n not in support
-                     and (pair(u, c) + t0 * pair(v, c) < 0
-                          or (pair(u, c) + t0 * pair(v, c) == 0 and pair(v, c) < 0))]
+        at_t0 = _along(fu, fv, t0)
+        immediate = [model.gen_names[j] for j in outside
+                     if at_t0[j] < 0 or (at_t0[j] == 0 and fv[1][j] < 0)]
         if immediate:
             support = support + tuple(immediate)
             continue
 
-        bad_coeff = any(a0 + t0 * a1 < 0 for a0, a1 in zip(coeffs0, coeffs1))
-        if bad_coeff:
+        if any(x < 0 for x in _along(a0, a1, t0)):
             # stale support inherited from the previous chamber: rebuild at a
             # point just inside this one
             support = _probe_support(model, origin, direction, t0)
@@ -300,17 +329,15 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
 
         t_end: Optional[Fraction] = None
         joiners: list[str] = []
-        for n, c in model.mori_gens:
-            if n in support:
-                continue
-            f0, f1 = pair(u, c), pair(v, c)
-            if f1 < 0:
-                r = -Fraction(f0) / f1
+        (du, us), (dv, vs) = fu, fv
+        for j in outside:
+            if vs[j] < 0:
+                r = Fraction(-us[j] * dv, vs[j] * du)
                 if r > t0 and (t_end is None or r <= t_end):
                     if t_end is None or r < t_end:
-                        t_end, joiners = r, [n]
+                        t_end, joiners = r, [model.gen_names[j]]
                     else:
-                        joiners.append(n)
+                        joiners.append(model.gen_names[j])
 
         root = _min_root_after(q, t0, t_end)
         if root is not None:
@@ -318,7 +345,7 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
             return VolumeProfile(tuple(pieces), root)
         if t_end is None:
             raise EngineError(f'{model.name}: volume never vanishes along the ray')
-        if any(a0 + t_end * a1 < 0 for a0, a1 in zip(coeffs0, coeffs1)):
+        if any(x < 0 for x in _along(a0, a1, t_end)):
             support = _probe_support(model, origin, direction,
                                      t0 + (t_end - t0) / 2)
             continue

@@ -24,7 +24,7 @@ from .lattice import (
     DivClass,
     EngineError,
     IntersectionLattice,
-    SingularSystem,
+    integral_matrix,
     is_negative_definite,
     pair,
     rational,
@@ -69,6 +69,44 @@ class SurfaceModel:
             if n == name:
                 return c
         raise KeyError(f'{self.name}: no generator {name!r}; have {list(self.gen_names)}')
+
+    @cached_property
+    def gen_index(self) -> Mapping[str, int]:
+        '''generator name -> its position in ``mori_gens``'''
+        return {n: i for i, n in enumerate(self.gen_names)}
+
+    @cached_property
+    def gen_pairing(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        '''(d, rows) with rows[i][j] / d = gen_i . gen_j'''
+        cs = [c for _, c in self.mori_gens]
+        m = [[Fraction(0)] * len(cs) for _ in cs]
+        for i, a in enumerate(cs):
+            for j in range(i, len(cs)):
+                m[i][j] = m[j][i] = pair(a, cs[j])
+        return integral_matrix(m)
+
+    @cached_property
+    def _support_grams(self) -> dict:
+        '''support tuple -> its Gram matrix, or None when that is not
+        negative definite; filled as supports are first solved'''
+        return {}
+
+    def support_gram(self, support: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+        '''Gram matrix of a negative definite set of generators, scaled to
+        integers by the denominator of gen_pairing'''
+        try:
+            gram = self._support_grams[support]
+        except KeyError:
+            _, m = self.gen_pairing
+            idx = [self.gen_index[n] for n in support]
+            gram = tuple([tuple([m[i][j] for j in idx]) for i in idx])
+            if not is_negative_definite(gram):
+                gram = None
+            self._support_grams[support] = gram
+        if gram is None:
+            raise ConfigurationError(
+                f'{self.name}: support {list(support)} is not negative definite')
+        return gram
 
     @cached_property
     def discrepancy(self) -> Mapping[str, Fraction]:
@@ -143,6 +181,31 @@ def anticanonical_degree(model: SurfaceModel) -> Fraction:
     return model.degree
 
 
+def support_solve(model: SurfaceModel, support: tuple[str, ...], rhs):
+    '''
+    the orthogonal-complement solve: coefficients a_s with
+    sum_s a_s (C_s . C_t) = b_t for every curve C_t of the support, so that
+    d - sum a_s C_s is orthogonal to the support when b_t = d . C_t
+
+    ``rhs`` has one row per support curve and one column per right-hand
+    side, and so does the result.  The support must be negative definite
+    (ConfigurationError otherwise); its Gram matrix and that verdict are
+    cached on the model.
+    '''
+    if not support:
+        return ()
+    d = model.gen_pairing[0]
+    return solve_linear(model.support_gram(support),
+                        [[d * x for x in row] for row in rhs])
+
+
+def contraction_orders(model: SurfaceModel, d: DivClass) -> Mapping[str, Fraction]:
+    '''coefficient of each contracted curve in the Weil pullback of d'''
+    coeffs = support_solve(model, model.contracted,
+                           [(-pair(d, c),) for c in model.contracted_classes])
+    return {n: x for n, (x,) in zip(model.contracted, coeffs)}
+
+
 def pullback_weil(model: SurfaceModel, d: DivClass) -> DivClass:
     '''
     numerical pullback of a Weil divisor class given by its proper transform
@@ -157,31 +220,10 @@ def pullback_weil(model: SurfaceModel, d: DivClass) -> DivClass:
         >>> pullback_weil(m, lat.basis('h')).coords
         (Fraction(1, 1),)
     '''
-    if not model.contracted:
-        return d
-    cs = model.contracted_classes
-    gram = [[pair(a, b) for b in cs] for a in cs]
-    rhs = [-pair(d, c) for c in cs]
-    try:
-        coeffs = solve_linear(gram, rhs)
-    except SingularSystem as exc:
-        raise ConfigurationError(
-            f'{model.name}: contracted Gram matrix is singular ({exc})') from exc
     out = d
-    for x, c in zip(coeffs, cs):
+    for x, c in zip(contraction_orders(model, d).values(), model.contracted_classes):
         out = out + x * c
     return out
-
-
-def contraction_orders(model: SurfaceModel, d: DivClass) -> Mapping[str, Fraction]:
-    '''coefficient of each contracted curve in the Weil pullback of d'''
-    if not model.contracted:
-        return {}
-    cs = model.contracted_classes
-    gram = [[pair(a, b) for b in cs] for a in cs]
-    rhs = [-pair(d, c) for c in cs]
-    coeffs = solve_linear(gram, rhs)
-    return dict(zip(model.contracted, coeffs))
 
 
 @dataclass(frozen=True)

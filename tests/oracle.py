@@ -1,24 +1,50 @@
 '''
 brute-force Zariski oracle
 
-Independent of the chamber walk in kwall.positivity: enumerates every
-negative definite subset of the declared generators, solves the
-orthogonality system with a precomputed inverse, and keeps the subsets whose
-candidate P clears all invariants.  All surviving subsets must share one P.
+Independent of the chamber walk in kwall.positivity and of kwall's compiled
+integer tables: pairings, negative definiteness and inverses are computed
+here with plain Fraction arithmetic over the model's Gram matrix.  The oracle
+enumerates every negative definite subset of the declared generators, solves
+the orthogonality system with a precomputed inverse, and keeps the subsets
+whose candidate P clears all invariants.  All surviving subsets must share
+one P.
 '''
 from fractions import Fraction
 from itertools import combinations
 
-from kwall.lattice import is_negative_definite, pair, solve_linear
+
+def reference_pair(gram, x, y):
+    '''x . y for coordinate vectors x, y under a Gram matrix'''
+    return sum((xi * gij * yj for xi, row in zip(x, gram)
+                for gij, yj in zip(row, y)), Fraction(0))
+
+
+def _negative_definite(m):
+    '''Sylvester's criterion on -m: every elimination pivot must be positive'''
+    a = [[-Fraction(x) for x in row] for row in m]
+    for k in range(len(a)):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return True
 
 
 def _inverse(m):
+    '''Gauss-Jordan inverse of a nonsingular matrix'''
     k = len(m)
-    cols = []
-    for j in range(k):
-        rhs = [Fraction(int(i == j)) for i in range(k)]
-        cols.append(solve_linear(m, rhs))
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+         for i, row in enumerate(m)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(k):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[k:] for row in a]
 
 
 class ZariskiOracle:
@@ -27,17 +53,21 @@ class ZariskiOracle:
         self.names = list(model.gen_names)
         self.classes = [c for _, c in model.mori_gens]
         n = len(self.classes)
-        self.gram = [[pair(a, b) for b in self.classes] for a in self.classes]
+        self.lattice_gram = model.lattice.gram
+        self.gram = [[self._pair(a, b) for b in self.classes] for a in self.classes]
         self.subsets = []
         for k in range(model.lattice.rank):
             for idx in combinations(range(n), k):
                 sub = [[self.gram[i][j] for j in idx] for i in idx]
-                if is_negative_definite(sub):
+                if _negative_definite(sub):
                     self.subsets.append((idx, _inverse(sub) if idx else []))
+
+    def _pair(self, a, b):
+        return reference_pair(self.lattice_gram, a.coords, b.coords)
 
     def decompose(self, d):
         '''all (support dict, P) candidates passing every invariant'''
-        pd = [pair(d, c) for c in self.classes]
+        pd = [self._pair(d, c) for c in self.classes]
         found = []
         for idx, inv in self.subsets:
             rhs = [pd[i] for i in idx]

@@ -213,3 +213,41 @@ def test_standalone_documents_decode_to_the_fixture_pair():
 def test_module_doctests():
     failed, attempted = doctest.testmod(kwall.catalog)
     assert failed == 0 and attempted >= 2
+
+
+def _cache_state(cat):
+    '''per model: the attributes cached on it, and the supports it has solved'''
+    models = {m.name: m for m in cat.surfaces}
+    models.update((f.valuation.model.name, f.valuation.model) for f in cat.fixtures)
+    return {n: (sorted(vars(m)), sorted(vars(m).get('_support_grams', ())))
+            for n, m in models.items()}
+
+
+def test_a_fresh_decode_starts_cold(monkeypatch):
+    '''compiled tables hang off the decoded objects, so a fresh decode
+    starts from the same cold state and redoes the same work, however much
+    earlier decodes computed'''
+    calls = []
+    real = kwall.lattice.signature
+    monkeypatch.setattr(kwall.lattice, 'signature',
+                        lambda rows: calls.append(rows) or real(rows))
+
+    def decode_and_walk():
+        kwall.catalog._load_resolved.cache_clear()
+        cat = load_catalog()
+        state = _cache_state(cat)
+        before = len(calls)
+        for f in cat.fixtures:
+            beta(f.pair, f.valuation)
+        assert _cache_state(cat) != state
+        return cat, state, len(calls) - before
+
+    first, cold, walked = decode_and_walk()
+    # decoding only solves the contracted supports its pullbacks need
+    for m in first.surfaces:
+        assert cold[m.name][1] in ([], [m.contracted]), m.name
+    second, state, rewalked = decode_and_walk()
+    assert state == cold
+    assert rewalked == walked > 0
+    for a, b in zip(first.surfaces, second.surfaces):
+        assert a is not b and a.lattice is not b.lattice

@@ -137,6 +137,38 @@ def test_beta_pair_file_usage_errors(tmp_path, capsys):
     assert run(capsys, 'beta', str(notjson), 'line12')[0] == 2
 
 
+def test_beta_pair_file_naming_an_unknown_generator_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / 'pair.json'
+    bad.write_text(json.dumps({'surface': 'sigma5',
+                               'boundary': [{'gen': 'nosuch', 'mult': '2'}]}))
+    code, out, err = run(capsys, 'beta', str(bad), 'exc1')
+    assert code == 2
+    assert out == ''
+    assert "catalog error: sigma5: boundary part names unknown generator 'nosuch'" in err
+
+
+def test_zero_denominators_are_usage_errors(capsys):
+    for argv in (('beta', 'Sigma5/D_1_17/L1', '--c', '1/0'),
+                 ('bounds', '--c', '1/0'),
+                 ('bounds', '--degree', '1/0')):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ''), argv
+        assert 'bad input: zero denominator' in err, argv
+
+
+def test_catalog_without_a_section_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    from kwall.catalog import DATA_PATH
+    for section in ('surfaces', 'fixtures', 'walls'):
+        doc = json.loads(DATA_PATH.read_text())
+        del doc[section]
+        bad = tmp_path / f'no-{section}.json'
+        bad.write_text(json.dumps(doc))
+        monkeypatch.setenv('KWALL_CATALOG', str(bad))
+        code, out, err = run(capsys, 'walls')
+        assert (code, out) == (2, ''), section
+        assert f"has no '{section}' section" in err
+
+
 def test_beta_reports_the_margin_coefficients(capsys):
     code, report = run_json(capsys, 'beta', 'Xprime/D_13_41/E')
     assert code == 0
@@ -188,10 +220,10 @@ def test_walls_against_a_perturbed_catalog_exits_four(tmp_path, monkeypatch, cap
     assert 'status: mismatch' in out
 
 
-def test_reports_are_identical_across_runs_and_thread_counts(capsys):
-    first = run(capsys, '--json', 'walls', '--diff', '--threads', '2')
-    second = run(capsys, '--json', 'walls', '--diff', '--threads', '5')
-    third = run(capsys, '--json', 'walls', '--diff', '--threads', '2')
+def test_reports_are_identical_across_repeated_runs(capsys):
+    first = run(capsys, '--json', 'walls', '--diff')
+    second = run(capsys, '--json', 'walls', '--diff')
+    third = run(capsys, '--json', 'walls', '--diff')
     assert first == second == third
     assert first[0] == 0
 

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle import reference_pair
 from kwall.lattice import (
     DivClass,
     IntersectionLattice,
@@ -22,6 +23,9 @@ F = Fraction
 SIGMA5 = IntersectionLattice.diagonal(('h', 'e1', 'e2', 'e3', 'e4'), (1, -1, -1, -1, -1))
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+# entries like the -1/(ab) self-intersection of a weighted blow-up
+weighted = st.builds(lambda a, b: F(-1, a * b), st.integers(1, 7), st.integers(1, 7))
+entries = st.one_of(rationals, weighted)
 
 
 def test_pair_defining_form():
@@ -123,9 +127,28 @@ def test_pair_bilinear(xs, ys, zs, lam):
     assert lhs == pair(a, c) + F(lam) * pair(b, c)
 
 
+@settings(max_examples=100)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+           st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
+           st.lists(rationals, min_size=n, max_size=n),
+           st.lists(rationals, min_size=n, max_size=n))))
+def test_pair_matches_reference_form(data):
+    rows, x, y = data
+    n = len(rows)
+    gram = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    lat = IntersectionLattice.from_rows([f'b{i}' for i in range(n)], gram)
+    a, b = lat.div(x), lat.div(y)
+    assert pair(a, b) == reference_pair(lat.gram, a.coords, b.coords)
+    assert pair(b, a) == pair(a, b)
+
+
 @settings(max_examples=60)
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3),
        st.lists(rationals, min_size=3, max_size=3))
+@example([[F(-1, 6), F(1, 2), F(0)], [F(1, 2), F(-1, 35), F(2, 3)], [F(0), F(2, 3), F(-5, 4)]],
+         [F(1, 3), F(-7, 2), F(5, 6)])
+@example([[F(0), F(1, 4), F(1)], [F(1, 4), F(0), F(-1, 12)], [F(1), F(-1, 12), F(0)]],
+         [F(-1, 2), F(0), F(11, 7)])
 def test_solve_linear_roundtrip(rows, x):
     rows = [[F(v) for v in row] for row in rows]
     x = [F(v) for v in x]
@@ -137,12 +160,49 @@ def test_solve_linear_roundtrip(rows, x):
     assert list(sol) == x
 
 
+@settings(max_examples=60)
+@given(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=3, max_size=3),
+       st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=3, max_size=3))
+def test_solve_linear_several_right_hand_sides(rows, cols):
+    rows = [[F(v) for v in row] for row in rows]
+    try:
+        both = solve_linear(rows, [tuple(c) for c in cols])
+    except SingularSystem:
+        return
+    for k in range(2):
+        assert [x[k] for x in both] == list(solve_linear(rows, [c[k] for c in cols]))
+
+
 @settings(max_examples=40)
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=4, max_size=4))
+@example([[F(-1, 6), F(1, 2), F(0), F(0)], [F(0), F(-1, 35), F(1, 3), F(0)],
+          [F(0), F(0), F(0), F(1, 4)], [F(0), F(0), F(0), F(0)]])
 def test_signature_counts_sum_to_rank(rows):
     sym = [[F(rows[i][j] + rows[j][i]) for j in range(4)] for i in range(4)]
     pos, neg, zero = signature(sym)
     assert pos + neg + zero == 4
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+           st.lists(st.sampled_from((F(-1, 6), F(-1), F(0), F(1, 35), F(2))),
+                    min_size=n, max_size=n),
+           st.lists(entries, min_size=n * n, max_size=n * n))))
+def test_signature_of_a_congruent_diagonal(data):
+    '''L D L^T with L unit lower triangular has the inertia of D'''
+    diag, fill = data
+    n = len(diag)
+    low = [[F(1) if i == j else (fill[i * n + j] if j < i else F(0))
+            for j in range(n)] for i in range(n)]
+    m = [[sum((low[i][k] * diag[k] * low[j][k] for k in range(n)), F(0))
+          for j in range(n)] for i in range(n)]
+    want = (sum(d > 0 for d in diag), sum(d < 0 for d in diag), sum(d == 0 for d in diag))
+    assert signature(m) == want
+
+
+def test_rational_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match='zero denominator'):
+        rational('1/0')
 
 
 def test_no_floats_leak():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -16,9 +18,15 @@ from kwall.positivity import (
     volume_profile,
     zariski_decompose,
 )
+from kwall.catalog import load_catalog
+from kwall.stability import valuation_profile
 from kwall.surface import ConfigurationError
 
 F = Fraction
+
+# sha256 of every catalog profile document: each chamber's support,
+# t-interval and coefficients, so any change to a chamber walk shows here
+PROFILES_DIGEST = 'e97e9e6ceee347423e31ef1dbd39598e7fc07bfc476325ec516e652730b6addc'
 
 
 def _ray(model, origin, direction, expected, tau, integral):
@@ -252,3 +260,11 @@ def test_integrate_trivial_profile():
     piece = QuadraticPiece(F(0), F(1), (F(3), F(0), F(0)), ())
     assert integrate_profile(VolumeProfile((piece,), F(1))) == 3
     assert NotPseudoEffective.__mro__[1] is EngineError
+
+
+def test_every_catalog_profile_is_pinned():
+    cat = load_catalog()
+    docs = [[f.id, profile_to_doc(valuation_profile(f.valuation))] for f in cat.fixtures]
+    assert len(docs) == 45
+    blob = json.dumps(docs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PROFILES_DIGEST
