@@ -103,10 +103,6 @@ class Fixture:
     def family(self) -> str:
         return self.id.split('/', 1)[0]
 
-    @property
-    def surface(self) -> SurfaceModel:
-        return self.pair.surface
-
 
 @dataclass(frozen=True)
 class WallEntry:
@@ -132,13 +128,6 @@ class WallTable:
     def divisorial_walls(self) -> tuple[Fraction, ...]:
         return tuple(e.value for e in self.entries if e.divisorial)
 
-    def entry(self, value) -> WallEntry:
-        value = rational(value)
-        for e in self.entries:
-            if e.value == value:
-                return e
-        raise CatalogError(f'no wall at {value}')
-
 
 @dataclass(frozen=True)
 class Catalog:
@@ -159,7 +148,7 @@ class Catalog:
     def surface(self, name: str) -> SurfaceModel:
         try:
             return self._surface_index[name]
-        except KeyError:
+        except (KeyError, TypeError):
             known = ', '.join(sorted(self._surface_index))
             raise CatalogError(
                 f'unknown surface {name!r}; available: {known}') from None
@@ -249,6 +238,8 @@ def _decode_display(doc) -> Display:
 
 
 def _decode_fixture(surfaces: dict, doc) -> Fixture:
+    if not isinstance(doc['id'], str):
+        raise CatalogError(f'fixture id {doc["id"]!r} is not a string')
     try:
         model = surfaces[doc['surface']]
     except KeyError:
@@ -256,7 +247,7 @@ def _decode_fixture(surfaces: dict, doc) -> Fixture:
             f'fixture {doc.get("id")!r} names unknown surface '
             f'{doc.get("surface")!r}') from None
     parts = tuple(_decode_part(model, p) for p in doc.get('boundary', ()))
-    pair = LogPair.make(model, parts).validate()
+    pair = LogPair.make(model, parts)
     valuation = _decode_valuation(pair, doc['valuation'])
     display = doc.get('display')
     return Fixture(
@@ -279,6 +270,27 @@ def _decode_wall(doc) -> WallEntry:
                      description=doc.get('description', ''))
 
 
+# what decoding raises on a missing field or a wrong-typed JSON value
+_MALFORMED = (KeyError, TypeError, AttributeError)
+
+
+def _malformed(what: str, exc: Exception) -> CatalogError:
+    if isinstance(exc, KeyError):
+        return CatalogError(f'{what} is missing field {exc.args[0]!r}')
+    return CatalogError(f'{what} is malformed: {exc}')
+
+
+def _decode_each(what: str, docs, decode) -> tuple:
+    '''decode a list of JSON objects, naming the one that is malformed'''
+    out = []
+    try:
+        for doc in docs:
+            out.append(decode(doc))
+    except _MALFORMED as exc:
+        raise _malformed(f'{what} {len(out)}', exc) from None
+    return tuple(out)
+
+
 def catalog_path() -> Path:
     '''embedded resource path, or the KWALL_CATALOG override'''
     override = os.environ.get(ENV_VAR)
@@ -298,18 +310,21 @@ def _load_resolved(path_str: str) -> Catalog:
                if not isinstance(doc, dict) or k not in doc]
     if missing:
         raise CatalogError(f'catalog resource {path_str} has no {missing[0]!r} section')
-    surfaces = tuple(surface_from_doc(d).validate() for d in doc['surfaces'])
+    if type(doc.get('version', 0)) is not int:
+        raise CatalogError(f'catalog version {doc["version"]!r} is not an integer')
+    surfaces = _decode_each('surface', doc['surfaces'], surface_from_doc)
     index = {m.name: m for m in surfaces}
-    fixtures = tuple(_decode_fixture(index, d) for d in doc['fixtures'])
+    fixtures = _decode_each('fixture', doc['fixtures'],
+                            lambda d: _decode_fixture(index, d))
     seen = set()
     for f in fixtures:
         if f.id in seen:
             raise CatalogError(f'duplicate fixture id {f.id!r}')
         seen.add(f.id)
-    entries = tuple(_decode_wall(d) for d in doc['walls'])
+    entries = _decode_each('wall', doc['walls'], _decode_wall)
     if list(entries) != sorted(entries, key=lambda e: e.value):
         raise CatalogError('wall table is not sorted')
-    return Catalog(version=int(doc.get('version', 0)), path=path_str,
+    return Catalog(version=doc.get('version', 0), path=path_str,
                    surfaces=surfaces, fixtures=fixtures,
                    wall_table=WallTable(entries))
 
@@ -355,12 +370,9 @@ def pair_from_doc(doc, catalog: Optional[Catalog] = None) -> LogPair:
         raise CatalogError("pair document has no 'surface' field")
     cat = catalog if catalog is not None else load_catalog()
     model = cat.surface(doc['surface'])
-    try:
-        parts = tuple(_decode_part(model, p) for p in doc.get('boundary', ()))
-    except KeyError as exc:
-        raise CatalogError(
-            f'boundary part is missing field {exc.args[0]!r}') from None
-    return LogPair.make(model, parts).validate()
+    parts = _decode_each('boundary part', doc.get('boundary', ()),
+                         lambda p: _decode_part(model, p))
+    return LogPair.make(model, parts)
 
 
 def valuation_from_doc(pair: LogPair, doc) -> ValuationSpec:
@@ -375,6 +387,5 @@ def valuation_from_doc(pair: LogPair, doc) -> ValuationSpec:
         raise CatalogError('valuation document must be a json object')
     try:
         return _decode_valuation(pair, doc)
-    except KeyError as exc:
-        raise CatalogError(
-            f'valuation document is missing field {exc.args[0]!r}') from None
+    except _MALFORMED as exc:
+        raise _malformed('valuation document', exc) from None

@@ -16,8 +16,6 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 class EngineError(Exception):
     '''base class for computational failures (as opposed to bad input)'''
@@ -97,7 +95,7 @@ class IntersectionLattice:
         >>> lat = IntersectionLattice.diagonal(("h", "e1"), (1, -1))
         >>> lat.rank
         2
-        >>> lat.pair(lat.basis("h"), lat.basis("h"))
+        >>> pair(lat.basis("h"), lat.basis("h"))
         Fraction(1, 1)
     '''
     names: tuple[str, ...]
@@ -109,9 +107,11 @@ class IntersectionLattice:
         return integral_matrix(self.gram)
 
     def __post_init__(self):
-        assert len(set(self.names)) == len(self.names), 'duplicate basis names'
-        assert len(self.gram) == len(self.names)
-        assert all(len(row) == len(self.names) for row in self.gram)
+        r = len(self.names)
+        if len(set(self.names)) != r:
+            raise ValueError('duplicate basis names')
+        if len(self.gram) != r or any(len(row) != r for row in self.gram):
+            raise ValueError(f'gram matrix is not {r} x {r}')
 
     @classmethod
     def from_rows(cls, names: Sequence[str],
@@ -149,9 +149,6 @@ class IntersectionLattice:
     def zero(self) -> 'DivClass':
         return self.div((0,) * self.rank)
 
-    def pair(self, a: 'DivClass', b: 'DivClass') -> Fraction:
-        return pair(a, b)
-
 
 @dataclass(frozen=True)
 class DivClass:
@@ -186,9 +183,6 @@ class DivClass:
     __mul__ = scale
     __rmul__ = scale
 
-    def dot(self, other: 'DivClass') -> Fraction:
-        return pair(self, other)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -218,7 +212,6 @@ def pair(a: DivClass, b: DivClass) -> Fraction:
 @dataclass(frozen=True)
 class LatticeReport:
     '''outcome of validate_lattice; empty ``failures`` means the lattice passed'''
-    symmetric: bool
     signature: tuple[int, int, int]
     failures: tuple[str, ...]
 
@@ -294,11 +287,11 @@ def validate_lattice(lat: IntersectionLattice) -> LatticeReport:
                     for i in range(lat.rank) for j in range(lat.rank))
     if not symmetric:
         failures.append('gram matrix is not symmetric')
-        return LatticeReport(False, (0, 0, 0), tuple(failures))
+        return LatticeReport((0, 0, 0), tuple(failures))
     sig = signature(lat.gram)
     if sig != (1, lat.rank - 1, 0):
         failures.append(f'signature {sig} is not (1, {lat.rank - 1}, 0)')
-    return LatticeReport(symmetric, sig, tuple(failures))
+    return LatticeReport(sig, tuple(failures))
 
 
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs):

@@ -7,6 +7,12 @@ effective class decomposes as P + N with P nef and N supported on a negative
 definite set of generators; the volume of a ray origin - t*direction is then
 a piecewise quadratic in t, one quadratic per Zariski chamber, computed in
 exact rational arithmetic.
+
+Along a ray from a nef origin the support only grows: the big classes with
+negative support inside a set S form a convex set (P(D1) + P(D2) is nef and
+at most D1 + D2; Bauer-Kuronya-Szemberg, Crelle 2004), which holds the
+origin.  A piece on which a support coefficient turns negative, a shrinking
+support, raises EngineError.
 '''
 from __future__ import annotations
 
@@ -298,12 +304,8 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
     t0 = Fraction(0)
     support: tuple[str, ...] = ()
     pieces: list[QuadraticPiece] = []
-    guard = 0
+    # each pass grows the support, returns or raises: at most len(mori_gens) + 1
     while True:
-        guard += 1
-        if guard > 6 * len(model.mori_gens) + 12:
-            raise EngineError(f'{model.name}: chamber walk did not terminate')
-
         # P(t) = u + t v on this chamber, with u = origin - sum a0_s C_s and
         # v = v0 - sum a1_s C_s orthogonal to the support
         idx = [model.gen_index[n] for n in support]
@@ -321,12 +323,6 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
             support = support + tuple(immediate)
             continue
 
-        if any(x < 0 for x in _along(a0, a1, t0)):
-            # stale support inherited from the previous chamber: rebuild at a
-            # point just inside this one
-            support = _probe_support(model, origin, direction, t0)
-            continue
-
         t_end: Optional[Fraction] = None
         joiners: list[str] = []
         (du, us), (dv, vs) = fu, fv
@@ -340,23 +336,19 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
                         joiners.append(model.gen_names[j])
 
         root = _min_root_after(q, t0, t_end)
-        if root is not None:
-            pieces.append(QuadraticPiece(t0, root, q, support))
-            return VolumeProfile(tuple(pieces), root)
-        if t_end is None:
+        t_hi = t_end if root is None else root
+        if t_hi is None:
             raise EngineError(f'{model.name}: volume never vanishes along the ray')
-        if any(x < 0 for x in _along(a0, a1, t_end)):
-            support = _probe_support(model, origin, direction,
-                                     t0 + (t_end - t0) / 2)
-            continue
-        pieces.append(QuadraticPiece(t0, t_end, q, support))
+        # coefficients are affine in t, so the two ends cover the whole piece
+        if any(x < 0 for t in (t0, t_hi) for x in _along(a0, a1, t)):
+            raise EngineError(
+                f'{model.name}: support {list(support)} shrinks on '
+                f'[{t0}, {t_hi}]: a support coefficient turns negative')
+        pieces.append(QuadraticPiece(t0, t_hi, q, support))
+        if root is not None:
+            return VolumeProfile(tuple(pieces), root)
         t0 = t_end
         support = support + tuple(joiners)
-
-
-def _probe_support(model, origin, direction, t) -> tuple[str, ...]:
-    res = zariski_decompose(model, origin - t * direction)
-    return tuple(n for n, _ in res.negative_support)
 
 
 def integrate_profile(profile: VolumeProfile) -> Fraction:

@@ -112,12 +112,17 @@ class LogPair:
                    rational(c_range[0]), rational(c_range[1])).validate()
 
     @cached_property
-    def boundary_class(self) -> DivClass:
-        '''full pullback of the boundary cycle to the resolution'''
+    def proper_transform(self) -> DivClass:
+        '''sum of the components' proper transforms, with multiplicities'''
         out = self.surface.lattice.zero()
         for _, comp, mult in self.boundary:
-            out = out + mult * pullback_weil(self.surface, comp)
+            out = out + mult * comp
         return out
+
+    @cached_property
+    def boundary_class(self) -> DivClass:
+        '''full pullback of the boundary cycle to the resolution'''
+        return pullback_weil(self.surface, self.proper_transform)
 
     @cached_property
     def anticanonical_factor(self) -> Fraction:
@@ -134,10 +139,7 @@ class LogPair:
         pullback cycle; anything else gets its summed multiplicity.
         '''
         if name in self.surface.contracted:
-            total = Fraction(0)
-            for _, comp, mult in self.boundary:
-                total += mult * contraction_orders(self.surface, comp)[name]
-            return total
+            return contraction_orders(self.surface, self.proper_transform)[name]
         if name not in self.surface.gen_names and \
                 all(n != name for n, _, _ in self.boundary):
             raise ConfigurationError(

@@ -149,8 +149,9 @@ class SurfaceModel:
         if out:
             return tuple(out)
         if self.contracted:
-            gram = [[pair(a, b) for b in self.contracted_classes] for a in self.contracted_classes]
-            if not is_negative_definite(gram):
+            try:
+                self.support_gram(self.contracted)
+            except ConfigurationError:
                 out.append(f'{self.name}: contracted curves are not negative definite')
         pk = self.canonical_pullback
         for n in self.contracted:
@@ -174,11 +175,6 @@ class SurfaceModel:
         if fails:
             raise ConfigurationError('; '.join(fails))
         return self
-
-
-def anticanonical_degree(model: SurfaceModel) -> Fraction:
-    '''self-intersection of the pulled-back anticanonical class'''
-    return model.degree
 
 
 def support_solve(model: SurfaceModel, support: tuple[str, ...], rhs):
@@ -243,6 +239,8 @@ class BlowupCenter:
 
     @classmethod
     def make(cls, weights=(1, 1), exc_name='exc', through=(), extra_mori=()) -> 'BlowupCenter':
+        if len(weights) != 2:
+            raise ConfigurationError(f'weights {list(weights)} are not two integers')
         return cls(
             (int(weights[0]), int(weights[1])),
             exc_name,
@@ -372,6 +370,6 @@ def surface_from_doc(doc: Mapping) -> SurfaceModel:
             k_discrepancies=tuple((n, rational(x))
                                   for n, x in doc.get('k_discrepancies', {}).items()),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ConfigurationError(f'bad surface document: {exc}') from exc
     return model.validate()

@@ -1,4 +1,3 @@
-import doctest
 import json
 from fractions import Fraction
 
@@ -208,11 +207,6 @@ def test_standalone_documents_decode_to_the_fixture_pair():
         pair_from_doc({'boundary': []})
     with pytest.raises(CatalogError):
         valuation_from_doc(p, {'kind': 'class', 'name': 'x'})
-
-
-def test_module_doctests():
-    failed, attempted = doctest.testmod(kwall.catalog)
-    assert failed == 0 and attempted >= 2
 
 
 def _cache_state(cat):

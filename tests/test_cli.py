@@ -1,9 +1,15 @@
 '''exit codes, report shapes, and worked command lines for the cli'''
 
-import doctest
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
-import kwall.cli
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kwall.catalog import DATA_PATH
 from kwall.cli import main
 
 
@@ -157,7 +163,6 @@ def test_zero_denominators_are_usage_errors(capsys):
 
 
 def test_catalog_without_a_section_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    from kwall.catalog import DATA_PATH
     for section in ('surfaces', 'fixtures', 'walls'):
         doc = json.loads(DATA_PATH.read_text())
         del doc[section]
@@ -167,6 +172,120 @@ def test_catalog_without_a_section_is_a_usage_error(tmp_path, monkeypatch, capsy
         code, out, err = run(capsys, 'walls')
         assert (code, out) == (2, ''), section
         assert f"has no '{section}' section" in err
+
+
+SHIPPED = json.loads(DATA_PATH.read_text())
+
+
+def _edit(section, key, *value):
+    '''catalog edit: give ``key`` of the first object of a section the
+    value, or delete it when no value is given'''
+    def edit(doc):
+        if value:
+            doc[section][0][key] = value[0]
+        else:
+            del doc[section][0][key]
+    return edit
+
+
+def _one_blowup_weight(doc):
+    v = next(f['valuation'] for f in doc['fixtures']
+             if f['valuation']['kind'] == 'blowup')
+    v['center']['weights'] = [1]
+
+
+@pytest.mark.parametrize('edit, docs, message', [
+    (_edit('fixtures', 'expected'), None,
+     "catalog error: fixture 0 is missing field 'expected'"),
+    (_edit('walls', 'value'), None, "catalog error: wall 0 is missing field 'value'"),
+    (lambda doc: doc['fixtures'].__setitem__(0, [1]), None,
+     'catalog error: fixture 0 is malformed'),
+    (None, ({'surface': 'sigma5', 'boundary': 'xx'}, 'exc1'),
+     'catalog error: boundary part 0 is malformed'),
+    (None, ({'surface': 'sigma5', 'boundary': [5]}, 'exc1'),
+     'catalog error: boundary part 0 is malformed'),
+    (_edit('fixtures', 'expected', 'xx'), None, 'catalog error: fixture 0 is malformed'),
+    (_edit('fixtures', 'valuation', 2), None, 'catalog error: fixture 0 is malformed'),
+    (_edit('fixtures', 'display', True), None, 'catalog error: fixture 0 is malformed'),
+    (_edit('surfaces', 'k_discrepancies', 2), None,
+     "configuration error: bad surface document: 'int' object has no attribute 'items'"),
+    (_edit('fixtures', 'id', [1]), None, 'catalog error: fixture id [1] is not a string'),
+    (_edit('surfaces', 'gram', ''), None,
+     'configuration error: bad surface document: gram matrix is not 1 x 1'),
+    (_one_blowup_weight, None, 'configuration error: weights [1] are not two integers'),
+    (None, (PAIR_DOC, {'kind': 'blowup', 'center': 5}),
+     'catalog error: valuation document is malformed'),
+    (lambda doc: doc.__setitem__('version', [1]), None,
+     'catalog error: catalog version [1] is not an integer'),
+], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
+        'boundary-is-a-string', 'boundary-part-is-a-number',
+        'expected-is-a-string', 'valuation-is-a-number', 'display-is-a-boolean',
+        'k-discrepancies-is-a-number', 'fixture-id-is-a-list', 'gram-is-empty',
+        'one-blowup-weight', 'blowup-center-is-a-number', 'version-is-a-list'])
+def test_malformed_entries_are_usage_errors(edit, docs, message, tmp_path,
+                                            monkeypatch, capsys):
+    if edit is not None:
+        doc = json.loads(json.dumps(SHIPPED))
+        edit(doc)
+        bad = tmp_path / 'catalog.json'
+        bad.write_text(json.dumps(doc))
+        monkeypatch.setenv('KWALL_CATALOG', str(bad))
+        argv = ('fixtures', 'list')
+    else:
+        pair_doc, valuation = docs
+        bad = tmp_path / 'pair.json'
+        bad.write_text(json.dumps(pair_doc))
+        if isinstance(valuation, dict):
+            (tmp_path / 'val.json').write_text(json.dumps(valuation))
+            valuation = str(tmp_path / 'val.json')
+        argv = ('beta', str(bad), valuation)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, '')
+    assert message in err
+
+
+# JSON values of every type; a replacement is drawn with a type other than
+# the value it replaces
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2))
+
+
+@st.composite
+def catalog_edits(draw):
+    '''(section, index, key, values): delete one key of one surface, fixture
+    or wall object (no values), or give it a value of another JSON type'''
+    section = draw(st.sampled_from(('surfaces', 'fixtures', 'walls')))
+    i = draw(st.integers(0, len(SHIPPED[section]) - 1))
+    key = draw(st.sampled_from(sorted(SHIPPED[section][i])))
+    old = type(SHIPPED[section][i][key])
+    values = draw(st.just(()) | JSON_VALUES.filter(lambda v: type(v) is not old).map(
+        lambda v: (v,)))
+    return section, i, key, values
+
+
+@settings(max_examples=50, deadline=None)
+@given(edit=catalog_edits())
+def test_malformed_catalogs_keep_the_exit_code_contract(edit):
+    section, i, key, values = edit
+    doc = json.loads(json.dumps(SHIPPED))
+    if values:
+        doc[section][i][key] = values[0]
+    else:
+        del doc[section][i][key]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / 'catalog.json'
+        path.write_text(json.dumps(doc))
+        mp.setenv('KWALL_CATALOG', str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(['fixtures', 'list'])
+    assert code in (0, 2, 3, 4)
+    assert 'Traceback' not in err.getvalue()
+    if code == 0:
+        assert out.getvalue().count('# kwall fixtures list\n') == 1
+        assert out.getvalue().endswith('status: ok\n')
 
 
 def test_beta_reports_the_margin_coefficients(capsys):
@@ -201,7 +320,6 @@ def test_walls_unknown_family_is_a_usage_error(capsys):
 
 
 def test_walls_against_a_perturbed_catalog_exits_four(tmp_path, monkeypatch, capsys):
-    from kwall.catalog import DATA_PATH
     doc = json.loads(DATA_PATH.read_text())
     for f in doc['fixtures']:
         if f['id'] == 'Sigma5/D_1_17/L1':
@@ -316,9 +434,3 @@ def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(['walls', '--threads', '0']) == 2
     capsys.readouterr()
-
-
-def test_module_doctests():
-    results = doctest.testmod(kwall.cli)
-    assert results.failed == 0
-    assert results.attempted >= 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import builders
-from kwall.lattice import EngineError, pair
+from kwall.lattice import EngineError, IntersectionLattice, pair
 from kwall.positivity import (
     NotPseudoEffective,
     QuadraticPiece,
@@ -20,7 +20,7 @@ from kwall.positivity import (
 )
 from kwall.catalog import load_catalog
 from kwall.stability import valuation_profile
-from kwall.surface import ConfigurationError
+from kwall.surface import ConfigurationError, SurfaceModel
 
 F = Fraction
 
@@ -192,6 +192,43 @@ def test_chamber_supports_nested():
             for p in prof.pieces:
                 assert seen <= set(p.chamber_support)
                 seen = set(p.chamber_support)
+
+
+CATALOG_SURFACES = {m.name: m for m in load_catalog().surfaces}
+
+
+@pytest.mark.parametrize('name', sorted(CATALOG_SURFACES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_supports_grow_along_mixed_sign_rays(name, data):
+    '''from the nef origins -K and -2K the support only grows along any
+    ray, whatever the signs of the direction, so the walk never meets a
+    shrinking support'''
+    m = CATALOG_SURFACES[name]
+    o = data.draw(st.sampled_from((1, 2))) * m.anticanonical_pullback
+    ks = data.draw(st.lists(st.integers(-2, 2), min_size=len(m.mori_gens),
+                            max_size=len(m.mori_gens)))
+    direction = m.lattice.zero()
+    for k, (_, c) in zip(ks, m.mori_gens):
+        direction = direction + k * c
+    try:
+        prof = volume_profile(m, o, direction)
+    except EngineError as exc:
+        assert 'shrinks' not in str(exc)
+        return
+    for a, b in zip(prof.pieces, prof.pieces[1:]):
+        assert set(a.chamber_support) <= set(b.chamber_support)
+
+
+def test_a_shrinking_support_is_refused():
+    '''e1 and e1 - e2 meet negatively, which two distinct irreducible curves
+    never do, so the theory behind the walk fails for this generator list:
+    along this ray a support coefficient turns negative inside the piece'''
+    lat = IntersectionLattice.diagonal(('h', 'e1', 'e2'), (1, -1, -1))
+    m = SurfaceModel('bad', lat, lat.div((-3, 1, 1)),
+                     (('e1', lat.basis('e1')), ('d', lat.div((0, 1, -1)))))
+    with pytest.raises(EngineError, match=r"bad: support \['e1', 'd'\] shrinks on \[0, 1\]"):
+        volume_profile(m, lat.basis('h'), lat.div((1, -1, 2)))
 
 
 MODELS = [builders.sigma5, builders.xn, builders.x11, builders.x12,

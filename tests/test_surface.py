@@ -8,7 +8,6 @@ from kwall.surface import (
     BlowupCenter,
     ConfigurationError,
     SurfaceModel,
-    anticanonical_degree,
     build_blowup_extension,
     contraction_orders,
     pullback_weil,
@@ -71,10 +70,10 @@ def make_xq() -> SurfaceModel:
 
 
 def test_degrees():
-    assert anticanonical_degree(make_sigma5()) == 5
-    assert anticanonical_degree(make_p2()) == 9
-    assert anticanonical_degree(make_xq()) == 5
-    assert anticanonical_degree(make_index3()) == 5
+    assert make_sigma5().degree == 5
+    assert make_p2().degree == 9
+    assert make_xq().degree == 5
+    assert make_index3().degree == 5
 
 
 def test_models_validate():
