@@ -169,6 +169,20 @@ class Catalog:
                      if f.family.startswith(family))
 
 
+def _string(doc, key: str, default: str) -> str:
+    x = doc.get(key, default)
+    if not isinstance(x, str):
+        raise TypeError(f'{key!r} is not a string')
+    return x
+
+
+def _strings(doc, key: str) -> tuple[str, ...]:
+    xs = doc.get(key, [])
+    if not isinstance(xs, list) or not all(isinstance(x, str) for x in xs):
+        raise TypeError(f'{key!r} is not a list of strings')
+    return tuple(xs)
+
+
 def _decode_affine(doc) -> AffineRatFn:
     return AffineRatFn(rational(doc['const']), rational(doc['slope']))
 
@@ -226,7 +240,7 @@ def _decode_expected(doc) -> Expected:
         vanishing_order=affine_or_none('S'),
         margin=affine_or_none('beta'),
         wall=None if wall is None else rational(wall),
-        trust=doc.get('trust', 'frozen'))
+        trust=_string(doc, 'trust', 'frozen'))
 
 
 def _decode_display(doc) -> Display:
@@ -240,12 +254,12 @@ def _decode_display(doc) -> Display:
 def _decode_fixture(surfaces: dict, doc) -> Fixture:
     if not isinstance(doc['id'], str):
         raise CatalogError(f'fixture id {doc["id"]!r} is not a string')
+    name = doc['surface']
     try:
-        model = surfaces[doc['surface']]
+        model = surfaces[name]
     except KeyError:
         raise CatalogError(
-            f'fixture {doc.get("id")!r} names unknown surface '
-            f'{doc.get("surface")!r}') from None
+            f'fixture {doc["id"]!r} names unknown surface {name!r}') from None
     parts = tuple(_decode_part(model, p) for p in doc.get('boundary', ()))
     pair = LogPair.make(model, parts)
     valuation = _decode_valuation(pair, doc['valuation'])
@@ -256,7 +270,7 @@ def _decode_fixture(surfaces: dict, doc) -> Fixture:
         valuation=valuation,
         expected=_decode_expected(doc['expected']),
         display=None if display is None else _decode_display(display),
-        notes=tuple(doc.get('notes', ())),
+        notes=_strings(doc, 'notes'),
         equivariant=tuple(_decode_valuation(pair, v)
                           for v in doc.get('equivariant', ())))
 
@@ -266,8 +280,8 @@ def _decode_wall(doc) -> WallEntry:
     if kind not in ('divisorial', 'flip'):
         raise CatalogError(f'unknown wall kind {kind!r}')
     return WallEntry(value=rational(doc['value']), kind=kind,
-                     families=tuple(doc.get('families', ())),
-                     description=doc.get('description', ''))
+                     families=_strings(doc, 'families'),
+                     description=_string(doc, 'description', ''))
 
 
 # what decoding raises on a missing field or a wrong-typed JSON value

@@ -35,6 +35,9 @@ def rational(x: int | str | Fraction) -> Fraction:
         >>> rational(7)
         Fraction(7, 1)
     '''
+    # a Fraction is immutable: hand it back rather than copy it
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool):
         raise ValueError(f'not a rational: {x!r}')
     if isinstance(x, (int, Fraction)):
@@ -294,6 +297,61 @@ def validate_lattice(lat: IntersectionLattice) -> LatticeReport:
     return LatticeReport(sig, tuple(failures))
 
 
+def bareiss(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
+            ) -> tuple[int, list[list[int]], bool]:
+    '''
+    fraction-free (Bareiss 1968) solve of an integer square system
+
+    ``cols`` has one row per equation and one entry per right-hand side.
+    Returns ``(det, ys, negative_definite)``: the solution is ys / det with
+    det > 0 (det is the last pivot, +-det(rows)), and ``negative_definite``
+    says whether rows, a symmetric matrix, is negative definite.  Without a
+    row exchange the k-th pivot is the k-th leading principal minor, so by
+    Sylvester's criterion on -rows that holds iff the k-th pivot has sign
+    (-1)^k for every k; a zero pivot, which needs an exchange, means it is
+    not.  Each pivot divides the next step exactly, and back substitution
+    stays in integers because det * x is integral (Cramer's rule).  Raises
+    SingularSystem when rows is singular.
+
+    TESTS:
+        >>> bareiss([[-2, 1], [1, -2]], [[-1], [0]])
+        (3, [[2], [1]], True)
+    '''
+    n = len(rows)
+    a = [[*row, *b] for row, b in zip(rows, cols)]
+    definite = True
+    prev = 1
+    for k in range(n):
+        top = a[k]
+        if top[k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if piv is None:
+                raise SingularSystem(f'no pivot in column {k}')
+            a[k], a[piv] = a[piv], top
+            top = a[k]
+            definite = False
+        p = top[k]
+        # the (k+1)-th pivot must have sign (-1)^(k+1)
+        if (p < 0) != (k % 2 == 0):
+            definite = False
+        # columns up to k are never read again below the pivot row
+        tail = top[k + 1:]
+        for r in range(k + 1, n):
+            row = a[r]
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    # ys[i][c] = prev * x[i][c], solved from the bottom row up
+    ys: list[list[int]] = [[]] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        ys[i] = [(prev * b - sum([row[j] * ys[j][c] for j in range(i + 1, n)])) // row[i]
+                 for c, b in enumerate(row[n:])]
+    if prev < 0:
+        return -prev, [[-y for y in yi] for yi in ys], definite
+    return prev, ys, definite
+
+
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs):
     '''
     exact solution of a square linear system; raises SingularSystem when the
@@ -301,9 +359,9 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs):
 
     ``rhs`` is one right-hand side vector, or, as in numpy.linalg.solve, a
     matrix whose columns are several right-hand sides: its rows are then
-    tuples or lists, and the rows of the solution are tuples.  One fraction-free (Bareiss
-    1968) elimination serves every column, and back substitution stays in
-    integers because det * x is integral (Cramer's rule).
+    tuples or lists, and the rows of the solution are tuples.  Each row of
+    the augmented matrix is scaled to integers, which keeps the solution,
+    and ``bareiss`` solves every column with one elimination.
 
     TESTS:
         >>> solve_linear([[Fraction(-2), Fraction(1)], [Fraction(1), Fraction(-2)]],
@@ -316,26 +374,7 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs):
     if any(len(row) != n for row in rows) or len(rhs) != n:
         raise ValueError('system is not square')
     several = n > 0 and isinstance(rhs[0], (tuple, list))
-    cols = [tuple(b) if several else (b,) for b in rhs]
-    # scaling a row of the augmented matrix keeps the solution
-    a = [list(integral((*row, *b))[1]) for row, b in zip(rows, cols)]
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if piv is None:
-            raise SingularSystem(f'no pivot in column {k}')
-        a[k], a[piv] = a[piv], a[k]
-        top = a[k]
-        p = top[k]
-        for r in range(k + 1, n):
-            f = a[r][k]
-            a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
-        prev = p
-    # y[i][c] = det * x[i][c], solved from the bottom row up
-    y: list[list[int]] = [[] for _ in range(n)]
-    for i in reversed(range(n)):
-        row = a[i]
-        y[i] = [(prev * row[n + c] - sum(row[j] * y[j][c] for j in range(i + 1, n))) // row[i]
-                for c in range(len(cols[i]))]
-    out = tuple([tuple([Fraction(v, prev) for v in yi]) for yi in y])
+    aug = [integral((*row, *(b if several else (b,))))[1] for row, b in zip(rows, rhs)]
+    det, ys, _ = bareiss([r[:n] for r in aug], [r[n:] for r in aug])
+    out = tuple([tuple([Fraction(v, det) for v in yi]) for yi in ys])
     return out if several else tuple([x for (x,) in out])

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .lattice import (
@@ -100,34 +101,21 @@ class ZariskiResult:
         return tuple(out)
 
 
-def _off_support(model: SurfaceModel, base, coeffs, idx):
+def _off_support(model: SurfaceModel, idx, det, ys, ps) -> list[tuple[int, int]]:
     '''
-    pairings of d - sum_s a_s C_s with every generator, from the pairings
-    ``base`` of d with them and the generator pairing matrix
+    (j, numerator) for every generator j outside the support: the pairing
+    of d - sum_s a_s C_s with C_j, over det times the denominator of ``ps``
 
-    ``base``, ``coeffs`` and the result are (denominator, integer numerators)
-    pairs; the result's denominator is positive but not reduced.
+    ``ps`` are the generator pairings of d and ``(det, ys)`` the support
+    solve with right-hand sides ps[idx], as support_solve returns them.
     '''
-    (db, bs), (da, As) = base, coeffs
-    dm, m = model.gen_pairing
-    rows = [m[i] for i in idx]
-    scale = da * dm
-    return db * scale, [b * scale - db * sum(a * row[j] for a, row in zip(As, rows))
-                        for j, b in enumerate(bs)]
-
-
-def _along(x, y, t) -> list[int]:
-    '''numerators of x + t y over a positive denominator, for x and y given
-    as (denominator, numerators); only their signs are meaningful'''
-    (dx, xs), (dy, ys) = x, y
-    p, q = t.numerator, t.denominator
-    return [a * dy * q + p * b * dx for a, b in zip(xs, ys)]
-
-
-def _dot(coeffs, pairings, idx) -> Fraction:
-    '''sum_s a_s pairings[idx_s], both given as (denominator, numerators)'''
-    (da, As), (dp, ps) = coeffs, pairings
-    return Fraction(sum(a * ps[i] for a, i in zip(As, idx)), da * dp)
+    m = model.gen_table.pairing
+    outside = [j for j in range(len(ps)) if j not in idx]
+    w = [ps[j] * det for j in outside]
+    for y, s in zip(ys, idx):
+        row = m[s]
+        w = [x - y * row[j] for x, j in zip(w, outside)]
+    return list(zip(outside, w))
 
 
 def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
@@ -140,24 +128,24 @@ def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
     '''
     if d.lattice != model.lattice:
         raise ValueError('class does not live on the model lattice')
-    pd = [pair(d, c) for _, c in model.mori_gens]
-    base = integral(pd)
+    dx, xs = d.numerators
+    pd = model.gen_table.pairings(xs)
     support: tuple[str, ...] = ()
     for _ in range(len(model.mori_gens) + 1):
         idx = [model.gen_index[n] for n in support]
         try:
-            coeffs = [x for (x,) in support_solve(model, support,
-                                                  [(pd[i],) for i in idx])]
+            det, ys = support_solve(model, support, [(pd[i],) for i in idx])
         except ConfigurationError:
             # the accumulated support left the negative definite cone, which
             # can only happen when d is outside the pseudo-effective cone
             raise NotPseudoEffective(
                 f'{model.name}: support walk left the negative definite '
                 f'cone at {list(support)}') from None
-        _, pc = _off_support(model, base, integral(coeffs), idx)
-        violators = [n for j, n in enumerate(model.gen_names)
-                     if j not in idx and pc[j] < 0]
+        ys = [y for (y,) in ys]
+        violators = [model.gen_names[j]
+                     for j, x in _off_support(model, idx, det, ys, pd) if x < 0]
         if not violators:
+            coeffs = [Fraction(model.gen_table.den * y, det * dx) for y in ys]
             p = d
             for a, n in zip(coeffs, support):
                 p = p - a * model.gen(n)
@@ -229,45 +217,40 @@ class VolumeProfile:
         return tuple(out)
 
 
-def _sqrt_exact(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
+def _min_root_after(k, scale: int, lo, hi):
+    '''
+    smallest root in (lo, hi] of k0 + k1 t + k2 t^2, integer coefficients
+
+    ``lo``, ``hi`` (None: no upper bound) and the root are (numerator,
+    positive denominator) pairs; ``scale`` is the positive denominator of
+    the volume quadratic k / scale, which only the error message needs.
+    '''
+    k0, k1, k2 = k
+    if k2 == 0 and k1 == 0:
         return None
-    n, d = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if n * n == x.numerator and d * d == x.denominator:
-        return Fraction(n, d)
-    return None
-
-
-def _min_root_after(coeffs, lo: Fraction, hi: Optional[Fraction]) -> Optional[Fraction]:
-    '''smallest root of q0 + q1 t + q2 t^2 in (lo, hi]'''
-    q0, q1, q2 = coeffs
-
-    def val(t):
-        return q0 + q1 * t + q2 * t * t
-
-    if q2 == 0 and q1 == 0:
-        return None
-    if hi is not None and val(hi) > 0:
-        # the chamber end stays positive; a root strictly inside would need
-        # an interior minimum dipping below zero
-        if q2 <= 0:
-            return None
-        tmin = -q1 / (2 * q2)
-        if not lo < tmin < hi or val(tmin) >= 0:
-            return None
-    if q2 == 0:
-        roots = [Fraction(-q0, 1) / q1]
+    disc = k1 * k1 - 4 * k2 * k0
+    p, q = lo
+    if hi is not None:
+        h, e = hi
+        if k0 * e * e + k1 * h * e + k2 * h * h > 0:
+            # the chamber end stays positive; a root strictly inside would
+            # need an interior minimum -k1 / 2 k2 in (lo, hi) below zero
+            if k2 <= 0 or 2 * k2 * p + k1 * q >= 0 or 2 * k2 * h + k1 * e <= 0 or disc <= 0:
+                return None
+    if k2 == 0:
+        roots = [(-k0, k1) if k1 > 0 else (k0, -k1)]
     else:
-        disc = q1 * q1 - 4 * q2 * q0
         if disc < 0:
             return None
-        s = _sqrt_exact(disc)
-        if s is None:
-            raise EngineError(f'irrational volume threshold (disc {disc})')
-        roots = sorted(((-q1 - s) / (2 * q2), (-q1 + s) / (2 * q2)))
-    for r in roots:
-        if r > lo and (hi is None or r <= hi):
-            return r
+        s = math.isqrt(disc)
+        if s * s != disc:
+            raise EngineError(
+                f'irrational volume threshold (disc {Fraction(disc, scale * scale)})')
+        b = -k1 if k2 > 0 else k1
+        roots = [(b - s, 2 * abs(k2)), (b + s, 2 * abs(k2))]
+    for rn, rd in roots:
+        if rn * q > p * rd and (hi is None or rn * e <= h * rd):
+            return rn, rd
     return None
 
 
@@ -283,71 +266,85 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
     '''
     if origin.lattice != model.lattice or direction.lattice != model.lattice:
         raise ValueError('classes do not live on the model lattice')
-    # the walk runs in generator coordinates: the ray is paired with every
-    # generator once, and each chamber is solved from those pairings and the
-    # generator pairing matrix
-    po = [pair(origin, c) for _, c in model.mori_gens]
-    witness = next((n for n, x in zip(model.gen_names, po) if x < 0), None)
+    # the walk runs in generator coordinates and in integers: the ray is
+    # paired with every generator once, each chamber is solved from those
+    # pairings and the generator pairing matrix, and only the pieces hold
+    # Fractions.  Origin and direction are xo / dx and xd / dx.
+    table = model.gen_table
+    dg, gram = model.lattice.scaled_gram
+    dx, xs = integral([*origin.coords, *direction.coords])
+    xo, xd = xs[:len(gram)], xs[len(gram):]
+    # pairings with the generators, over den dg dx
+    po = table.pairings(xo)
+    names = model.gen_names
+    witness = next((n for n, x in zip(names, po) if x < 0), None)
     if witness is not None:
         raise ConfigurationError(
             f'{model.name}: profile origin is not nef (witness {witness})')
-    oo = pair(origin, origin)
+    # squares and products of the ray, over dg dx^2
+    go = [sum(map(mul, row, xo)) for row in gram]
+    oo = sum(map(mul, xo, go))
     if oo <= 0:
         raise ConfigurationError(f'{model.name}: profile origin is not big')
     if direction.is_zero():
         raise ConfigurationError(f'{model.name}: zero profile direction')
     # v0 = -direction
-    pv = [-pair(direction, c) for _, c in model.mori_gens]
-    ov, vv = -pair(origin, direction), pair(direction, direction)
-    po_n, pv_n = integral(po), integral(pv)
+    pv = [-x for x in table.pairings(xd)]
+    ov = -sum(map(mul, xd, go))
+    vv = sum([x * sum(map(mul, row, xd)) for x, row in zip(xd, gram)])
 
-    t0 = Fraction(0)
+    t0 = (0, 1)
     support: tuple[str, ...] = ()
     pieces: list[QuadraticPiece] = []
     # each pass grows the support, returns or raises: at most len(mori_gens) + 1
     while True:
         # P(t) = u + t v on this chamber, with u = origin - sum a0_s C_s and
-        # v = v0 - sum a1_s C_s orthogonal to the support
+        # v = v0 - sum a1_s C_s orthogonal to the support, where
+        # (a0, a1) = den (y0, y1) / (det dx)
         idx = [model.gen_index[n] for n in support]
-        sol = support_solve(model, support, [(po[i], pv[i]) for i in idx])
-        a0, a1 = integral(x for x, _ in sol), integral(y for _, y in sol)
-        q = (oo - _dot(a0, po_n, idx), 2 * (ov - _dot(a0, pv_n, idx)),
-             vv - _dot(a1, pv_n, idx))
-        fu, fv = _off_support(model, po_n, a0, idx), _off_support(model, pv_n, a1, idx)
-        outside = [j for j in range(len(po)) if j not in idx]
-
-        at_t0 = _along(fu, fv, t0)
-        immediate = [model.gen_names[j] for j in outside
-                     if at_t0[j] < 0 or (at_t0[j] == 0 and fv[1][j] < 0)]
+        rhs = [(po[i], pv[i]) for i in idx]
+        det, ys = support_solve(model, support, rhs)
+        y0, y1 = [y for y, _ in ys], [y for _, y in ys]
+        # u.C_j and v.C_j off the support, both over det den dg dx
+        off = zip(_off_support(model, idx, det, y0, po),
+                  _off_support(model, idx, det, y1, pv))
+        p, q = t0
+        immediate, t_end, joiners = [], None, []
+        for (j, u), (_, v) in off:
+            at_t0 = u * q + p * v
+            if at_t0 < 0 or (at_t0 == 0 and v < 0):
+                immediate.append(names[j])
+            elif v < 0:
+                # C_j meets P(t) negatively beyond t = u / -v, which lies
+                # past t0 because P(t0).C_j > 0
+                if t_end is None or u * t_end[1] < t_end[0] * -v:
+                    t_end, joiners = (u, -v), [names[j]]
+                elif u * t_end[1] == t_end[0] * -v:
+                    joiners.append(names[j])
         if immediate:
             support = support + tuple(immediate)
             continue
 
-        t_end: Optional[Fraction] = None
-        joiners: list[str] = []
-        (du, us), (dv, vs) = fu, fv
-        for j in outside:
-            if vs[j] < 0:
-                r = Fraction(-us[j] * dv, vs[j] * du)
-                if r > t0 and (t_end is None or r <= t_end):
-                    if t_end is None or r < t_end:
-                        t_end, joiners = r, [model.gen_names[j]]
-                    else:
-                        joiners.append(model.gen_names[j])
-
-        root = _min_root_after(q, t0, t_end)
+        # vol(t) = P(t).P(t) = (k0 + k1 t + k2 t^2) / (det dg dx^2)
+        k = (oo * det - sum([a * x for a, (x, _) in zip(y0, rhs)]),
+             2 * (ov * det - sum([a * x for a, (_, x) in zip(y0, rhs)])),
+             vv * det - sum([a * x for a, (_, x) in zip(y1, rhs)]))
+        scale = det * dg * dx * dx
+        root = _min_root_after(k, scale, t0, t_end)
         t_hi = t_end if root is None else root
         if t_hi is None:
             raise EngineError(f'{model.name}: volume never vanishes along the ray')
+        lo, hi = Fraction(*t0), Fraction(*t_hi)
         # coefficients are affine in t, so the two ends cover the whole piece
-        if any(x < 0 for t in (t0, t_hi) for x in _along(a0, a1, t)):
+        if any(a * tq + tp * b < 0 for tp, tq in (t0, t_hi) for a, b in zip(y0, y1)):
             raise EngineError(
                 f'{model.name}: support {list(support)} shrinks on '
-                f'[{t0}, {t_hi}]: a support coefficient turns negative')
-        pieces.append(QuadraticPiece(t0, t_hi, q, support))
+                f'[{lo}, {hi}]: a support coefficient turns negative')
+        pieces.append(QuadraticPiece(lo, hi, tuple([Fraction(x, scale) for x in k]),
+                                     support))
         if root is not None:
-            return VolumeProfile(tuple(pieces), root)
-        t0 = t_end
+            return VolumeProfile(tuple(pieces), hi)
+        t0 = hi.numerator, hi.denominator
         support = support + tuple(joiners)
 
 
@@ -361,13 +358,18 @@ def integrate_profile(profile: VolumeProfile) -> Fraction:
         >>> integrate_profile(VolumeProfile((p,), Fraction(2)))
         Fraction(8, 3)
     '''
-    total = Fraction(0)
+    # summed as one integer fraction: each piece's integral is
+    # (6 k0 (h - l) e^2 + 3 k1 (h^2 - l^2) e + 2 k2 (h^3 - l^3)) / (6 d e^3)
+    # for coefficients k / d and ends l / e, h / e
+    num, den = 0, 1
     for p in profile.pieces:
-        q0, q1, q2 = p.coeffs
-        lo, hi = p.t_lo, p.t_hi
-        total += (q0 * (hi - lo) + q1 * (hi * hi - lo * lo) / 2
-                  + q2 * (hi ** 3 - lo ** 3) / 3)
-    return total
+        d, (k0, k1, k2) = integral(p.coeffs)
+        e, (lo, hi) = integral((p.t_lo, p.t_hi))
+        n = (6 * k0 * (hi - lo) * e * e + 3 * k1 * (hi * hi - lo * lo) * e
+             + 2 * k2 * (hi ** 3 - lo ** 3))
+        dp = 6 * d * e ** 3
+        num, den = num * dp + n * den, den * dp
+    return Fraction(num, den)
 
 
 def profile_to_doc(profile: VolumeProfile) -> dict:

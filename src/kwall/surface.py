@@ -18,25 +18,48 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Mapping, Sequence
 
 from .lattice import (
     DivClass,
     EngineError,
     IntersectionLattice,
+    SingularSystem,
+    bareiss,
     integral_matrix,
-    is_negative_definite,
     pair,
     rational,
     rational_str,
     rational_vector,
-    solve_linear,
     validate_lattice,
 )
 
 
 class ConfigurationError(EngineError):
     '''model data is internally inconsistent'''
+
+
+@dataclass(frozen=True)
+class GeneratorTable:
+    '''
+    the declared generators of a model compiled to integers
+
+    With C / den the generator coordinates and G / dg the lattice's scaled
+    Gram matrix:
+
+        - ``den`` -- the common denominator of the generator coordinates
+        - ``rows`` -- R = C G, so gen_i . x = R[i] . xs / (den dg dx) for
+          a class with coordinates xs / dx
+        - ``pairing`` -- M = R C^T, so gen_i . gen_j = M[i][j] / (den^2 dg)
+    '''
+    den: int
+    rows: tuple[tuple[int, ...], ...]
+    pairing: tuple[tuple[int, ...], ...]
+
+    def pairings(self, xs: Sequence[int]) -> list[int]:
+        '''R xs: every generator paired with a class of numerators xs'''
+        return [sum(map(mul, row, xs)) for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -76,37 +99,21 @@ class SurfaceModel:
         return {n: i for i, n in enumerate(self.gen_names)}
 
     @cached_property
-    def gen_pairing(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        '''(d, rows) with rows[i][j] / d = gen_i . gen_j'''
-        cs = [c for _, c in self.mori_gens]
-        m = [[Fraction(0)] * len(cs) for _ in cs]
-        for i, a in enumerate(cs):
-            for j in range(i, len(cs)):
-                m[i][j] = m[j][i] = pair(a, cs[j])
-        return integral_matrix(m)
+    def gen_table(self) -> GeneratorTable:
+        '''the generators as integer rows and their pairing matrix'''
+        _, gram = self.lattice.scaled_gram
+        den, cs = integral_matrix([c.coords for _, c in self.mori_gens])
+        cols = list(zip(*gram))
+        rows = tuple([tuple([sum(map(mul, c, col)) for col in cols]) for c in cs])
+        return GeneratorTable(den, rows, tuple([tuple([sum(map(mul, r, c)) for c in cs])
+                                                for r in rows]))
 
     @cached_property
     def _support_grams(self) -> dict:
-        '''support tuple -> its Gram matrix, or None when that is not
-        negative definite; filled as supports are first solved'''
+        '''support tuple -> its rows of the generator pairing matrix, or None
+        when that is not negative definite; filled as supports are first
+        solved'''
         return {}
-
-    def support_gram(self, support: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
-        '''Gram matrix of a negative definite set of generators, scaled to
-        integers by the denominator of gen_pairing'''
-        try:
-            gram = self._support_grams[support]
-        except KeyError:
-            _, m = self.gen_pairing
-            idx = [self.gen_index[n] for n in support]
-            gram = tuple([tuple([m[i][j] for j in idx]) for i in idx])
-            if not is_negative_definite(gram):
-                gram = None
-            self._support_grams[support] = gram
-        if gram is None:
-            raise ConfigurationError(
-                f'{self.name}: support {list(support)} is not negative definite')
-        return gram
 
     @cached_property
     def discrepancy(self) -> Mapping[str, Fraction]:
@@ -150,7 +157,7 @@ class SurfaceModel:
             return tuple(out)
         if self.contracted:
             try:
-                self.support_gram(self.contracted)
+                support_solve(self, self.contracted, [()] * len(self.contracted))
             except ConfigurationError:
                 out.append(f'{self.name}: contracted curves are not negative definite')
         pk = self.canonical_pullback
@@ -177,29 +184,52 @@ class SurfaceModel:
         return self
 
 
-def support_solve(model: SurfaceModel, support: tuple[str, ...], rhs):
+def support_solve(model: SurfaceModel, support: tuple[str, ...], cols):
     '''
-    the orthogonal-complement solve: coefficients a_s with
-    sum_s a_s (C_s . C_t) = b_t for every curve C_t of the support, so that
-    d - sum a_s C_s is orthogonal to the support when b_t = d . C_t
+    the orthogonal-complement solve, in integers: (det, ys) with det > 0 and
+    sum_s ys[s] M[s][t] = det cols[t] for every curve t of the support,
+    where M is the generator pairing matrix of ``model.gen_table``
 
-    ``rhs`` has one row per support curve and one column per right-hand
-    side, and so does the result.  The support must be negative definite
-    (ConfigurationError otherwise); its Gram matrix and that verdict are
-    cached on the model.
+    ``cols`` has one row per support curve and one entry per right-hand
+    side, and so does ``ys``.  When cols[t] holds the pairings R[t] . xs of
+    a class d with numerators xs / dx, then a_s = den ys[s] / (det dx) are
+    the coefficients with d - sum a_s C_s orthogonal to the support.
+
+    The support must be negative definite (ConfigurationError otherwise).
+    The elimination that solves a support's first system also decides
+    that, and the verdict is cached on the model.
     '''
     if not support:
-        return ()
-    d = model.gen_pairing[0]
-    return solve_linear(model.support_gram(support),
-                        [[d * x for x in row] for row in rhs])
+        return 1, ()
+    grams = model._support_grams
+    if support not in grams:
+        m = model.gen_table.pairing
+        idx = [model.gen_index[n] for n in support]
+        gram = [[m[i][j] for j in idx] for i in idx]
+        try:
+            det, ys, definite = bareiss(gram, cols)
+        except SingularSystem:
+            definite = False
+        grams[support] = gram if definite else None
+        if definite:
+            return det, ys
+    gram = grams[support]
+    if gram is None:
+        raise ConfigurationError(
+            f'{model.name}: support {list(support)} is not negative definite')
+    return bareiss(gram, cols)[:2]
 
 
 def contraction_orders(model: SurfaceModel, d: DivClass) -> Mapping[str, Fraction]:
     '''coefficient of each contracted curve in the Weil pullback of d'''
-    coeffs = support_solve(model, model.contracted,
-                           [(-pair(d, c),) for c in model.contracted_classes])
-    return {n: x for n, (x,) in zip(model.contracted, coeffs)}
+    if not model.contracted:
+        return {}
+    table = model.gen_table
+    dx, xs = d.numerators
+    ps = table.pairings(xs)
+    det, ys = support_solve(model, model.contracted,
+                            [(-ps[model.gen_index[n]],) for n in model.contracted])
+    return {n: Fraction(table.den * y, det * dx) for n, (y,) in zip(model.contracted, ys)}
 
 
 def pullback_weil(model: SurfaceModel, d: DivClass) -> DivClass:
@@ -333,12 +363,12 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupEx
         k_discrepancies=base.k_discrepancies,
     )
 
-    for i in range(r):
-        bi = base.lattice.div(tuple(1 if j == i else 0 for j in range(r)))
-        assert pair(lift(bi), e) == 0
-        for j in range(i, r):
-            bj = base.lattice.div(tuple(1 if m == j else 0 for m in range(r)))
-            assert pair(lift(bi), lift(bj)) == pair(bi, bj)
+    # pullback is an isometry onto the complement of e
+    zero = Fraction(0)
+    if (any(lat.gram[i] != (*base.lattice.gram[i], zero) for i in range(r))
+            or lat.gram[r] != (zero,) * r + (e2,)):
+        raise ConfigurationError(f'{model.name}: the extension does not restrict '
+                                 f'to the base lattice')
 
     return BlowupExtension(base=base, model=model, e_class=e, a_over_base=a_over)
 

@@ -5,6 +5,7 @@ import pytest
 
 import builders
 import kwall.catalog
+import kwall.surface
 from kwall.catalog import (
     CatalogError,
     catalog_path,
@@ -220,11 +221,12 @@ def _cache_state(cat):
 def test_a_fresh_decode_starts_cold(monkeypatch):
     '''compiled tables hang off the decoded objects, so a fresh decode
     starts from the same cold state and redoes the same work, however much
-    earlier decodes computed'''
+    earlier decodes computed; the work counted is the support eliminations,
+    each of which also decides a new support's definiteness'''
     calls = []
-    real = kwall.lattice.signature
-    monkeypatch.setattr(kwall.lattice, 'signature',
-                        lambda rows: calls.append(rows) or real(rows))
+    real = kwall.surface.bareiss
+    monkeypatch.setattr(kwall.surface, 'bareiss',
+                        lambda rows, cols: calls.append(rows) or real(rows, cols))
 
     def decode_and_walk():
         kwall.catalog._load_resolved.cache_clear()

@@ -188,6 +188,10 @@ def _edit(section, key, *value):
     return edit
 
 
+def _trust_is_a_number(doc):
+    doc['fixtures'][0]['expected']['trust'] = 5
+
+
 def _one_blowup_weight(doc):
     v = next(f['valuation'] for f in doc['fixtures']
              if f['valuation']['kind'] == 'blowup')
@@ -217,11 +221,23 @@ def _one_blowup_weight(doc):
      'catalog error: valuation document is malformed'),
     (lambda doc: doc.__setitem__('version', [1]), None,
      'catalog error: catalog version [1] is not an integer'),
+    (_edit('fixtures', 'notes', 'abc'), None,
+     "catalog error: fixture 0 is malformed: 'notes' is not a list of strings"),
+    (_edit('fixtures', 'notes', ['a', 1]), None,
+     "catalog error: fixture 0 is malformed: 'notes' is not a list of strings"),
+    (_edit('walls', 'families', 'Xn'), None,
+     "catalog error: wall 0 is malformed: 'families' is not a list of strings"),
+    (_trust_is_a_number, None, "catalog error: fixture 0 is malformed: 'trust' is not a string"),
+    (_edit('walls', 'description', ['x']), None,
+     "catalog error: wall 0 is malformed: 'description' is not a string"),
+    (_edit('fixtures', 'surface'), None, "catalog error: fixture 0 is missing field 'surface'"),
 ], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
         'boundary-is-a-string', 'boundary-part-is-a-number',
         'expected-is-a-string', 'valuation-is-a-number', 'display-is-a-boolean',
         'k-discrepancies-is-a-number', 'fixture-id-is-a-list', 'gram-is-empty',
-        'one-blowup-weight', 'blowup-center-is-a-number', 'version-is-a-list'])
+        'one-blowup-weight', 'blowup-center-is-a-number', 'version-is-a-list',
+        'notes-is-a-string', 'notes-holds-a-number', 'families-is-a-string',
+        'trust-is-a-number', 'description-is-a-list', 'fixture-without-surface'])
 def test_malformed_entries_are_usage_errors(edit, docs, message, tmp_path,
                                             monkeypatch, capsys):
     if edit is not None:

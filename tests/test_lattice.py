@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from kwall.lattice import (
     DivClass,
     IntersectionLattice,
     SingularSystem,
+    bareiss,
     is_negative_definite,
     pair,
     rational,
@@ -200,9 +203,79 @@ def test_signature_of_a_congruent_diagonal(data):
     assert signature(m) == want
 
 
+def _determinant(rows):
+    '''Leibniz formula, independent of any elimination'''
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+small = st.integers(-6, 6)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+           st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n),
+           st.lists(st.lists(small, min_size=2, max_size=2), min_size=n, max_size=n),
+           st.lists(st.integers(1, 5), min_size=n, max_size=n))))
+@example(([[0, 1], [1, -2]], [[1, 0], [0, 1]], [1, 1]))
+def test_bareiss_matches_solve_linear(data):
+    '''the integer core solves rows . x = cols as x = ys / det with det the
+    absolute determinant, and agrees with solve_linear on the same system
+    given with rows scaled by rational factors'''
+    rows, cols, scales = data
+    scaled = [[F(x, k) for x in (*row, *b)] for row, b, k in zip(rows, cols, scales)]
+    n = len(rows)
+    if _determinant(rows) == 0:
+        with pytest.raises(SingularSystem):
+            bareiss(rows, cols)
+        with pytest.raises(SingularSystem):
+            solve_linear([r[:n] for r in scaled], [tuple(r[n:]) for r in scaled])
+        return
+    det, ys, _ = bareiss(rows, cols)
+    assert det == abs(_determinant(rows))
+    for row, b in zip(rows, cols):
+        assert [sum(a * y[c] for a, y in zip(row, ys)) for c in range(2)] == [det * x for x in b]
+    want = solve_linear([r[:n] for r in scaled], [tuple(r[n:]) for r in scaled])
+    assert tuple([tuple([F(y, det) for y in yi]) for yi in ys]) == want
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+           st.lists(st.sampled_from((-3, -1, 0, 1, 2)), min_size=n, max_size=n),
+           st.lists(small, min_size=n * n, max_size=n * n))))
+@example(([-1, -1, -1], [0, 0, 0, 5, 0, 0, -3, 4, 0]))
+@example(([-1, 0, -2], [0, 0, 0, 0, 0, 0, 0, 0, 0]))
+def test_bareiss_decides_negative_definiteness(data):
+    '''on L D L^T with L unit lower triangular the verdict is that of the
+    diagonal D, and equals is_negative_definite'''
+    diag, fill = data
+    n = len(diag)
+    low = [[1 if i == j else (fill[i * n + j] if j < i else 0) for j in range(n)]
+           for i in range(n)]
+    m = [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    try:
+        definite = bareiss(m, [()] * n)[2]
+    except SingularSystem:
+        definite = False
+    assert definite == all(d < 0 for d in diag)
+    assert definite == is_negative_definite([[F(x) for x in row] for row in m])
+
+
 def test_rational_rejects_a_zero_denominator():
     with pytest.raises(ValueError, match='zero denominator'):
         rational('1/0')
+
+
+def test_rational_returns_a_fraction_unchanged():
+    x = F(-3, 4)
+    assert rational(x) is x
+    with pytest.raises(ValueError, match='not a rational'):
+        rational(True)
 
 
 def test_no_floats_leak():

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import builders
+from oracle import ZariskiOracle, reference_pair
 from kwall.lattice import EngineError, IntersectionLattice, pair
 from kwall.positivity import (
     NotPseudoEffective,
@@ -197,6 +199,18 @@ def test_chamber_supports_nested():
 CATALOG_SURFACES = {m.name: m for m in load_catalog().surfaces}
 
 
+def _mixed_sign_ray(m, data):
+    '''origin -K or -2K, and a direction that combines the generators with
+    integer coefficients in [-2, 2]'''
+    o = data.draw(st.sampled_from((1, 2))) * m.anticanonical_pullback
+    ks = data.draw(st.lists(st.integers(-2, 2), min_size=len(m.mori_gens),
+                            max_size=len(m.mori_gens)))
+    direction = m.lattice.zero()
+    for k, (_, c) in zip(ks, m.mori_gens):
+        direction = direction + k * c
+    return o, direction
+
+
 @pytest.mark.parametrize('name', sorted(CATALOG_SURFACES))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
@@ -205,12 +219,7 @@ def test_supports_grow_along_mixed_sign_rays(name, data):
     ray, whatever the signs of the direction, so the walk never meets a
     shrinking support'''
     m = CATALOG_SURFACES[name]
-    o = data.draw(st.sampled_from((1, 2))) * m.anticanonical_pullback
-    ks = data.draw(st.lists(st.integers(-2, 2), min_size=len(m.mori_gens),
-                            max_size=len(m.mori_gens)))
-    direction = m.lattice.zero()
-    for k, (_, c) in zip(ks, m.mori_gens):
-        direction = direction + k * c
+    o, direction = _mixed_sign_ray(m, data)
     try:
         prof = volume_profile(m, o, direction)
     except EngineError as exc:
@@ -218,6 +227,36 @@ def test_supports_grow_along_mixed_sign_rays(name, data):
         return
     for a, b in zip(prof.pieces, prof.pieces[1:]):
         assert set(a.chamber_support) <= set(b.chamber_support)
+
+
+# built once: the oracle enumerates every negative definite generator subset
+ORACLES = {name: ZariskiOracle(m) for name, m in CATALOG_SURFACES.items()}
+
+
+@pytest.mark.parametrize('name', sorted(CATALOG_SURFACES))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_profile_values_match_the_subset_oracle(name, data):
+    '''the integer chamber walk against a route that shares none of its
+    tables: at both ends and the midpoint of every piece the profile's value
+    is P.P, with P the oracle's nef part and the oracle's Fraction pairing'''
+    m, oracle = CATALOG_SURFACES[name], ORACLES[name]
+    o, direction = _mixed_sign_ray(m, data)
+    try:
+        prof = volume_profile(m, o, direction)
+    except EngineError as exc:
+        msg = str(exc)
+        assert re.search('never vanishes|irrational volume threshold|zero profile direction',
+                         msg), msg
+        if 'never vanishes' in msg:
+            # the ray stays big for ever exactly when -direction is
+            # pseudo-effective
+            assert oracle.positive_part(-1 * direction) is not None
+        return
+    for piece in prof.pieces:
+        for t in (piece.t_lo, (piece.t_lo + piece.t_hi) / 2, piece.t_hi):
+            p = oracle.positive_part(o - t * direction)
+            assert prof.value(t) == reference_pair(m.lattice.gram, p.coords, p.coords)
 
 
 def test_a_shrinking_support_is_refused():
