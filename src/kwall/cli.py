@@ -4,7 +4,9 @@ command line front end over the shipped fixture catalog
 Every run prints a single report: markdown by default, json with --json.  A
 report carries the command line, the catalog path with a sha256 of its bytes,
 the results, and a status.  Nothing else goes in, so two runs over the same
-catalog produce byte-identical output.
+catalog produce byte-identical output.  A command computes only its results;
+the markdown body is rendered from them alone, and the status and exit code
+follow from them.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 the engine refused
 (a class outside the pseudo-effective cone, say), 4 a recomputation
@@ -55,16 +57,16 @@ EXIT_ENGINE = 3
 EXIT_MISMATCH = 4
 
 
-def _vec(d: DivClass) -> str:
-    return '(' + ', '.join(rational_str(x) for x in d.coords) + ')'
-
-
 def _coords(d: DivClass) -> list[str]:
     return [rational_str(x) for x in d.coords]
 
 
 def _opt(x: Fraction | None) -> str | None:
     return None if x is None else rational_str(x)
+
+
+def _tuple_text(xs: list[str]) -> str:
+    return '(' + ', '.join(xs) + ')'
 
 
 def _affine_text(f) -> str:
@@ -131,115 +133,96 @@ def parse_divisor(model: SurfaceModel, text: str) -> DivClass:
             f'name, coordinates, "ac" or "2ac"') from None
 
 
-def _pieces_lines(pieces) -> list[str]:
-    lines = ['| range | volume | negative support |', '| --- | --- | --- |']
-    for pc in pieces:
+def _profile_results(profile) -> dict:
+    '''tau, pieces and integral of a volume profile'''
+    return {**profile_to_doc(profile), 'integral': rational_str(integrate_profile(profile))}
+
+
+def _profile_lines(head: str, r: dict) -> list[str]:
+    '''a head line, then the piece table and integral of _profile_results'''
+    lines = [head, '', '| range | volume | negative support |', '| --- | --- | --- |']
+    for pc in r['pieces']:
         poly = _quad_text([rational(x) for x in pc['coeffs']])
         supp = ', '.join(pc['support']) or '-'
         lines.append(f'| [{pc["t_lo"]}, {pc["t_hi"]}] | {poly} | {supp} |')
-    return lines
+    return [*lines, '', f'integral over [0, tau]: {r["integral"]}']
 
 
-def cmd_surface_show(args) -> tuple[dict, list[str], str, int]:
+def _family_ids(cat, family: str | None) -> tuple[str, ...]:
+    ids = cat.ids(family)
+    if not ids:
+        raise CatalogError(f'no fixtures match family {family!r}')
+    return ids
+
+
+def cmd_surface_show(args) -> dict:
     model = load_catalog().surface(args.name)
     lat = model.lattice
-    gens = [{
-        'name': n,
-        'class': _coords(c),
-        'self_intersection': rational_str(pair(c, c)),
-        'canonical_degree': rational_str(pair(model.canonical, c)),
-    } for n, c in model.mori_gens]
-    contracted = [{'name': n, 'discrepancy': rational_str(model.discrepancy[n])}
-                  for n in model.contracted]
-    results = {
+    return {
         'name': model.name,
         'rank': lat.rank,
         'basis': list(lat.names),
         'degree': rational_str(model.degree),
         'canonical': _coords(model.canonical),
         'anticanonical_pullback': _coords(model.anticanonical_pullback),
-        'mori': gens,
-        'contracted': contracted,
+        'mori': [{'name': n, 'class': _coords(c),
+                  'self_intersection': rational_str(pair(c, c)),
+                  'canonical_degree': rational_str(pair(model.canonical, c))}
+                 for n, c in model.mori_gens],
+        'contracted': [{'name': n, 'discrepancy': rational_str(model.discrepancy[n])}
+                       for n in model.contracted],
     }
-    body = [
-        f'rank {lat.rank}, basis {", ".join(lat.names)}, '
-        f'degree {rational_str(model.degree)}',
-        f'K = {_vec(model.canonical)}, '
-        f'pullback of -K = {_vec(model.anticanonical_pullback)}',
-        '',
-        '| generator | class | C.C | K.C |',
-        '| --- | --- | --- | --- |',
-    ]
-    body += [f'| {g["name"]} | ({", ".join(g["class"])}) '
-             f'| {g["self_intersection"]} | {g["canonical_degree"]} |'
-             for g in gens]
-    if contracted:
-        body += ['', 'contracted: ' + ', '.join(
-            f'{c["name"]} (discrepancy {c["discrepancy"]})' for c in contracted)]
-    else:
-        body += ['', 'contracted: none']
-    return results, body, 'ok', EXIT_OK
 
 
-def cmd_zariski(args) -> tuple[dict, list[str], str, int]:
+def _render_surface_show(r: dict) -> list[str]:
+    contracted = ', '.join(f'{c["name"]} (discrepancy {c["discrepancy"]})'
+                           for c in r['contracted'])
+    return [f'rank {r["rank"]}, basis {", ".join(r["basis"])}, degree {r["degree"]}',
+            f'K = {_tuple_text(r["canonical"])}, '
+            f'pullback of -K = {_tuple_text(r["anticanonical_pullback"])}',
+            '', '| generator | class | C.C | K.C |', '| --- | --- | --- | --- |',
+            *(f'| {g["name"]} | {_tuple_text(g["class"])} '
+              f'| {g["self_intersection"]} | {g["canonical_degree"]} |' for g in r['mori']),
+            '', f'contracted: {contracted or "none"}']
+
+
+def cmd_zariski(args) -> dict:
     model = load_catalog().surface(args.surface)
     d = parse_divisor(model, args.divisor)
     if args.ray is None:
         z = zariski_decompose(model, d)
-        neg = [{'name': n, 'mult': rational_str(m)} for n, m in z.negative_support]
-        results = {
-            'surface': model.name,
-            'divisor': _coords(d),
-            'positive': _coords(z.positive),
-            'negative': neg,
-        }
-        neg_text = ' + '.join(f'({m["mult"]}) {m["name"]}' for m in neg) or '0'
-        body = [f'surface {model.name}', '',
-                f'D = {_vec(d)}',
-                f'P = {_vec(z.positive)}',
-                f'N = {neg_text}']
-        return results, body, 'ok', EXIT_OK
+        return {'surface': model.name, 'divisor': _coords(d), 'positive': _coords(z.positive),
+                'negative': [{'name': n, 'mult': rational_str(m)}
+                             for n, m in z.negative_support]}
     ray = parse_divisor(model, args.ray)
-    prof = volume_profile(model, d, ray)
-    doc = profile_to_doc(prof)
-    integral = integrate_profile(prof)
-    results = {
-        'surface': model.name,
-        'origin': _coords(d),
-        'ray': _coords(ray),
-        'tau': doc['tau'],
-        'pieces': doc['pieces'],
-        'integral': rational_str(integral),
-    }
-    body = [f'surface {model.name}', '',
-            f'origin {_vec(d)}, ray {_vec(ray)}, tau = {doc["tau"]}', '',
-            *_pieces_lines(doc['pieces']), '',
-            f'integral over [0, tau]: {rational_str(integral)}']
-    return results, body, 'ok', EXIT_OK
+    return {'surface': model.name, 'origin': _coords(d), 'ray': _coords(ray),
+            **_profile_results(volume_profile(model, d, ray))}
 
 
-def cmd_profile(args) -> tuple[dict, list[str], str, int]:
+def _render_zariski(r: dict) -> list[str]:
+    head = [f'surface {r["surface"]}', '']
+    if 'ray' in r:
+        ray = (f'origin {_tuple_text(r["origin"])}, ray {_tuple_text(r["ray"])}, '
+               f'tau = {r["tau"]}')
+        return [*head, *_profile_lines(ray, r)]
+    neg = ' + '.join(f'({m["mult"]}) {m["name"]}' for m in r['negative'])
+    return [*head, f'D = {_tuple_text(r["divisor"])}',
+            f'P = {_tuple_text(r["positive"])}', f'N = {neg or "0"}']
+
+
+def cmd_profile(args) -> dict:
     f = load_fixture(args.fixture)
-    v = f.valuation
-    base = v.base_surface()
-    profile = valuation_profile(v)
-    doc = profile_to_doc(profile)
-    integral = integrate_profile(profile)
-    s0 = integral / base.degree
-    results = {
-        'fixture': f.id,
-        'surface': base.name,
-        'valuation': v.name,
-        'tau': doc['tau'],
-        'pieces': doc['pieces'],
-        'integral': rational_str(integral),
-        'vanishing_order_at_zero': rational_str(s0),
-    }
-    body = [f'surface {base.name}, valuation {v.name}, tau = {doc["tau"]}', '',
-            *_pieces_lines(doc['pieces']), '',
-            f'integral over [0, tau]: {rational_str(integral)}',
-            f'expected vanishing order at c = 0: {rational_str(s0)}']
-    return results, body, 'ok', EXIT_OK
+    base = f.valuation.base_surface()
+    results = {'fixture': f.id, 'surface': base.name, 'valuation': f.valuation.name,
+               **_profile_results(valuation_profile(f.valuation))}
+    s0 = rational(results['integral']) / base.degree
+    return {**results, 'vanishing_order_at_zero': rational_str(s0)}
+
+
+def _render_profile(r: dict) -> list[str]:
+    head = f'surface {r["surface"]}, valuation {r["valuation"]}, tau = {r["tau"]}'
+    return [*_profile_lines(head, r),
+            f'expected vanishing order at c = 0: {r["vanishing_order_at_zero"]}']
 
 
 def _load_doc(path: Path):
@@ -251,7 +234,7 @@ def _load_doc(path: Path):
         raise CatalogError(f'{path}: invalid json: {exc}') from None
 
 
-def cmd_beta(args) -> tuple[dict, list[str], str, int]:
+def cmd_beta(args) -> dict:
     target = Path(args.target)
     if target.is_file():
         if args.valuation is None:
@@ -280,36 +263,17 @@ def cmd_beta(args) -> tuple[dict, list[str], str, int]:
         'log_discrepancy': str(a),
         'expected_vanishing': _affine_text(s),
         'beta': 'identically zero' if sol.identically_zero else str(b),
-        'margin': {'const': rational_str(b.const),
-                   'slope': rational_str(b.slope)},
+        'margin': {'const': rational_str(b.const), 'slope': rational_str(b.slope)},
         'wall': _opt(sol.root),
     }
-    body = [f'surface {p.surface.name}, valuation {v.name} ({v.tag})', '',
-            f'A = {a}',
-            f'S = {_affine_text(s)}',
-            f'beta = {results["beta"]}']
-    if sol.identically_zero:
-        body.append('beta vanishes for every coefficient in the range')
-    elif sol.root is not None:
-        body.append(f'wall at c = {rational_str(sol.root)}')
-    else:
-        body.append('no wall inside the coefficient range')
-    match = True
     if f is None:
         results['pair_file'] = str(target)
     else:
-        results['fixture'] = f.id
-        results['stored_wall'] = _opt(f.expected.wall)
-        match = sol.root == f.expected.wall
-        results['match'] = match
-        if not match:
-            body.append(f'stored wall {results["stored_wall"]} disagrees '
-                        f'with the recomputation')
+        results.update(fixture=f.id, stored_wall=_opt(f.expected.wall),
+                       match=sol.root == f.expected.wall)
         if f.display is not None and f.display.beta_text:
             results['printed'] = {'scale': rational_str(f.display.scale),
                                   'beta': f.display.beta_text}
-            body.append(f'printed as {f.display.beta_text} '
-                        f'(scale {rational_str(f.display.scale)})')
     if args.c is not None:
         c = rational(args.c)
         if not p.c_lo <= c <= p.c_hi:
@@ -317,106 +281,104 @@ def cmd_beta(args) -> tuple[dict, list[str], str, int]:
                 f'coefficient {rational_str(c)} outside '
                 f'[{rational_str(p.c_lo)}, {rational_str(p.c_hi)}]')
         bc = b.value(c)
-        sign = 'zero' if bc == 0 else ('positive' if bc > 0 else 'negative')
         results['at'] = {
             'c': rational_str(c),
             'log_discrepancy': rational_str(a.value(c)),
             'expected_vanishing': rational_str(s.value(c)),
             'beta': rational_str(bc),
-            'sign': sign,
+            'sign': 'zero' if bc == 0 else ('positive' if bc > 0 else 'negative'),
         }
-        body += ['', f'at c = {rational_str(c)}: A = {rational_str(a.value(c))}, '
-                     f'S = {rational_str(s.value(c))}, '
-                     f'beta = {rational_str(bc)} ({sign})']
-    status = 'ok' if match else 'mismatch'
-    return results, body, status, EXIT_OK if match else EXIT_MISMATCH
+    return results
 
 
-def cmd_walls(args) -> tuple[dict, list[str], str, int]:
+def _render_beta(r: dict) -> list[str]:
+    v = r['valuation']
+    if r['beta'] == 'identically zero':
+        wall = 'beta vanishes for every coefficient in the range'
+    elif r['wall'] is not None:
+        wall = f'wall at c = {r["wall"]}'
+    else:
+        wall = 'no wall inside the coefficient range'
+    body = [f'surface {r["surface"]}, valuation {v["name"]} ({v["tag"]})', '',
+            f'A = {r["log_discrepancy"]}', f'S = {r["expected_vanishing"]}',
+            f'beta = {r["beta"]}', wall]
+    if r.get('match') is False:
+        body.append(f'stored wall {r["stored_wall"]} disagrees with the recomputation')
+    if 'printed' in r:
+        body.append(f'printed as {r["printed"]["beta"]} (scale {r["printed"]["scale"]})')
+    if 'at' in r:
+        at = r['at']
+        body += ['', f'at c = {at["c"]}: A = {at["log_discrepancy"]}, '
+                     f'S = {at["expected_vanishing"]}, beta = {at["beta"]} ({at["sign"]})']
+    return body
+
+
+def cmd_walls(args) -> dict:
     cat = load_catalog()
-    ids = cat.ids(args.family)
-    if not ids:
-        raise CatalogError(f'no fixtures match family {args.family!r}')
     rows = []
-    for fid in ids:
+    for fid in _family_ids(cat, args.family):
         f = cat.fixture(fid)
         sol = solve_wall(beta(f.pair, f.valuation), f.pair.c_lo, f.pair.c_hi)
         rows.append((fid, sol.root, f.expected.wall))
     rows.sort(key=lambda r: (r[1] is None, r[1] or Fraction(0), r[0]))
-
-    found = sorted({root for _, root, _ in rows if root is not None})
-    mismatches = [{'id': fid, 'computed': _opt(root), 'stored': _opt(stored)}
-                  for fid, root, stored in rows if root != stored]
+    found = {root for _, root, _ in rows if root is not None}
     results = {
-        'count': len(ids),
+        'count': len(rows),
         'fixtures': [{'id': fid, 'wall': _opt(root), 'stored': _opt(stored),
                       'match': root == stored} for fid, root, stored in rows],
-        'walls': [rational_str(w) for w in found],
-        'mismatches': mismatches,
+        'walls': [rational_str(w) for w in sorted(found)],
+        'mismatches': [{'id': fid, 'computed': _opt(root), 'stored': _opt(stored)}
+                       for fid, root, stored in rows if root != stored],
     }
-
-    groups: dict = {}
-    for fid, root, _ in rows:
-        groups.setdefault(root, []).append(fid)
-    body = [f'{len(found)} distinct walls from {len(ids)} fixtures', '',
-            '| wall | fixtures |', '| --- | --- |']
-    body += [f'| {"-" if root is None else rational_str(root)} '
-             f'| {", ".join(fids)} |' for root, fids in groups.items()]
-
-    bad = bool(mismatches)
-    if mismatches:
-        body += ['', 'fixture mismatches:']
-        body += [f'- {m["id"]}: computed {m["computed"]}, stored {m["stored"]}'
-                 for m in mismatches]
-
     if args.diff:
-        table = cat.wall_table
-        if args.family is None:
-            entries = list(table.entries)
-        else:
-            entries = [e for e in table.entries
-                       if any(fam.startswith(args.family) for fam in e.families)]
-        stored_set = {e.value for e in entries}
-        missing = sorted(stored_set - set(found))
-        extra = sorted(set(found) - stored_set)
-        divisorial = [e.value for e in entries if e.divisorial]
+        entries = [e for e in cat.wall_table.entries if args.family is None
+                   or any(fam.startswith(args.family) for fam in e.families)]
+        stored = {e.value for e in entries}
         results['diff'] = {
             'stored': [rational_str(e.value) for e in entries],
-            'matched': len(stored_set & set(found)),
-            'missing': [rational_str(w) for w in missing],
-            'extra': [rational_str(w) for w in extra],
-            'divisorial': [rational_str(w) for w in divisorial],
+            'matched': len(stored & found),
+            'missing': [rational_str(w) for w in sorted(stored - found)],
+            'extra': [rational_str(w) for w in sorted(found - stored)],
+            'divisorial': [rational_str(e.value) for e in entries if e.divisorial],
         }
+    return results
+
+
+def _render_walls(r: dict) -> list[str]:
+    groups: dict = {}
+    for row in r['fixtures']:
+        groups.setdefault(row['wall'], []).append(row['id'])
+    body = [f'{len(r["walls"])} distinct walls from {r["count"]} fixtures', '',
+            '| wall | fixtures |', '| --- | --- |',
+            *(f'| {wall or "-"} | {", ".join(ids)} |' for wall, ids in groups.items())]
+    if r['mismatches']:
+        body += ['', 'fixture mismatches:']
+        body += [f'- {m["id"]}: computed {m["computed"]}, stored {m["stored"]}'
+                 for m in r['mismatches']]
+    if 'diff' in r:
+        diff = r['diff']
         body += ['', f'diff against stored table: '
-                     f'{len(stored_set & set(found))}/{len(stored_set)} walls matched']
-        if divisorial:
-            body.append('divisorial: ' + ', '.join(rational_str(w) for w in divisorial))
-        if missing:
-            body.append('missing from run: ' + ', '.join(rational_str(w) for w in missing))
-        if extra:
-            body.append('not in stored table: ' + ', '.join(rational_str(w) for w in extra))
-        bad = bad or bool(missing) or bool(extra)
-
-    status = 'mismatch' if bad else 'ok'
-    return results, body, status, EXIT_MISMATCH if bad else EXIT_OK
+                     f'{diff["matched"]}/{len(set(diff["stored"]))} walls matched']
+        for label, key in (('divisorial', 'divisorial'), ('missing from run', 'missing'),
+                           ('not in stored table', 'extra')):
+            if diff[key]:
+                body.append(f'{label}: ' + ', '.join(diff[key]))
+    return body
 
 
-def cmd_bounds(args) -> tuple[dict, list[str], str, int]:
+def cmd_bounds(args) -> dict:
     if (args.c is None) == (args.degree is None):
         raise ConfigurationError('give exactly one of --c and --degree')
-    if args.c is not None:
-        c = rational(args.c)
+    c = None if args.c is None else rational(args.c)
+    if c is not None:
         if not 0 < c < HALF:
             raise ConfigurationError(
                 f'coefficient {rational_str(c)} outside the open interval (0, 1/2)')
         degree = 5 * (1 - 2 * c) ** 2
-        head = f'pair degree 5 (1 - 2c)^2 = {rational_str(degree)}'
     else:
-        c = None
         degree = rational(args.degree)
         if degree <= 0:
             raise ConfigurationError('--degree must be positive')
-        head = f'pair degree {rational_str(degree)}'
     bound = quotient_order_bound(degree)
     if bound < 2:
         note = 'forces smooth surfaces'
@@ -424,50 +386,49 @@ def cmd_bounds(args) -> tuple[dict, list[str], str, int]:
         note = 'at most A1 singular points'
     else:
         note = f'quotient singularities of order up to {int(bound)}'
-    results = {
-        'pair_degree': rational_str(degree),
-        'quotient_order_bound': rational_str(bound),
-        'note': note,
-    }
+    results = {'pair_degree': rational_str(degree), 'quotient_order_bound': rational_str(bound),
+               'note': note}
     if c is not None:
         results['c'] = rational_str(c)
-    body = [head,
-            f'largest local quotient order: {rational_str(bound)} ({note})']
     index = (args.d, args.n, args.ord_lower)
     if any(x is not None for x in index):
         if any(x is None for x in index):
             raise ConfigurationError('the index test needs all of --d, --n and --ord')
         if c is None:
             raise ConfigurationError('the index test needs --c')
-        ok = index_feasibility(args.d, args.n, c, rational(args.ord_lower))
-        results['index'] = {'d': args.d, 'n': args.n,
-                            'ord_lower': rational_str(rational(args.ord_lower)),
-                            'feasible': ok}
-        body.append(f'index test d={args.d} n={args.n} '
-                    f'ord>={rational_str(rational(args.ord_lower))}: '
-                    f'{"feasible" if ok else "excluded"}')
+        ord_lower = rational(args.ord_lower)
+        results['index'] = {'d': args.d, 'n': args.n, 'ord_lower': rational_str(ord_lower),
+                            'feasible': index_feasibility(args.d, args.n, c, ord_lower)}
     if c is not None and Fraction(1, 4) <= c < HALF:
-        slope = vgit_slope(c)
-        results['vgit_slope'] = rational_str(slope)
-        body.append(f'vgit slope: {rational_str(slope)}')
-    return results, body, 'ok', EXIT_OK
+        results['vgit_slope'] = rational_str(vgit_slope(c))
+    return results
 
 
-def cmd_fixtures_list(args) -> tuple[dict, list[str], str, int]:
+def _render_bounds(r: dict) -> list[str]:
+    head = ('pair degree 5 (1 - 2c)^2 = ' if 'c' in r else 'pair degree ') + r['pair_degree']
+    body = [head, f'largest local quotient order: {r["quotient_order_bound"]} ({r["note"]})']
+    if 'index' in r:
+        ix = r['index']
+        body.append(f'index test d={ix["d"]} n={ix["n"]} ord>={ix["ord_lower"]}: '
+                    f'{"feasible" if ix["feasible"] else "excluded"}')
+    if 'vgit_slope' in r:
+        body.append(f'vgit slope: {r["vgit_slope"]}')
+    return body
+
+
+def cmd_fixtures_list(args) -> dict:
     cat = load_catalog()
-    ids = cat.ids(args.family)
-    if not ids:
-        raise CatalogError(f'no fixtures match family {args.family!r}')
-    rows = [{'id': fid,
-             'surface': cat.fixture(fid).pair.surface.name,
-             'wall': _opt(cat.fixture(fid).expected.wall),
-             'trust': cat.fixture(fid).expected.trust} for fid in ids]
-    results = {'count': len(ids), 'fixtures': rows}
-    body = [f'{len(ids)} fixtures', '',
-            '| id | surface | wall | trust |', '| --- | --- | --- | --- |']
-    body += [f'| {r["id"]} | {r["surface"]} | {r["wall"] or "-"} | {r["trust"]} |'
-             for r in rows]
-    return results, body, 'ok', EXIT_OK
+    fixtures = [cat.fixture(fid) for fid in _family_ids(cat, args.family)]
+    return {'count': len(fixtures), 'fixtures': [
+        {'id': f.id, 'surface': f.pair.surface.name, 'wall': _opt(f.expected.wall),
+         'trust': f.expected.trust} for f in fixtures]}
+
+
+def _render_fixtures_list(r: dict) -> list[str]:
+    return [f'{r["count"]} fixtures', '', '| id | surface | wall | trust |',
+            '| --- | --- | --- | --- |',
+            *(f'| {f["id"]} | {f["surface"]} | {f["wall"] or "-"} | {f["trust"]} |'
+              for f in r['fixtures'])]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,19 +446,19 @@ def build_parser() -> argparse.ArgumentParser:
     q = ssub.add_parser('show', help='lattice, cone and contraction data',
                         parents=[common])
     q.add_argument('name')
-    q.set_defaults(handler=cmd_surface_show)
+    q.set_defaults(handler=cmd_surface_show, render=_render_surface_show)
 
     p = sub.add_parser('zariski', parents=[common],
                        help='zariski decomposition, or a volume profile along a ray')
     p.add_argument('surface')
     p.add_argument('divisor')
     p.add_argument('--ray', help='walk the profile of divisor - t ray')
-    p.set_defaults(handler=cmd_zariski)
+    p.set_defaults(handler=cmd_zariski, render=_render_zariski)
 
     p = sub.add_parser('profile', parents=[common],
                        help='volume profile of a catalog valuation')
     p.add_argument('fixture')
-    p.set_defaults(handler=cmd_profile)
+    p.set_defaults(handler=cmd_profile, render=_render_profile)
 
     p = sub.add_parser('beta', parents=[common],
                        help='margin invariants of a fixture or a pair file')
@@ -506,14 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('valuation', nargs='?',
                    help='valuation document or generator name; pair file input only')
     p.add_argument('--c', help='also evaluate the invariants at this coefficient')
-    p.set_defaults(handler=cmd_beta)
+    p.set_defaults(handler=cmd_beta, render=_render_beta)
 
     p = sub.add_parser('walls', parents=[common],
                        help='recompute every wall from first principles')
     p.add_argument('--family', help='restrict to fixture ids with this family prefix')
     p.add_argument('--diff', action='store_true',
                    help='compare the wall set against the stored table')
-    p.set_defaults(handler=cmd_walls)
+    p.set_defaults(handler=cmd_walls, render=_render_walls)
 
     p = sub.add_parser('bounds', parents=[common],
                        help='singularity bounds at a boundary coefficient')
@@ -523,24 +484,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--n', type=int, help='index root of the quotient point')
     p.add_argument('--ord', dest='ord_lower',
                    help='lower bound for the boundary order at the point')
-    p.set_defaults(handler=cmd_bounds)
+    p.set_defaults(handler=cmd_bounds, render=_render_bounds)
 
     p = sub.add_parser('fixtures', help='catalog inventory', parents=[common])
     fsub = p.add_subparsers(dest='action', required=True)
     q = fsub.add_parser('list', help='list fixture ids', parents=[common])
     q.add_argument('--family')
-    q.set_defaults(handler=cmd_fixtures_list)
+    q.set_defaults(handler=cmd_fixtures_list, render=_render_fixtures_list)
 
     return parser
 
 
-def _markdown(echo: list[str], inputs: dict, body: list[str], status: str) -> str:
-    lines = [f'# {" ".join(echo)}', '',
-             f'catalog: {inputs["catalog"]}',
-             f'sha256: {inputs["sha256"]}',
-             '', *body, '',
-             f'status: {status}']
-    return '\n'.join(lines)
+def _status(results: dict) -> tuple[str, int]:
+    '''status and exit code of a report: a mismatch when a recomputation
+    disagrees with the stored catalog'''
+    diff = results.get('diff', {})
+    if (results.get('match') is False or results.get('mismatches')
+            or diff.get('missing') or diff.get('extra')):
+        return 'mismatch', EXIT_MISMATCH
+    return 'ok', EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -548,11 +510,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(raw)
+        # argparse turns an option value of '--' (as in --family=--) into []
+        if [] in vars(args).values():
+            parser.error("an option value may not be '--'")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         inputs = _catalog_input()
-        results, body, status, code = args.handler(args)
+        results = args.handler(args)
     except CatalogError as exc:
         print(f'catalog error: {exc}', file=sys.stderr)
         return EXIT_USAGE
@@ -568,12 +533,18 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as exc:
         print(f'engine failure: {exc}', file=sys.stderr)
         return EXIT_ENGINE
-    report = {'command': ['kwall', *raw], 'inputs': inputs,
-              'results': results, 'status': status}
+    status, code = _status(results)
+    command = ['kwall', *raw]
     if getattr(args, 'json', False):
+        report = {'command': command, 'inputs': inputs,
+                  'results': results, 'status': status}
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(_markdown(report['command'], inputs, body, status))
+        print('\n'.join([f'# {" ".join(command)}', '',
+                         f'catalog: {inputs["catalog"]}',
+                         f'sha256: {inputs["sha256"]}',
+                         '', *args.render(results), '',
+                         f'status: {status}']))
     return code
 
 

@@ -131,7 +131,10 @@ def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
     dx, xs = d.numerators
     pd = model.gen_table.pairings(xs)
     support: tuple[str, ...] = ()
-    for _ in range(len(model.mori_gens) + 1):
+    # violators come from outside the support and each pass that does not
+    # return adds one, so once the support holds every generator the pass
+    # finds none and returns
+    while True:
         idx = [model.gen_index[n] for n in support]
         try:
             det, ys = support_solve(model, support, [(pd[i],) for i in idx])
@@ -155,8 +158,6 @@ def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
                 raise NotPseudoEffective(f'{model.name}: ' + '; '.join(fails))
             return result
         support += tuple(violators)
-    raise NotPseudoEffective(
-        f'{model.name}: no nef part found with all generators in the support')
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,10 @@ def _min_root_after(k, scale: int, lo, hi):
             # need an interior minimum -k1 / 2 k2 in (lo, hi) below zero
             if k2 <= 0 or 2 * k2 * p + k1 * q >= 0 or 2 * k2 * h + k1 * e <= 0 or disc <= 0:
                 return None
+    elif k2 > 0 and 2 * k2 * p + k1 * q >= 0:
+        # last chamber: the volume is positive at lo and its vertex
+        # -k1 / 2 k2 lies at or before lo, so it only grows from there on
+        return None
     if k2 == 0:
         roots = [(-k0, k1) if k1 > 0 else (k0, -k1)]
     else:

@@ -1,6 +1,7 @@
 '''exit codes, report shapes, and worked command lines for the cli'''
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -52,6 +53,15 @@ def test_zariski_refuses_a_class_outside_the_cone(capsys):
     assert code == 3
     assert out == ''
     assert 'not pseudo-effective' in err
+
+
+def test_a_ray_whose_volume_only_grows_never_vanishes(capsys):
+    '''the last chamber starts at t = 1 with volume 7 + 6 t + t^2, whose
+    irrational roots -3 +- sqrt 2 both lie before it: -direction = h + e1 + 2 e3
+    is effective, so the volume never reaches zero'''
+    code, out, err = run(capsys, 'zariski', 'sigma5', 'ac', '--ray=-1,-1,0,-2,0')
+    assert (code, out) == (3, '')
+    assert 'volume never vanishes along the ray' in err
 
 
 def test_bad_divisor_inputs_are_usage_errors(capsys):
@@ -335,7 +345,17 @@ def test_walls_unknown_family_is_a_usage_error(capsys):
     assert run(capsys, 'walls', '--family', 'Zz')[0] == 2
 
 
-def test_walls_against_a_perturbed_catalog_exits_four(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize('argv, lines', [
+    (['walls', '--diff'], ['- Sigma5/D_1_17/L1: computed 1/17, stored 1/16',
+                           'missing from run: 1/16', 'not in stored table: 1/17',
+                           'status: mismatch']),
+    (['walls'], ['- Sigma5/D_1_17/L1: computed 1/17, stored 1/16', 'status: mismatch']),
+    (['--json', 'walls', '--diff'], ['  "status": "mismatch"']),
+    (['beta', 'Sigma5/D_1_17/L1'], ['stored wall 1/16 disagrees with the recomputation',
+                                    'status: mismatch']),
+], ids=['walls-diff', 'walls', 'json-walls-diff', 'beta'])
+def test_walls_against_a_perturbed_catalog_exits_four(argv, lines, tmp_path,
+                                                      monkeypatch, capsys):
     doc = json.loads(DATA_PATH.read_text())
     for f in doc['fixtures']:
         if f['id'] == 'Sigma5/D_1_17/L1':
@@ -346,12 +366,10 @@ def test_walls_against_a_perturbed_catalog_exits_four(tmp_path, monkeypatch, cap
     bad = tmp_path / 'catalog.json'
     bad.write_text(json.dumps(doc))
     monkeypatch.setenv('KWALL_CATALOG', str(bad))
-    code, out, _ = run(capsys, 'walls', '--diff')
+    code, out, _ = run(capsys, *argv)
     assert code == 4
-    assert '- Sigma5/D_1_17/L1: computed 1/17, stored 1/16' in out
-    assert 'missing from run: 1/16' in out
-    assert 'not in stored table: 1/17' in out
-    assert 'status: mismatch' in out
+    for line in lines:
+        assert line in out.split('\n')
 
 
 def test_reports_are_identical_across_repeated_runs(capsys):
@@ -449,4 +467,171 @@ def test_usage_errors_exit_two(capsys):
     assert main(['bogus']) == 2
     assert main([]) == 2
     assert main(['walls', '--threads', '0']) == 2
+    # argparse hands the handler [] for an option value of '--'
+    for argv in (['walls', '--family=--'], ['fixtures', 'list', '--family=--'],
+                 ['bounds', '--c=1/10', '--d=--', '--n=1', '--ord=0']):
+        assert main(argv) == 2
+        assert "an option value may not be '--'" in capsys.readouterr().err
     capsys.readouterr()
+
+
+# sha256 of each report's stdout, taken at the commit before the report
+# renderers were rewritten, without the catalog-path line (it names the
+# checkout); each command is pinned in markdown and in json
+PINNED_REPORTS = [
+    ('surface show sigma5',
+     '0924eb1f6bc6740a83f7266adfc65cde05e6d6f30dd74437b48053105e509d4c',
+     '50f8876885e61db7cca7a9bc6e9a2a39613cdacd675e7f89978c9243678a4a07'),
+    ('surface show xprime_deg',
+     '6f1f5aea7e12ad97173e6d26a5699772f013261e3ed4ab617db367c0968324cd',
+     '9e6e29edf0be9a3be825ccd2ef6b7c4be0a06e47490741b34ea0925895028284'),
+    ('zariski sigma5 3/2,1/2,1/2,-1,-1',
+     'eac83af746937f40d9375a8394a55a6cb65302f4cba9c0e2ede1230b4b230e35',
+     'cd9d1f2ac5f2de827fc6e8faeaf0b14b803641e5c7022a5e1e961828e3467a62'),
+    ('zariski sigma5 ac',
+     'fc280070b0eb2a169aae427ecd6d312268b413e6262c36bce1eec1eb42378d12',
+     '7e8630ba3d1ab14c1b45c40b9d2f596abf092e58e7878729c0a31f0f97ca9399'),
+    ('zariski sigma5 ac --ray line12',
+     '63253c77ed1dfaca4eb26fb1bde55e03f5b5de95d206ba7b8ada8d897b76299b',
+     'a7ec672ec08630e984ce8a8882048e661ae74c1b5271eef74df6790bbafb8999'),
+    ('profile Xprime/D_13_41/E',
+     'fed004e923118a2864dd528fa1aa0cbbd42bf3e8fa919123bf54e9d8b65922ca',
+     '2ce31c51cdd2c6bc1de725ce4351e2e5118090c9a513c8c0e8ee1a52021a84f6'),
+    ('beta Sigma5/D_1_17/L1',
+     'df1e2ee06fd53e4eb05613b0217223f0640509bce937e4c758fb8f53dd67bcc1',
+     '2cfad8f19117c5ba855e56234f0f03452110aa0f7ec31b704ad8ddac81c434c0'),
+    ('beta X11/D_2_19/line-pq',
+     'ac1969e1c13ad2288ed5cc44d7facc4ea02dd62e4591e6f1bd9e0449d97e4272',
+     '56b71e5cecff5627747c9771f45bc2334a46a4466a8bc860ba8e3683fe7292a0'),
+    ('beta P2/sanity/line',
+     '6558dec26c6aaeb5f39ab72a9bf9b9c0c7bef339259433abbdcf3c94af7f9b3d',
+     '099bb6244023208ad75e39acd388fbc10d026a9e7f6b895fc625eec31a14a463'),
+    ('beta Index3/exclusion/l',
+     '7a420be2cbbb80b3be08833c9c3e0ebf165fcb53a540bf67b10f880bd91fa566',
+     '0eaf5990d3fb444da92143eaaaf594f9b5eb56a4e9863bdc14de950015208976'),
+    ('beta Xprime/D_13_41/E --c 13/41',
+     '926268067dea3f2cdd4e6994bda60ae37e36b6499b742b387e2df8155422d21e',
+     '64d5782a5a47bfa01da9d470556321b746f47aee0883c6a0d0f76d887b830470'),
+    ('beta Sigma5/D_1_17/L1 --c 1/4',
+     '3301848bc7eaeaf32ee8f6b9daf000cd9e787a1c355c4087eb568865f5004eb1',
+     'cead83f5a1b40db9f9a7fe61024ed2eca249757045c8b690f9f6840d1d50d28a'),
+    ('walls',
+     '4d5147f4f9b0ae2caa8ab78891fd25447f70ac2aa95df2585b613990b41950de',
+     '6af894756d2b12d5045240b89c0c1a0178c28bb162e8ef783cb749644df7d3a3'),
+    ('walls --diff',
+     '54e104d1fadd2ba799770be640789e7c32acea70b2b63b3911760ecd352bc161',
+     'fbb369960479b9a03e91ee3dd74f490ebd6ef55fb3d9a0d7bba605ccd2a08edc'),
+    ('walls --family Sigma5 --diff',
+     '1aea35729f5cdad472f8503e8aba9df1e91fcf9d80629dbd1c65c9734229fe84',
+     'b8ea6423195c05369f91ccfee5711e0fbe36ca8bc167f015b7876ef4d49c4f49'),
+    ('bounds --c 1/100',
+     '65cde505e322372d6e4e8d1f5abd5b00ed4252ebb4403973622a9957f04ff0fc',
+     'b7b2d2758670a38bd4e66f31e29343c38de61e77d899f9a1d8585cb63cb66277'),
+    ('bounds --c 6/100',
+     '0ad24b6a1ee412f2633ed36a7a2864602627bf804251a477abb54d74e5fed881',
+     '1468f60b99829e03a1b781ed6936412cf6ac9ceca14d0988528bcc156502ab89'),
+    ('bounds --degree 2',
+     '7dd6be0bc4d5d136f1040f2d9c8bed354a1c8f8d46820a33b0f755fe4e062352',
+     'e4e37ce356a64514204453b4bdfb29b63c8f0dd1e0c96ae438e06a89bd91739c'),
+    ('bounds --c 1/10 --d 1 --n 3 --ord 0',
+     '4012909096c5ceca537c2196662d4b372c4c5410fb38d79ec1f8a7ce4b189a75',
+     '3e75843a3c01c0cd9f50a9b62d8d1de2508fb069efc9f69c2b37f4e9f6745f37'),
+    ('bounds --c 1/4',
+     '6f994789e010b7595c22939df021a24eb7145185521c2da92737927dd3306110',
+     '8073b1e83224e4715d791f831dfcdc6bb9557883e8734ea15ade682ab9c13184'),
+    ('fixtures list',
+     '02ced9a189d27c64d64cf5a68c46375553b85b2981073ba576642ce4f966e215',
+     '6ff32f13b4cb76a5a832efed333ac0ee3ef9ce7e684f06e3f58e6df1e14401a7'),
+    ('fixtures list --family Xt',
+     'b38df1b5496492f78eb5b46175ca3e73c877abbf53bf18085d3455051f4f50f9',
+     '6dbac17170f4b539323b88f4dc788c21313ae7360b5f1c7f4e248463e3caa056'),
+]
+
+
+@pytest.mark.parametrize('command, markdown, as_json', PINNED_REPORTS,
+                         ids=[row[0] for row in PINNED_REPORTS])
+def test_reports_are_pinned(command, markdown, as_json, capsys):
+    for argv, digest in ((command.split(), markdown),
+                         (['--json', *command.split()], as_json)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        lines = out.split('\n')
+        keep = [ln for ln in lines
+                if not ln.strip().startswith(('catalog: ', '"catalog": '))]
+        assert len(keep) == len(lines) - 1, argv
+        assert hashlib.sha256('\n'.join(keep).encode()).hexdigest() == digest, argv
+
+
+SURFACES = {s['name']: len(s['basis']) for s in SHIPPED['surfaces']}
+GENERATORS = {s['name']: [g['name'] for g in s['mori']] for s in SHIPPED['surfaces']}
+ANY_GENERATOR = st.sampled_from(sorted({g for gs in GENERATORS.values() for g in gs}))
+JUNK = st.sampled_from(['', ' ', ',', 'x', '1/0', '1/-2', '-', '--', 'nan', 'inf',
+                        '1e2', '0x1', '1,,2', 'ac,ac', '..'])
+NUMBERS = st.builds(lambda p, q: f'{p}/{q}', st.integers(-50, 50), st.integers(1, 50))
+RATIONALS = st.one_of(st.sampled_from(['1/4', '1/10', '13/41', '2', '0', '1/2']),
+                      NUMBERS, st.integers(-50, 50).map(str), JUNK)
+INTEGERS = st.one_of(st.integers(-3, 5).map(str), JUNK)
+
+
+def _names(known):
+    return st.one_of(st.sampled_from([*sorted(known), 'Nope/missing']), JUNK)
+
+
+@st.composite
+def divisors(draw, surface):
+    '''p/q coordinate lists of the surface's rank or another length, a
+    generator name of this or any surface, "ac"/"2ac" or a junk token'''
+    rank = SURFACES.get(surface, 3)
+    length = draw(st.sampled_from([rank, rank, 1, rank + 1, max(rank - 1, 0)]))
+    coords = draw(st.lists(NUMBERS, min_size=length, max_size=length))
+    return draw(st.one_of(st.just(','.join(coords)),
+                          st.sampled_from(GENERATORS.get(surface, ['ac'])), ANY_GENERATOR,
+                          st.sampled_from(['ac', '2ac']), JUNK))
+
+
+@st.composite
+def command_lines(draw):
+    '''argv from the cli grammar: every subcommand with known and unknown
+    names, and a subset of its own options, or now and then of all options,
+    with good and bad values'''
+    surface = draw(_names(SURFACES))
+    fixture = draw(_names(f['id'] for f in SHIPPED['fixtures']))
+    head, positional, own = draw(st.sampled_from([
+        (['surface', 'show'], [surface], []),
+        (['zariski'], [surface, draw(divisors(surface))], ['--ray']),
+        (['profile'], [fixture], []),
+        (['beta'], [fixture], ['--c']),
+        (['beta'], [fixture, draw(st.one_of(ANY_GENERATOR, JUNK))], ['--c']),
+        (['walls'], [], ['--family', '--diff']),
+        (['bounds'], [], ['--c', '--degree', '--d', '--n', '--ord']),
+        (['bounds', f'--c={draw(RATIONALS)}'], [], ['--d', '--n', '--ord']),
+        (['fixtures', 'list'], [], ['--family']),
+    ]))
+    values = {'--ray': divisors(surface), '--c': RATIONALS, '--degree': RATIONALS,
+              '--d': INTEGERS, '--n': INTEGERS, '--ord': RATIONALS,
+              '--family': _names(['X1', 'Xq', 'Sigma5', 'P2'])}
+    pool = draw(st.sampled_from([own, own, own, [*values, '--diff']]))
+    options = []
+    for flag in draw(st.lists(st.sampled_from(['--json', *pool]), unique=True)):
+        options.append(flag if flag in ('--json', '--diff')
+                       else f'{flag}={draw(values[flag])}')
+    return [*head, *options, *(['--'] if positional else []), *positional]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+def test_fuzzed_command_lines_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert 'Traceback' not in err.getvalue()
+    if code in (0, 4):
+        status = 'ok' if code == 0 else 'mismatch'
+        text = out.getvalue()
+        if '--json' in argv:
+            assert json.loads(text)['status'] == status
+        else:
+            lines = text.split('\n')
+            assert sum(ln.startswith('# kwall') for ln in lines) == 1
+            assert [ln for ln in lines if ln.startswith('status: ')] == [f'status: {status}']

@@ -252,6 +252,9 @@ def test_profile_values_match_the_subset_oracle(name, data):
             # the ray stays big for ever exactly when -direction is
             # pseudo-effective
             assert oracle.positive_part(-1 * direction) is not None
+        if 'irrational volume threshold' in msg:
+            # the volume does reach zero, so the ray leaves the cone
+            assert oracle.positive_part(-1 * direction) is None
         return
     for piece in prof.pieces:
         for t in (piece.t_lo, (piece.t_lo + piece.t_hi) / 2, piece.t_hi):
