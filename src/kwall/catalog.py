@@ -17,20 +17,18 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional
 
-from .lattice import rational, rational_vector
+from .lattice import Frozen, rational
 from .stability import AffineRatFn, LogPair, ValuationSpec
 from .surface import (
     BlowupCenter,
     ConfigurationError,
     SurfaceModel,
-    build_blowup_extension,
     surface_from_doc,
 )
 
@@ -42,23 +40,21 @@ class CatalogError(ConfigurationError):
     '''catalog resource missing, malformed, or queried with a bad id'''
 
 
-@dataclass(frozen=True)
-class Expected:
+class Expected(Frozen):
     '''pinned targets for one fixture; None means derived on demand'''
-    log_discrepancy: AffineRatFn
-    vanishing_order: Optional[AffineRatFn]
-    margin: Optional[AffineRatFn]
-    wall: Optional[Fraction]
-    trust: str
+
+    def __init__(self, log_discrepancy: AffineRatFn, vanishing_order: Optional[AffineRatFn],
+                 margin: Optional[AffineRatFn], wall: Optional[Fraction], trust: str):
+        vars(self).update(log_discrepancy=log_discrepancy, vanishing_order=vanishing_order,
+                          margin=margin, wall=wall, trust=trust)
 
 
-@dataclass(frozen=True)
-class Display:
+class Display(Frozen):
     '''presentation metadata: the printed margin is scale * (A - S)'''
-    scale: Fraction
-    beta_text: Optional[str] = None
-    curve: Optional[str] = None
-    weights: tuple[int, ...] = ()
+
+    def __init__(self, scale: Fraction, beta_text: Optional[str] = None,
+                 curve: Optional[str] = None, weights: tuple[int, ...] = ()):
+        vars(self).update(scale=scale, beta_text=beta_text, curve=curve, weights=weights)
 
 
 def printed_margin(margin: AffineRatFn, scale=1) -> str:
@@ -89,36 +85,36 @@ def printed_margin(margin: AffineRatFn, scale=1) -> str:
     return f'{lead}({n // g}c-{m // g}){tail}'
 
 
-@dataclass(frozen=True)
-class Fixture:
-    id: str
-    pair: LogPair
-    valuation: ValuationSpec
-    expected: Expected
-    display: Optional[Display] = None
-    notes: tuple[str, ...] = ()
-    equivariant: tuple[ValuationSpec, ...] = ()
+class Fixture(Frozen):
+    '''one catalog row: a pair, its valuation and the pinned targets'''
+
+    def __init__(self, id: str, pair: LogPair, valuation: ValuationSpec, expected: Expected,
+                 display: Optional[Display] = None, notes: tuple[str, ...] = (),
+                 equivariant: tuple[ValuationSpec, ...] = ()):
+        vars(self).update(id=id, pair=pair, valuation=valuation, expected=expected,
+                          display=display, notes=notes, equivariant=equivariant)
 
     @property
     def family(self) -> str:
         return self.id.split('/', 1)[0]
 
 
-@dataclass(frozen=True)
-class WallEntry:
-    value: Fraction
-    kind: str
-    families: tuple[str, ...]
-    description: str
+class WallEntry(Frozen):
+    '''one wall of the stored table with its metadata'''
+
+    def __init__(self, value: Fraction, kind: str, families: tuple[str, ...], description: str):
+        vars(self).update(value=value, kind=kind, families=families, description=description)
 
     @property
     def divisorial(self) -> bool:
         return self.kind == 'divisorial'
 
 
-@dataclass(frozen=True)
-class WallTable:
-    entries: tuple[WallEntry, ...]
+class WallTable(Frozen):
+    '''the stored walls, sorted by value'''
+
+    def __init__(self, entries: tuple[WallEntry, ...]):
+        vars(self).update(entries=entries)
 
     @property
     def walls(self) -> tuple[Fraction, ...]:
@@ -129,13 +125,13 @@ class WallTable:
         return tuple(e.value for e in self.entries if e.divisorial)
 
 
-@dataclass(frozen=True)
-class Catalog:
-    version: int
-    path: str
-    surfaces: tuple[SurfaceModel, ...]
-    fixtures: tuple[Fixture, ...]
-    wall_table: WallTable
+class Catalog(Frozen):
+    '''a decoded catalog resource'''
+
+    def __init__(self, version: int, path: str, surfaces: tuple[SurfaceModel, ...],
+                 fixtures: tuple[Fixture, ...], wall_table: WallTable):
+        vars(self).update(version=version, path=path, surfaces=surfaces, fixtures=fixtures,
+                          wall_table=wall_table)
 
     @cached_property
     def _surface_index(self) -> dict:
@@ -195,7 +191,7 @@ def _decode_part(model: SurfaceModel, doc):
                 f'{model.name}: boundary part names unknown generator '
                 f'{doc["gen"]!r}; have {list(model.gen_names)}')
         return doc['gen'], mult
-    cls = model.lattice.div(rational_vector(doc['class']))
+    cls = model.lattice.div(doc['class'])
     if 'label' in doc:
         return (doc['label'], cls), mult
     return cls, mult
@@ -207,7 +203,7 @@ def _decode_valuation(pair: LogPair, doc) -> ValuationSpec:
     if kind == 'surface':
         return ValuationSpec.on_surface(pair, doc['name'], tag=tag)
     if kind == 'class':
-        cls = pair.surface.lattice.div(rational_vector(doc['class']))
+        cls = pair.surface.lattice.div(doc['class'])
         return ValuationSpec(name=doc['name'], ambient=pair.surface,
                              e_class=cls, a_x=rational(doc['a_x']),
                              ord_b=rational(doc['ord_b']), tag=tag)
@@ -217,9 +213,8 @@ def _decode_valuation(pair: LogPair, doc) -> ValuationSpec:
             weights=tuple(int(w) for w in cdoc.get('weights', (1, 1))),
             exc_name=cdoc.get('exc_name', 'e'),
             through=tuple((n, rational(m)) for n, m in cdoc.get('through', ())),
-            extra_mori=tuple((n, rational_vector(cl))
-                             for n, cl in cdoc.get('extra_mori', ())))
-        ext = build_blowup_extension(pair.surface, center)
+            extra_mori=tuple((n, cl) for n, cl in cdoc.get('extra_mori', ())))
+        ext = pair.surface.extension(center)
         a_x = rational(doc['a_x']) if 'a_x' in doc else None
         ord_b = rational(doc['ord_b']) if 'ord_b' in doc else None
         return ValuationSpec.on_extension(pair, ext, name=doc.get('name', ''),
@@ -284,8 +279,9 @@ def _decode_wall(doc) -> WallEntry:
                      description=_string(doc, 'description', ''))
 
 
-# what decoding raises on a missing field or a wrong-typed JSON value
-_MALFORMED = (KeyError, TypeError, AttributeError)
+# what decoding raises on a missing field, a wrong-typed JSON value or a
+# string that is not a number
+_MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
 
 
 def _malformed(what: str, exc: Exception) -> CatalogError:
@@ -336,7 +332,8 @@ def _load_resolved(path_str: str) -> Catalog:
             raise CatalogError(f'duplicate fixture id {f.id!r}')
         seen.add(f.id)
     entries = _decode_each('wall', doc['walls'], _decode_wall)
-    if list(entries) != sorted(entries, key=lambda e: e.value):
+    values = [e.value for e in entries]
+    if values != sorted(values):
         raise CatalogError('wall table is not sorted')
     return Catalog(version=doc.get('version', 0), path=path_str,
                    surfaces=surfaces, fixtures=fixtures,

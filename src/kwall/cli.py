@@ -124,7 +124,7 @@ def parse_divisor(model: SurfaceModel, text: str) -> DivClass:
     if text == '2ac':
         return 2 * model.anticanonical_pullback
     if ',' in text:
-        return model.lattice.div([rational(x) for x in text.split(',')])
+        return model.lattice.div(text.split(','))
     try:
         return model.gen(text)
     except KeyError:
@@ -377,8 +377,6 @@ def cmd_bounds(args) -> dict:
         degree = 5 * (1 - 2 * c) ** 2
     else:
         degree = rational(args.degree)
-        if degree <= 0:
-            raise ConfigurationError('--degree must be positive')
     bound = quotient_order_bound(degree)
     if bound < 2:
         note = 'forces smooth surfaces'

@@ -9,12 +9,27 @@ anywhere in this module.
 '''
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
+
+
+class Frozen:
+    '''
+    base of the engine's value objects: __init__ sets the attributes once,
+    and assigning or deleting one afterwards raises AttributeError
+
+    Objects compare by identity unless their class defines __eq__ and
+    __hash__ over the attributes that make its value.
+    '''
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f'cannot assign {name!r}: {type(self).__name__} is immutable')
+
+    def __delattr__(self, name):
+        raise AttributeError(f'cannot delete {name!r}: {type(self).__name__} is immutable')
 
 
 class EngineError(Exception):
@@ -25,9 +40,65 @@ class SingularSystem(EngineError):
     '''linear system without a unique solution'''
 
 
+def ratio(x: int | str | Fraction) -> tuple[int, int]:
+    '''
+    (n, d) in lowest terms with x = n / d and d > 0, from an int, a Fraction
+    or a string
+
+    A string is read as Fraction reads it, an integer, "p/q" or a decimal
+    such as "-1.25", with an optional sign, single underscores between
+    digits and whitespace around, but without exponent notation: "1e9" is
+    refused, so that a short string never stands for a huge integer.
+
+    TESTS:
+        >>> ratio(" -6/4 ")
+        (-3, 2)
+        >>> ratio("1_0.25")
+        (41, 4)
+        >>> ratio("1e3")
+        Traceback (most recent call last):
+        ...
+        ValueError: not a rational: '1e3'
+    '''
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, str):
+        num, slash, den = x.strip().partition('/')
+        try:
+            if not slash:
+                # int() reads the integers; Fraction reads the decimals
+                if '.' in num and 'e' not in num and 'E' not in num:
+                    f = Fraction(num)
+                    return f.numerator, f.denominator
+                return int(num), 1
+            signed = num[:1] in ('+', '-')
+            n, d = _digits(num[signed:]), _digits(den)
+        except ValueError:
+            raise ValueError(f'not a rational: {x!r}') from None
+        if d == 0:
+            raise ValueError(f'zero denominator in {x!r}')
+        g = gcd(n, d)
+        return (-n if num[:1] == '-' else n) // g, d // g
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f'not a rational: {x!r}')
+    return x.numerator, x.denominator
+
+
+def _digits(s: str) -> int:
+    '''a run of decimal digits with single underscores between them'''
+    if not (s[:1].isdecimal() and s[-1:].isdecimal()):
+        raise ValueError(s)
+    return int(s)
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    '''the Fraction n / d, for d > 0'''
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
+
 def rational(x: int | str | Fraction) -> Fraction:
     '''
-    parse a rational from an int, a Fraction or a "p/q" / "n" string
+    parse a rational from an int, a Fraction or a string (see ``ratio``)
 
     TESTS:
         >>> rational("-3/4")
@@ -38,16 +109,7 @@ def rational(x: int | str | Fraction) -> Fraction:
     # a Fraction is immutable: hand it back rather than copy it
     if type(x) is Fraction:
         return x
-    if isinstance(x, bool):
-        raise ValueError(f'not a rational: {x!r}')
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x.strip())
-        except ZeroDivisionError:
-            raise ValueError(f'zero denominator in {x!r}') from None
-    raise ValueError(f'not a rational: {x!r}')
+    return _fraction(*ratio(x))
 
 
 def rational_str(x: Fraction) -> str:
@@ -55,8 +117,28 @@ def rational_str(x: Fraction) -> str:
     return str(x)
 
 
-def rational_vector(xs: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
-    return tuple(rational(x) for x in xs)
+def _exact_vector(xs: Iterable[int | str | Fraction]
+                  ) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
+    '''
+    (fs, d, ns): xs as Fractions, and as integer numerators ns over their
+    least common denominator d
+
+    TESTS:
+        >>> _exact_vector(['1/2', -1, '2/3'])
+        ((Fraction(1, 2), Fraction(-1, 1), Fraction(2, 3)), 6, (3, -6, 4))
+    '''
+    fs, ps, qs = [], [], []
+    for x in xs:
+        if type(x) is Fraction:
+            f, p, q = x, x.numerator, x.denominator
+        else:
+            p, q = ratio(x)
+            f = _fraction(p, q)
+        fs.append(f)
+        ps.append(p)
+        qs.append(q)
+    d = lcm(*qs)
+    return tuple(fs), d, tuple([p * (d // q) for p, q in zip(ps, qs)])
 
 
 def integral(xs: Iterable[int | Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -85,8 +167,7 @@ def integral_matrix(rows: Sequence[Sequence[int | Fraction]]
     return d, tuple([flat[i * w:(i + 1) * w] for i in range(n)])
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class IntersectionLattice(Frozen):
     '''
     rank-r lattice with a Q-valued symmetric pairing and named basis vectors
 
@@ -101,33 +182,51 @@ class IntersectionLattice:
         >>> pair(lat.basis("h"), lat.basis("h"))
         Fraction(1, 1)
     '''
-    names: tuple[str, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+
+    def __init__(self, names: tuple[str, ...], gram: tuple[tuple[Fraction, ...], ...]):
+        r = len(names)
+        if len(set(names)) != r:
+            raise ValueError('duplicate basis names')
+        if len(gram) != r or any(len(row) != r for row in gram):
+            raise ValueError(f'gram matrix is not {r} x {r}')
+        vars(self).update(names=names, gram=gram)
+
+    def __eq__(self, other):
+        if type(other) is not IntersectionLattice:
+            return NotImplemented
+        return (self.names, self.gram) == (other.names, other.gram)
+
+    def __hash__(self):
+        return hash((self.names, self.gram))
 
     @cached_property
     def scaled_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        '''(d, rows): the Gram matrix as integer rows over one denominator d'''
+        '''(d, rows): the Gram matrix as integer rows over its least common
+        denominator d'''
         return integral_matrix(self.gram)
 
-    def __post_init__(self):
-        r = len(self.names)
-        if len(set(self.names)) != r:
-            raise ValueError('duplicate basis names')
-        if len(self.gram) != r or any(len(row) != r for row in self.gram):
-            raise ValueError(f'gram matrix is not {r} x {r}')
+    @classmethod
+    def with_scaled_gram(cls, names: Sequence[str], gram, scaled_gram) -> 'IntersectionLattice':
+        '''the lattice with the given Gram matrix and its scaled_gram, which
+        must equal integral_matrix(gram)'''
+        lat = cls(tuple(names), gram)
+        lat.__dict__['scaled_gram'] = scaled_gram
+        return lat
 
     @classmethod
     def from_rows(cls, names: Sequence[str],
                   rows: Sequence[Sequence[int | str | Fraction]]) -> 'IntersectionLattice':
-        return cls(tuple(names), tuple(rational_vector(row) for row in rows))
+        parsed = [_exact_vector(row) for row in rows]
+        d = lcm(*[dr for _, dr, _ in parsed])
+        return cls.with_scaled_gram(names, tuple([fs for fs, _, _ in parsed]), (d, tuple([
+            tuple([x * (d // dr) for x in xs]) for _, dr, xs in parsed])))
 
     @classmethod
     def diagonal(cls, names: Sequence[str],
                  entries: Sequence[int | str | Fraction]) -> 'IntersectionLattice':
-        ents = rational_vector(entries)
-        rows = tuple(tuple(ents[i] if i == j else Fraction(0) for j in range(len(ents)))
-                     for i in range(len(ents)))
-        return cls(tuple(names), rows)
+        n = len(entries)
+        return cls.from_rows(names, [[x if i == j else 0 for j in range(n)]
+                                     for i, x in enumerate(entries)])
 
     @property
     def rank(self) -> int:
@@ -140,10 +239,10 @@ class IntersectionLattice:
             raise KeyError(f'no basis vector {name!r}; have {list(self.names)}') from None
 
     def div(self, coords: Sequence[int | str | Fraction]) -> 'DivClass':
-        cs = rational_vector(coords)
+        cs, d, ns = _exact_vector(coords)
         if len(cs) != self.rank:
             raise ValueError(f'expected {self.rank} coordinates, got {len(cs)}')
-        return DivClass(self, cs)
+        return DivClass.with_numerators(self, cs, (d, ns))
 
     def basis(self, name: str) -> 'DivClass':
         i = self.index(name)
@@ -153,16 +252,44 @@ class IntersectionLattice:
         return self.div((0,) * self.rank)
 
 
-@dataclass(frozen=True)
-class DivClass:
+class DivClass(Frozen):
     '''divisor class: a coordinate vector over an owning lattice'''
-    lattice: IntersectionLattice
-    coords: tuple[Fraction, ...]
+
+    def __init__(self, lattice: IntersectionLattice, coords: tuple[Fraction, ...]):
+        vars(self).update(lattice=lattice, coords=coords)
+
+    def __eq__(self, other):
+        if type(other) is not DivClass:
+            return NotImplemented
+        return (self.lattice, self.coords) == (other.lattice, other.coords)
+
+    def __hash__(self):
+        return hash((self.lattice, self.coords))
 
     @cached_property
     def numerators(self) -> tuple[int, tuple[int, ...]]:
-        '''(d, ns): the coordinates as integer numerators over one denominator'''
+        '''(d, ns): the coordinates as integer numerators over their least
+        common denominator d'''
         return integral(self.coords)
+
+    @classmethod
+    def with_numerators(cls, lattice: IntersectionLattice, coords,
+                        numerators: tuple[int, tuple[int, ...]]) -> 'DivClass':
+        '''the class with the given coordinates and their numerators, which
+        must equal integral(coords)'''
+        d = cls(lattice, coords)
+        d.__dict__['numerators'] = numerators
+        return d
+
+    @classmethod
+    def from_numerators(cls, lattice: IntersectionLattice, d: int,
+                        ns: Sequence[int]) -> 'DivClass':
+        '''the class with coordinates ns / d, for d > 0'''
+        g = gcd(d, *ns)
+        if g != 1:
+            d, ns = d // g, [n // g for n in ns]
+        return cls.with_numerators(lattice, tuple([_fraction(n, d) for n in ns]),
+                                   (d, tuple(ns)))
 
     def _check_mate(self, other: 'DivClass') -> None:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
@@ -194,6 +321,29 @@ class DivClass:
         return ' + '.join(terms) if terms else '0'
 
 
+def combination(lattice: IntersectionLattice, terms) -> DivClass:
+    '''
+    the class sum k c over the (k, c) terms, with rational k, summed in
+    integers over one common denominator
+
+    TESTS:
+        >>> lat = IntersectionLattice.diagonal(("h", "e"), (1, -1))
+        >>> combination(lat, [(Fraction(1, 2), lat.div((1, 1))), (-1, lat.basis("e"))]).coords
+        (Fraction(1, 2), Fraction(-1, 2))
+    '''
+    parts = []
+    for k, c in terms:
+        if c.lattice is not lattice and c.lattice != lattice:
+            raise ValueError('classes live on different lattices')
+        parts.append((ratio(k), c.numerators))
+    d = lcm(*[q * dc for (_, q), (dc, _) in parts])
+    total = [0] * lattice.rank
+    for (p, q), (dc, ns) in parts:
+        f = p * (d // (q * dc))
+        total = [t + f * n for t, n in zip(total, ns)]
+    return DivClass.from_numerators(lattice, d, total)
+
+
 def pair(a: DivClass, b: DivClass) -> Fraction:
     '''
     intersection number a.b, exact
@@ -212,18 +362,18 @@ def pair(a: DivClass, b: DivClass) -> Fraction:
     return Fraction(total, dg * da * db)
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(Frozen):
     '''outcome of validate_lattice; empty ``failures`` means the lattice passed'''
-    signature: tuple[int, int, int]
-    failures: tuple[str, ...]
+
+    def __init__(self, signature: tuple[int, int, int], failures: tuple[str, ...]):
+        vars(self).update(signature=signature, failures=failures)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def signature(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
+def signature(rows: Sequence[Sequence[int | Fraction]]) -> tuple[int, int, int]:
     '''
     (positive, negative, zero) inertia of a symmetric rational matrix,
     via exact congruence diagonalization
@@ -286,12 +436,12 @@ def validate_lattice(lat: IntersectionLattice) -> LatticeReport:
     rank-1 negative ones; anything else is a miscoded Gram matrix.
     '''
     failures: list[str] = []
-    symmetric = all(lat.gram[i][j] == lat.gram[j][i]
-                    for i in range(lat.rank) for j in range(lat.rank))
-    if not symmetric:
+    # the scaled Gram matrix is a positive multiple: same symmetry, same inertia
+    rows = lat.scaled_gram[1]
+    if any(rows[i][j] != rows[j][i] for i in range(lat.rank) for j in range(i)):
         failures.append('gram matrix is not symmetric')
         return LatticeReport((0, 0, 0), tuple(failures))
-    sig = signature(lat.gram)
+    sig = signature(rows)
     if sig != (1, lat.rank - 1, 0):
         failures.append(f'signature {sig} is not (1, {lat.rank - 1}, 0)')
     return LatticeReport(sig, tuple(failures))

@@ -17,7 +17,6 @@ support, raises EngineError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional
@@ -25,6 +24,7 @@ from typing import Optional
 from .lattice import (
     DivClass,
     EngineError,
+    Frozen,
     integral,
     is_negative_definite,
     pair,
@@ -37,11 +37,11 @@ class NotPseudoEffective(EngineError):
     '''class lies outside the declared pseudo-effective cone'''
 
 
-@dataclass(frozen=True)
-class NefReport:
+class NefReport(Frozen):
     '''outcome of a nef test; ``witness`` names a violating generator'''
-    nef: bool
-    witness: Optional[str] = None
+
+    def __init__(self, nef: bool, witness: Optional[str] = None):
+        vars(self).update(nef=nef, witness=witness)
 
     def __bool__(self) -> bool:
         return self.nef
@@ -67,13 +67,13 @@ def is_nef(model: SurfaceModel, d: DivClass) -> NefReport:
     return NefReport(True, None)
 
 
-@dataclass(frozen=True)
-class ZariskiResult:
+class ZariskiResult(Frozen):
     '''decomposition divisor = positive + sum of negative_support'''
-    model: SurfaceModel
-    divisor: DivClass
-    positive: DivClass
-    negative_support: tuple[tuple[str, Fraction], ...]
+
+    def __init__(self, model: SurfaceModel, divisor: DivClass, positive: DivClass,
+                 negative_support: tuple[tuple[str, Fraction], ...]):
+        vars(self).update(model=model, divisor=divisor, positive=positive,
+                          negative_support=negative_support)
 
     @property
     def negative(self) -> DivClass:
@@ -160,13 +160,12 @@ def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
         support += tuple(violators)
 
 
-@dataclass(frozen=True)
-class QuadraticPiece:
+class QuadraticPiece(Frozen):
     '''vol(t) = q0 + q1 t + q2 t^2 on [t_lo, t_hi], one Zariski chamber'''
-    t_lo: Fraction
-    t_hi: Fraction
-    coeffs: tuple[Fraction, Fraction, Fraction]
-    chamber_support: tuple[str, ...]
+
+    def __init__(self, t_lo: Fraction, t_hi: Fraction,
+                 coeffs: tuple[Fraction, Fraction, Fraction], chamber_support: tuple[str, ...]):
+        vars(self).update(t_lo=t_lo, t_hi=t_hi, coeffs=coeffs, chamber_support=chamber_support)
 
     def value(self, t) -> Fraction:
         q0, q1, q2 = self.coeffs
@@ -177,11 +176,11 @@ class QuadraticPiece:
         return q1 + 2 * q2 * t
 
 
-@dataclass(frozen=True)
-class VolumeProfile:
+class VolumeProfile(Frozen):
     '''piecewise quadratic volume along a ray, valid on [0, tau]'''
-    pieces: tuple[QuadraticPiece, ...]
-    tau: Fraction
+
+    def __init__(self, pieces: tuple[QuadraticPiece, ...], tau: Fraction):
+        vars(self).update(pieces=pieces, tau=tau)
 
     def value(self, t) -> Fraction:
         if t < 0 or t > self.tau:

@@ -11,19 +11,20 @@ whose roots are the walls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
+from typing import Mapping
 
-from .lattice import DivClass, pair, rational, rational_str
+from .lattice import DivClass, Frozen, combination, pair, rational, rational_str
 from .positivity import VolumeProfile, integrate_profile, volume_profile
 from .surface import (
     BlowupExtension,
     ConfigurationError,
     SurfaceModel,
     contraction_orders,
-    pullback_weil,
+    pullback_numerators,
 )
 
 HALF = Fraction(1, 2)
@@ -31,8 +32,7 @@ HALF = Fraction(1, 2)
 TAGS = frozenset({'plain', 'vertical', 'horizontal'})
 
 
-@dataclass(frozen=True)
-class AffineRatFn:
+class AffineRatFn(Frozen):
     '''exact affine function const + slope * c of the boundary coefficient
 
     TESTS:
@@ -42,8 +42,17 @@ class AffineRatFn:
         >>> str(f - AffineRatFn(Fraction(13, 15), Fraction(-26, 15)))
         '2/15 - 34/15 c'
     '''
-    const: Fraction
-    slope: Fraction
+
+    def __init__(self, const: Fraction, slope: Fraction):
+        vars(self).update(const=const, slope=slope)
+
+    def __eq__(self, other):
+        if type(other) is not AffineRatFn:
+            return NotImplemented
+        return (self.const, self.slope) == (other.const, other.slope)
+
+    def __hash__(self):
+        return hash((self.const, self.slope))
 
     def value(self, c) -> Fraction:
         return self.const + self.slope * rational(c)
@@ -75,8 +84,7 @@ def affine(const, slope) -> AffineRatFn:
     return AffineRatFn(rational(const), rational(slope))
 
 
-@dataclass(frozen=True)
-class LogPair:
+class LogPair(Frozen):
     '''
     boundary divisor on a resolution, scaled by the symbol c
 
@@ -85,10 +93,11 @@ class LogPair:
     honest curves downstairs, so the cycle-level order along a contracted
     curve comes from the pullback solve, never from raw coordinates.
     '''
-    surface: SurfaceModel
-    boundary: tuple[tuple[str | None, DivClass, Fraction], ...]
-    c_lo: Fraction = Fraction(0)
-    c_hi: Fraction = HALF
+
+    def __init__(self, surface: SurfaceModel,
+                 boundary: tuple[tuple[str | None, DivClass, Fraction], ...],
+                 c_lo: Fraction = Fraction(0), c_hi: Fraction = HALF):
+        vars(self).update(surface=surface, boundary=boundary, c_lo=c_lo, c_hi=c_hi)
 
     @classmethod
     def make(cls, surface: SurfaceModel, parts, c_range=(0, HALF)) -> 'LogPair':
@@ -114,23 +123,46 @@ class LogPair:
     @cached_property
     def proper_transform(self) -> DivClass:
         '''sum of the components' proper transforms, with multiplicities'''
-        out = self.surface.lattice.zero()
-        for _, comp, mult in self.boundary:
-            out = out + mult * comp
-        return out
+        return combination(self.surface.lattice,
+                           [(mult, comp) for _, comp, mult in self.boundary])
+
+    @cached_property
+    def _boundary_pullback(self) -> tuple[int, tuple[int, ...], int, int]:
+        '''
+        (db, bs, kn, kd): the full pullback B of the boundary cycle is
+        bs / db, and k = kn da / (kd db) is the coefficient of its
+        orthogonal projection to A = pull(-K) = xs / da, or 0 when A.A = 0
+
+        With G / dg the scaled Gram matrix, B.A = bs G xs / (db da dg) and
+        A.A = xs G xs / (da^2 dg), so (kn, kd) is (bs G xs, xs G xs), or
+        (0, 1).  Then B = k A if and only if bs kd = kn xs.
+        '''
+        m = self.surface
+        db, bs = pullback_numerators(m, *self.proper_transform.numerators)
+        _, xs = m.anticanonical_pullback.numerators
+        gas = [sum(map(mul, row, xs)) for row in m.lattice.scaled_gram[1]]
+        kd = sum(map(mul, xs, gas))
+        kn = sum(map(mul, bs, gas)) if kd else 0
+        return db, bs, kn, kd or 1
 
     @cached_property
     def boundary_class(self) -> DivClass:
         '''full pullback of the boundary cycle to the resolution'''
-        return pullback_weil(self.surface, self.proper_transform)
+        db, bs, _, _ = self._boundary_pullback
+        return DivClass.from_numerators(self.surface.lattice, db, bs)
 
     @cached_property
     def anticanonical_factor(self) -> Fraction:
         '''k with boundary class = k * anticanonical; 2 for the usual pairs,
         0 for an empty boundary'''
-        acp = self.surface.anticanonical_pullback
-        deg = pair(acp, acp)
-        return pair(self.boundary_class, acp) / deg if deg else Fraction(0)
+        db, _, kn, kd = self._boundary_pullback
+        da, _ = self.surface.anticanonical_pullback.numerators
+        return Fraction(kn * da, kd * db)
+
+    @cached_property
+    def _contraction_orders(self) -> Mapping[str, Fraction]:
+        '''order of the boundary cycle along each contracted curve'''
+        return contraction_orders(self.surface, self.proper_transform)
 
     def boundary_order(self, name: str) -> Fraction:
         '''order of the boundary along a named curve of the resolution
@@ -139,7 +171,7 @@ class LogPair:
         pullback cycle; anything else gets its summed multiplicity.
         '''
         if name in self.surface.contracted:
-            return contraction_orders(self.surface, self.proper_transform)[name]
+            return self._contraction_orders[name]
         if name not in self.surface.gen_names and \
                 all(n != name for n, _, _ in self.boundary):
             raise ConfigurationError(
@@ -163,8 +195,9 @@ class LogPair:
                 problems.append(f'component {n or "?"} has negative multiplicity {mult}')
             if n is not None and n in self.surface.contracted:
                 problems.append(f'component {n} is a contracted curve, not a curve downstairs')
-        target = self.anticanonical_factor * self.surface.anticanonical_pullback
-        if self.anticanonical_factor < 0 or self.boundary_class != target:
+        _, bs, kn, kd = self._boundary_pullback
+        _, xs = self.surface.anticanonical_pullback.numerators
+        if kn * kd < 0 or any(b * kd != kn * x for b, x in zip(bs, xs)):
             problems.append(
                 f'boundary class {self.boundary_class.coords} is not a non-negative '
                 'multiple of the anticanonical class')
@@ -183,8 +216,7 @@ class LogPair:
         return self.c_lo < rational(c) < self.c_hi
 
 
-@dataclass(frozen=True)
-class ValuationSpec:
+class ValuationSpec(Frozen):
     '''
     divisorial valuation with its empty-boundary log discrepancy ``a_x``
     and the order ``ord_b`` of the boundary along it
@@ -195,19 +227,15 @@ class ValuationSpec:
     boundary of the stable locus, a nonzero horizontal margin can always be
     flipped into a destabilising direction.
     '''
-    name: str
-    ambient: SurfaceModel | BlowupExtension
-    e_class: DivClass
-    a_x: Fraction
-    ord_b: Fraction
-    tag: str = 'plain'
 
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ConfigurationError(f'unknown equivariance tag {self.tag!r}')
-        if self.a_x < 0:
-            raise ConfigurationError(
-                f'{self.name}: log discrepancy {self.a_x} < 0 over the surface')
+    def __init__(self, name: str, ambient: SurfaceModel | BlowupExtension, e_class: DivClass,
+                 a_x: Fraction, ord_b: Fraction, tag: str = 'plain'):
+        if tag not in TAGS:
+            raise ConfigurationError(f'unknown equivariance tag {tag!r}')
+        if a_x < 0:
+            raise ConfigurationError(f'{name}: log discrepancy {a_x} < 0 over the surface')
+        vars(self).update(name=name, ambient=ambient, e_class=e_class, a_x=a_x, ord_b=ord_b,
+                          tag=tag)
 
     @property
     def model(self) -> SurfaceModel:
@@ -307,11 +335,11 @@ def beta(p: LogPair, v: ValuationSpec) -> AffineRatFn:
     return log_discrepancy(p, v) - s_invariant(p, v)
 
 
-@dataclass(frozen=True)
-class WallSolve:
+class WallSolve(Frozen):
     '''root of an affine margin inside an open interval, if any'''
-    root: Fraction | None
-    identically_zero: bool = False
+
+    def __init__(self, root: Fraction | None, identically_zero: bool = False):
+        vars(self).update(root=root, identically_zero=identically_zero)
 
 
 def solve_wall(b: AffineRatFn, lo=0, hi=HALF) -> WallSolve:
@@ -351,13 +379,12 @@ FUTAKI_NOTE = ('vanishing of the horizontal margins stands in for the full '
                'destabilising direction under the torus')
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    verdict: Verdict
-    c: Fraction
-    margins: tuple[tuple[str, Fraction], ...]
-    witnesses: tuple[tuple[str, Fraction], ...]
-    note: str = FUTAKI_NOTE
+class StabilityReport(Frozen):
+    '''outcome of polystability_check'''
+
+    def __init__(self, verdict: Verdict, c: Fraction, margins: tuple[tuple[str, Fraction], ...],
+                 witnesses: tuple[tuple[str, Fraction], ...], note: str = FUTAKI_NOTE):
+        vars(self).update(verdict=verdict, c=c, margins=margins, witnesses=witnesses, note=note)
 
 
 def polystability_check(p: LogPair, vs, c) -> StabilityReport:

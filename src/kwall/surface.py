@@ -14,24 +14,23 @@ lattice extension of a weight-(a, b) blow-up at a smooth point.
 '''
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence
 
 from .lattice import (
     DivClass,
     EngineError,
+    Frozen,
     IntersectionLattice,
     SingularSystem,
     bareiss,
-    integral_matrix,
+    combination,
     pair,
     rational,
     rational_str,
-    rational_vector,
     validate_lattice,
 )
 
@@ -40,8 +39,10 @@ class ConfigurationError(EngineError):
     '''model data is internally inconsistent'''
 
 
-@dataclass(frozen=True)
-class GeneratorTable:
+ZERO = Fraction(0)
+
+
+class GeneratorTable(Frozen):
     '''
     the declared generators of a model compiled to integers
 
@@ -49,21 +50,28 @@ class GeneratorTable:
     Gram matrix:
 
         - ``den`` -- the common denominator of the generator coordinates
+        - ``gens`` -- C, one row of integer numerators per generator
         - ``rows`` -- R = C G, so gen_i . x = R[i] . xs / (den dg dx) for
           a class with coordinates xs / dx
         - ``pairing`` -- M = R C^T, so gen_i . gen_j = M[i][j] / (den^2 dg)
     '''
-    den: int
-    rows: tuple[tuple[int, ...], ...]
-    pairing: tuple[tuple[int, ...], ...]
+
+    def __init__(self, den: int, gens: tuple[tuple[int, ...], ...],
+                 rows: tuple[tuple[int, ...], ...], pairing: tuple[tuple[int, ...], ...]):
+        vars(self).update(den=den, gens=gens, rows=rows, pairing=pairing)
 
     def pairings(self, xs: Sequence[int]) -> list[int]:
         '''R xs: every generator paired with a class of numerators xs'''
         return [sum(map(mul, row, xs)) for row in self.rows]
 
+    def adjunction_sum(self, i: int, kc: int, dk: int, dg: int) -> tuple[int, int]:
+        '''(g, q) with C_i.C_i + K.C_i = g / q, for a canonical class with
+        numerators over dk, its pairing kc = R[i] . ks and the Gram
+        denominator dg'''
+        return self.pairing[i][i] * dk + kc * self.den, self.den * self.den * dg * dk
 
-@dataclass(frozen=True)
-class SurfaceModel:
+
+class SurfaceModel(Frozen):
     '''
     resolution-side model of a (possibly singular) projective surface
 
@@ -76,16 +84,28 @@ class SurfaceModel:
         - ``k_discrepancies`` -- (name, a) pairs with
           K_res = pull(K_target) + sum a_j C_j over the contracted curves
     '''
-    name: str
-    lattice: IntersectionLattice
-    canonical: DivClass
-    mori_gens: tuple[tuple[str, DivClass], ...]
-    contracted: tuple[str, ...] = ()
-    k_discrepancies: tuple[tuple[str, Fraction], ...] = ()
 
-    @property
+    def __init__(self, name: str, lattice: IntersectionLattice, canonical: DivClass,
+                 mori_gens: tuple[tuple[str, DivClass], ...], contracted: tuple[str, ...] = (),
+                 k_discrepancies: tuple[tuple[str, Fraction], ...] = ()):
+        vars(self).update(name=name, lattice=lattice, canonical=canonical, mori_gens=mori_gens,
+                          contracted=contracted, k_discrepancies=k_discrepancies)
+
+    def _key(self) -> tuple:
+        return (self.name, self.lattice, self.canonical, self.mori_gens, self.contracted,
+                self.k_discrepancies)
+
+    def __eq__(self, other):
+        if type(other) is not SurfaceModel:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @cached_property
     def gen_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.mori_gens)
+        return tuple([n for n, _ in self.mori_gens])
 
     def gen(self, name: str) -> DivClass:
         for n, c in self.mori_gens:
@@ -102,11 +122,13 @@ class SurfaceModel:
     def gen_table(self) -> GeneratorTable:
         '''the generators as integer rows and their pairing matrix'''
         _, gram = self.lattice.scaled_gram
-        den, cs = integral_matrix([c.coords for _, c in self.mori_gens])
+        nums = [c.numerators for _, c in self.mori_gens]
+        den = lcm(*[d for d, _ in nums])
+        cs = tuple([tuple([x * (den // d) for x in xs]) for d, xs in nums])
         cols = list(zip(*gram))
         rows = tuple([tuple([sum(map(mul, c, col)) for col in cols]) for c in cs])
-        return GeneratorTable(den, rows, tuple([tuple([sum(map(mul, r, c)) for c in cs])
-                                                for r in rows]))
+        return GeneratorTable(den, cs, rows, tuple([tuple([sum(map(mul, r, c)) for c in cs])
+                                                    for r in rows]))
 
     @cached_property
     def _support_grams(self) -> dict:
@@ -116,6 +138,23 @@ class SurfaceModel:
         return {}
 
     @cached_property
+    def _extensions(self) -> dict:
+        '''BlowupCenter -> (model, e_class, a_over_base) of its extension,
+        filled as centers are first requested; a BlowupExtension refers back
+        to this model, so keeping one here would make a reference cycle,
+        which outlives the last reference to a decoded catalog'''
+        return {}
+
+    def extension(self, center: 'BlowupCenter') -> 'BlowupExtension':
+        '''the blow-up extension at ``center``, built once per model and center'''
+        parts = self._extensions.get(center)
+        if parts is None:
+            ext = build_blowup_extension(self, center)
+            self._extensions[center] = ext.model, ext.e_class, ext.a_over_base
+            return ext
+        return BlowupExtension(self, *parts)
+
+    @cached_property
     def discrepancy(self) -> Mapping[str, Fraction]:
         d = dict(self.k_discrepancies)
         for n in self.contracted:
@@ -123,16 +162,12 @@ class SurfaceModel:
         return d
 
     @cached_property
-    def contracted_classes(self) -> tuple[DivClass, ...]:
-        return tuple(self.gen(n) for n in self.contracted)
-
-    @cached_property
     def canonical_pullback(self) -> DivClass:
         '''pull(K_target) = K_res - sum a_j C_j'''
-        out = self.canonical
-        for n in self.contracted:
-            out = out - self.discrepancy[n] * self.gen(n)
-        return out
+        if not self.contracted:
+            return self.canonical
+        return combination(self.lattice, [(1, self.canonical), *(
+            (-self.discrepancy[n], self.gen(n)) for n in self.contracted)])
 
     @cached_property
     def anticanonical_pullback(self) -> DivClass:
@@ -160,21 +195,30 @@ class SurfaceModel:
                 support_solve(self, self.contracted, [()] * len(self.contracted))
             except ConfigurationError:
                 out.append(f'{self.name}: contracted curves are not negative definite')
-        pk = self.canonical_pullback
+        # every intersection number below is an integer product over a
+        # positive denominator: with table = (den, C, R, M) and G / dg the
+        # scaled Gram matrix, C_i.C_i = M[i][i] / (den^2 dg) and, for a class
+        # with numerators xs / dx, C_i.x = R[i] . xs / (den dg dx)
+        table = self.gen_table
+        den = table.den
+        dg = self.lattice.scaled_gram[0]
+        _, pk = self.canonical_pullback.numerators
         for n in self.contracted:
-            if pair(pk, self.gen(n)) != 0:
+            if sum(map(mul, table.rows[self.gen_index[n]], pk)) != 0:
                 out.append(f'{self.name}: pull(K) not orthogonal to contracted curve {n}')
         if self.degree <= 0:
             out.append(f'{self.name}: anticanonical degree {self.degree} is not positive')
-        integral_gram = all(x.denominator == 1 for row in self.lattice.gram for x in row)
-        for n, c in self.mori_gens:
-            c2, kc = pair(c, c), pair(self.canonical, c)
-            if not (c2 < 0 or kc < 0):
-                out.append(f'{self.name}: generator {n} has C.C = {c2} >= 0 and K.C = {kc} >= 0')
-            if integral_gram and c2 < 0 and all(x.denominator == 1 for x in c.coords):
-                g = c2 + kc
-                if g.denominator != 1 or g % 2 != 0 or g < -2:
-                    out.append(f'{self.name}: generator {n} fails adjunction (C.C + K.C = {g})')
+        dk, ks = self.canonical.numerators
+        for i, ((n, c), kc) in enumerate(zip(self.mori_gens, table.pairings(ks))):
+            c2 = table.pairing[i][i]
+            if c2 >= 0 and kc >= 0:
+                out.append(f'{self.name}: generator {n} has C.C = {Fraction(c2, den * den * dg)}'
+                           f' >= 0 and K.C = {Fraction(kc, den * dg * dk)} >= 0')
+            if dg == 1 and c2 < 0 and c.numerators[0] == 1:
+                g, q = table.adjunction_sum(i, kc, dk, dg)
+                if g % q or g // q % 2 or g < -2 * q:
+                    out.append(f'{self.name}: generator {n} fails adjunction '
+                               f'(C.C + K.C = {Fraction(g, q)})')
         return tuple(out)
 
     def validate(self) -> 'SurfaceModel':
@@ -220,16 +264,42 @@ def support_solve(model: SurfaceModel, support: tuple[str, ...], cols):
     return bareiss(gram, cols)[:2]
 
 
+def _contraction_solve(model: SurfaceModel, dx: int, xs: Sequence[int]):
+    '''(det, ys): the contracted curve s has coefficient den ys[s] / (det dx)
+    in the Weil pullback of the class xs / dx'''
+    ps = model.gen_table.pairings(xs)
+    det, ys = support_solve(model, model.contracted,
+                            [(-ps[model.gen_index[n]],) for n in model.contracted])
+    return det, [y for (y,) in ys]
+
+
 def contraction_orders(model: SurfaceModel, d: DivClass) -> Mapping[str, Fraction]:
     '''coefficient of each contracted curve in the Weil pullback of d'''
     if not model.contracted:
         return {}
-    table = model.gen_table
     dx, xs = d.numerators
-    ps = table.pairings(xs)
-    det, ys = support_solve(model, model.contracted,
-                            [(-ps[model.gen_index[n]],) for n in model.contracted])
-    return {n: Fraction(table.den * y, det * dx) for n, (y,) in zip(model.contracted, ys)}
+    det, ys = _contraction_solve(model, dx, xs)
+    return {n: Fraction(model.gen_table.den * y, det * dx) for n, y in zip(model.contracted, ys)}
+
+
+def pullback_numerators(model: SurfaceModel, dx: int, xs: Sequence[int]
+                        ) -> tuple[int, tuple[int, ...]]:
+    '''
+    (d, ns): the Weil pullback of the class xs / dx as integer numerators
+    over a positive denominator d, not always the least one
+
+    The contracted curve s, with numerators C[s] / den in the generator
+    table, enters with coefficient den ys[s] / (det dx), so the pullback is
+    (det xs + sum_s ys[s] C[s]) / (det dx).
+    '''
+    if not model.contracted:
+        return dx, tuple(xs)
+    det, ys = _contraction_solve(model, dx, xs)
+    out = [det * x for x in xs]
+    gens = model.gen_table.gens
+    for y, n in zip(ys, model.contracted):
+        out = [o + y * c for o, c in zip(out, gens[model.gen_index[n]])]
+    return det * dx, tuple(out)
 
 
 def pullback_weil(model: SurfaceModel, d: DivClass) -> DivClass:
@@ -246,14 +316,14 @@ def pullback_weil(model: SurfaceModel, d: DivClass) -> DivClass:
         >>> pullback_weil(m, lat.basis('h')).coords
         (Fraction(1, 1),)
     '''
-    out = d
-    for x, c in zip(contraction_orders(model, d).values(), model.contracted_classes):
-        out = out + x * c
-    return out
+    if not model.contracted:
+        return d
+    if d.lattice is not model.lattice and d.lattice != model.lattice:
+        raise ValueError('classes live on different lattices')
+    return DivClass.from_numerators(model.lattice, *pullback_numerators(model, *d.numerators))
 
 
-@dataclass(frozen=True)
-class BlowupCenter:
+class BlowupCenter(Frozen):
     '''
     description of a weight-(a, b) blow-up at a smooth point of a model
 
@@ -262,10 +332,23 @@ class BlowupCenter:
     ``extra_mori`` declares curves that only become extremal on the
     extension, with coordinates on the extended basis.
     '''
-    weights: tuple[int, int] = (1, 1)
-    exc_name: str = 'exc'
-    through: tuple[tuple[str, Fraction], ...] = ()
-    extra_mori: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()
+
+    def __init__(self, weights: tuple[int, int] = (1, 1), exc_name: str = 'exc',
+                 through: tuple[tuple[str, Fraction], ...] = (),
+                 extra_mori: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()):
+        vars(self).update(weights=weights, exc_name=exc_name, through=through,
+                          extra_mori=extra_mori)
+
+    def _key(self) -> tuple:
+        return self.weights, self.exc_name, self.through, self.extra_mori
+
+    def __eq__(self, other):
+        if type(other) is not BlowupCenter:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def make(cls, weights=(1, 1), exc_name='exc', through=(), extra_mori=()) -> 'BlowupCenter':
@@ -275,12 +358,11 @@ class BlowupCenter:
             (int(weights[0]), int(weights[1])),
             exc_name,
             tuple((n, rational(m)) for n, m in (through.items() if isinstance(through, dict) else through)),
-            tuple((n, rational_vector(v)) for n, v in extra_mori),
+            tuple((n, tuple([rational(x) for x in v])) for n, v in extra_mori),
         )
 
 
-@dataclass(frozen=True)
-class BlowupExtension:
+class BlowupExtension(Frozen):
     '''
     rank+1 model produced by build_blowup_extension
 
@@ -289,16 +371,17 @@ class BlowupExtension:
     e.e = -1/(a b), and ``a_over_base`` = a + b is the log discrepancy of e
     over the base surface with empty boundary.
     '''
-    base: SurfaceModel
-    model: SurfaceModel
-    e_class: DivClass
-    a_over_base: Fraction
+
+    def __init__(self, base: SurfaceModel, model: SurfaceModel, e_class: DivClass,
+                 a_over_base: Fraction):
+        vars(self).update(base=base, model=model, e_class=e_class, a_over_base=a_over_base)
 
     def pullback(self, d: DivClass) -> DivClass:
         '''isometric pullback of a base class (zero e-coefficient)'''
         if d.lattice != self.base.lattice:
             raise ValueError('class does not live on the base lattice')
-        return self.model.lattice.div(d.coords + (Fraction(0),))
+        dx, xs = d.numerators
+        return DivClass.with_numerators(self.model.lattice, (*d.coords, ZERO), (dx, (*xs, 0)))
 
 
 def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupExtension:
@@ -311,7 +394,7 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupEx
     pull(C) - m e; the exceptional e joins the generator list.
     '''
     a, b = center.weights
-    if a < 1 or b < 1 or math.gcd(a, b) != 1:
+    if a < 1 or b < 1 or gcd(a, b) != 1:
         raise ConfigurationError(f'weights {center.weights} are not coprime positive integers')
     if center.exc_name in base.lattice.names:
         raise ConfigurationError(f'name {center.exc_name!r} already used in the base lattice')
@@ -322,32 +405,41 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupEx
     if any(m < 0 for m in through.values()):
         raise ConfigurationError('negative multiplicity in center data')
 
+    # the base Gram matrix bordered by e.e = -1/(a b), over the least
+    # common denominator dn of both
     r = base.lattice.rank
     e2 = Fraction(-1, a * b)
+    dg, gram = base.lattice.scaled_gram
+    dn = lcm(dg, a * b)
     names = base.lattice.names + (center.exc_name,)
-    rows = tuple(
-        tuple(base.lattice.gram[i]) + (Fraction(0),) for i in range(r)
-    ) + ((Fraction(0),) * r + (e2,),)
-    lat = IntersectionLattice(names, rows)
+    rows = tuple([(*row, ZERO) for row in base.lattice.gram]) + ((ZERO,) * r + (e2,),)
+    lat = IntersectionLattice.with_scaled_gram(names, rows, (dn, tuple(
+        [(*[x * (dn // dg) for x in row], 0) for row in gram]) + ((0,) * r + (-dn // (a * b),),)))
 
-    def lift(d: DivClass) -> DivClass:
-        return lat.div(d.coords + (Fraction(0),))
-
-    e = lat.basis(center.exc_name)
+    e = DivClass.with_numerators(lat, (ZERO,) * r + (Fraction(1),), (1, (0,) * r + (1,)))
     a_over = Fraction(a + b)
-    canonical = lift(base.canonical) + (a_over - 1) * e
+    dk, ks = base.canonical.numerators
+    canonical = DivClass.with_numerators(lat, (*base.canonical.coords, a_over - 1),
+                                         (dk, (*ks, (a + b - 1) * dk)))
 
+    # an ordinary blow-up (e.e = -1, K' = K + e) takes C to C - m e and
+    # lowers C.C + K.C = 2 p_a - 2 by m^2 - m, which may not take an
+    # integral curve below -2
+    table = base.gen_table
+    kcs = table.pairings(ks)
     gens: list[tuple[str, DivClass]] = []
-    for n, c in base.mori_gens:
-        m = through.get(n, Fraction(0))
-        ct = lift(c) - m * e
-        if (a, b) == (1, 1) and m.denominator == 1 and all(x.denominator == 1 for x in c.coords):
-            # ordinary blow-up: arithmetic genus may not drop below a point
-            g_after = pair(ct, ct) + pair(canonical, ct)
-            if g_after < -2:
+    for i, (n, c) in enumerate(base.mori_gens):
+        m = through.get(n, ZERO)
+        dc, cs = c.numerators
+        if (a, b) == (1, 1) and m.denominator == 1 and dc == 1:
+            g, q = table.adjunction_sum(i, kcs[i], dk, dg)
+            mi = m.numerator
+            if g - (mi * mi - mi) * q < -2 * q:
                 raise ConfigurationError(
                     f'ord {m} along {center.exc_name} is inconsistent for curve {n}')
-        gens.append((n, ct))
+        d = lcm(dc, m.denominator)
+        gens.append((n, DivClass.with_numerators(lat, (*c.coords, -m if m else ZERO), (d, (
+            *[x * (d // dc) for x in cs], -m.numerator * (d // m.denominator))))))
     gens.append((center.exc_name, e))
     for n, v in center.extra_mori:
         if len(v) != r + 1:
@@ -364,9 +456,8 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupEx
     )
 
     # pullback is an isometry onto the complement of e
-    zero = Fraction(0)
-    if (any(lat.gram[i] != (*base.lattice.gram[i], zero) for i in range(r))
-            or lat.gram[r] != (zero,) * r + (e2,)):
+    if (any(lat.gram[i] != (*base.lattice.gram[i], ZERO) for i in range(r))
+            or lat.gram[r] != (ZERO,) * r + (e2,)):
         raise ConfigurationError(f'{model.name}: the extension does not restrict '
                                  f'to the base lattice')
 

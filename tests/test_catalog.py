@@ -25,7 +25,7 @@ from kwall.stability import (
     s_invariant,
     solve_wall,
 )
-from kwall.surface import surface_to_doc
+from kwall.surface import BlowupExtension, surface_to_doc
 
 F = Fraction
 
@@ -247,3 +247,28 @@ def test_a_fresh_decode_starts_cold(monkeypatch):
     assert rewalked == walked > 0
     for a, b in zip(first.surfaces, second.surfaces):
         assert a is not b and a.lattice is not b.lattice
+
+
+def test_each_extension_is_built_once_per_decode(monkeypatch):
+    '''valuations that blow up the same center of the same surface share
+    one extension model, and a fresh decode builds its own'''
+    built = []
+    real = kwall.surface.build_blowup_extension
+    monkeypatch.setattr(kwall.surface, 'build_blowup_extension',
+                        lambda base, center: built.append(center) or real(base, center))
+    doc = json.loads(catalog_path().read_text())
+    centers = {(f['surface'], json.dumps(v['center'], sort_keys=True))
+               for f in doc['fixtures'] for v in (f['valuation'], *f.get('equivariant', ()))
+               if v['kind'] == 'blowup'}
+
+    def decode():
+        kwall.catalog._load_resolved.cache_clear()
+        cat = load_catalog()
+        return {id(v.model) for f in cat.fixtures for v in (f.valuation, *f.equivariant)
+                if isinstance(v.ambient, BlowupExtension)}
+
+    first = decode()
+    assert len(built) == len(first) == len(centers) == 10
+    second = decode()
+    assert len(built) == 2 * len(centers)
+    assert not first & second

@@ -1,6 +1,7 @@
 '''exit codes, report shapes, and worked command lines for the cli'''
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -172,6 +173,21 @@ def test_zero_denominators_are_usage_errors(capsys):
         assert 'bad input: zero denominator' in err, argv
 
 
+def test_exponent_notation_is_a_usage_error(capsys):
+    for argv in (('bounds', '--c', '1e-1'), ('beta', 'Sigma5/D_1_17/L1', '--c', '1e3'),
+                 ('bounds', '--degree', '1E1'), ('zariski', 'sigma5', '1e0,0,0,0,0')):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ''), argv
+        assert "bad input: not a rational: '1" in err, argv
+
+
+def test_bounds_leaves_a_non_positive_degree_to_the_engine(capsys):
+    for degree in ('0', '-1/2'):
+        code, out, err = run(capsys, 'bounds', f'--degree={degree}')
+        assert (code, out) == (2, '')
+        assert err == f'configuration error: degree {degree} is not positive\n'
+
+
 def test_catalog_without_a_section_is_a_usage_error(tmp_path, monkeypatch, capsys):
     for section in ('surfaces', 'fixtures', 'walls'):
         doc = json.loads(DATA_PATH.read_text())
@@ -241,13 +257,23 @@ def _one_blowup_weight(doc):
     (_edit('walls', 'description', ['x']), None,
      "catalog error: wall 0 is malformed: 'description' is not a string"),
     (_edit('fixtures', 'surface'), None, "catalog error: fixture 0 is missing field 'surface'"),
+    (lambda doc: doc['walls'][0].__setitem__('value', '1e3'), None,
+     "catalog error: wall 0 is malformed: not a rational: '1e3'"),
+    (lambda doc: doc['fixtures'][0]['boundary'][0].__setitem__('mult', '1e3'), None,
+     "catalog error: fixture 0 is malformed: not a rational: '1e3'"),
+    (lambda doc: doc['surfaces'][0]['gram'][0].__setitem__(0, '1e3'), None,
+     "configuration error: bad surface document: not a rational: '1e3'"),
+    (None, ({'surface': 'sigma5', 'boundary': [{'gen': 'line12', 'mult': '4e0'}]}, 'exc1'),
+     "catalog error: boundary part 0 is malformed: not a rational: '4e0'"),
 ], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
         'boundary-is-a-string', 'boundary-part-is-a-number',
         'expected-is-a-string', 'valuation-is-a-number', 'display-is-a-boolean',
         'k-discrepancies-is-a-number', 'fixture-id-is-a-list', 'gram-is-empty',
         'one-blowup-weight', 'blowup-center-is-a-number', 'version-is-a-list',
         'notes-is-a-string', 'notes-holds-a-number', 'families-is-a-string',
-        'trust-is-a-number', 'description-is-a-list', 'fixture-without-surface'])
+        'trust-is-a-number', 'description-is-a-list', 'fixture-without-surface',
+        'wall-value-has-an-exponent', 'multiplicity-has-an-exponent',
+        'gram-entry-has-an-exponent', 'pair-multiplicity-has-an-exponent'])
 def test_malformed_entries_are_usage_errors(edit, docs, message, tmp_path,
                                             monkeypatch, capsys):
     if edit is not None:
@@ -312,6 +338,70 @@ def test_malformed_catalogs_keep_the_exit_code_contract(edit):
     if code == 0:
         assert out.getvalue().count('# kwall fixtures list\n') == 1
         assert out.getvalue().endswith('status: ok\n')
+
+
+# the pair and valuation documents of every fixture, as `kwall beta` reads
+# them from files
+BETA_DOCUMENTS = [({'surface': f['surface'], 'boundary': f.get('boundary', [])},
+                   f['valuation']) for f in SHIPPED['fixtures']]
+
+
+def _slots(node, path=()):
+    '''(path, key) of every value inside a JSON document'''
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return
+    for key, value in items:
+        yield path, key
+        yield from _slots(value, (*path, key))
+
+
+@st.composite
+def beta_documents(draw):
+    '''a fixture's pair and valuation documents with one value of one of
+    them deleted, given another JSON type, or replaced by a number with an
+    exponent or a zero denominator; the valuation may instead be named'''
+    pair_doc, val_doc = copy.deepcopy(draw(st.sampled_from(BETA_DOCUMENTS)))
+    doc = draw(st.sampled_from([pair_doc, val_doc]))
+    path, key = draw(st.sampled_from(list(_slots(doc))))
+    parent = doc
+    for k in path:
+        parent = parent[k]
+    action = draw(st.sampled_from(['delete', 'retype', 'exponent', 'zero-denominator']))
+    if action == 'delete':
+        del parent[key]
+    elif action == 'retype':
+        old = type(parent[key])
+        parent[key] = draw(JSON_VALUES.filter(lambda v: type(v) is not old))
+    else:
+        parent[key] = '1e3' if action == 'exponent' else '1/0'
+    named = draw(st.one_of(st.none(), ANY_GENERATOR, JUNK))
+    return pair_doc, val_doc if named is None else named
+
+
+@settings(max_examples=150, deadline=None)
+@given(docs=beta_documents())
+def test_fuzzed_pair_and_valuation_documents_keep_the_exit_code_contract(docs):
+    pair_doc, valuation = docs
+    with tempfile.TemporaryDirectory() as tmp:
+        pair_path = Path(tmp) / 'pair.json'
+        pair_path.write_text(json.dumps(pair_doc))
+        if isinstance(valuation, dict):
+            (Path(tmp) / 'valuation.json').write_text(json.dumps(valuation))
+            valuation = str(Path(tmp) / 'valuation.json')
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(['beta', str(pair_path), valuation])
+    assert code in (0, 2, 3, 4)
+    assert 'Traceback' not in err.getvalue()
+    if code in (0, 4):
+        lines = out.getvalue().split('\n')
+        assert sum(ln.startswith('# kwall beta') for ln in lines) == 1
+        status = 'ok' if code == 0 else 'mismatch'
+        assert [ln for ln in lines if ln.startswith('status: ')] == [f'status: {status}']
 
 
 def test_beta_reports_the_margin_coefficients(capsys):

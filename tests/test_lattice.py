@@ -14,6 +14,7 @@ from kwall.lattice import (
     bareiss,
     is_negative_definite,
     pair,
+    ratio,
     rational,
     rational_str,
     signature,
@@ -282,3 +283,49 @@ def test_no_floats_leak():
     a = SIGMA5.div((1, '1/3', 0, 0, 0))
     assert all(isinstance(c, Fraction) for c in a.coords)
     assert isinstance(pair(a, a), Fraction)
+
+
+# text over the alphabet of Fraction's string grammar, plus the exponent
+# marker: numbers built from its parts, each part possibly malformed, and
+# free text
+BLANKS = st.sampled_from(['', ' ', '  ', '\t', '\n '])
+DIGIT_RUNS = st.text('0123456789_', max_size=5)
+NUMBER_TEXT = st.one_of(
+    st.builds(lambda *parts: ''.join(parts), BLANKS, st.sampled_from(['', '+', '-', '+-']),
+              DIGIT_RUNS, st.sampled_from(['', '/', '.', ' / ', '/-', '/+']), DIGIT_RUNS,
+              st.sampled_from(['', 'e', 'e3', 'e-1', 'E+2', 'e_1']), BLANKS),
+    st.text(' +-0123456789_/.e', max_size=10))
+
+
+@settings(max_examples=400)
+@given(NUMBER_TEXT)
+@example('1/0')
+@example(' 7 ')
+@example('1_0')
+@example('-.5')
+@example('5.')
+@example('1e3')
+def test_ratio_reads_what_fraction_reads_without_exponents(text):
+    '''wherever Fraction reads a string without an exponent, ratio gives
+    the same value in lowest terms; every other string, exponents and zero
+    denominators included, is a ValueError'''
+    try:
+        want = None if 'e' in text.lower() else F(text.strip())
+    except (ValueError, ZeroDivisionError):
+        want = None
+    if want is None:
+        with pytest.raises(ValueError):
+            ratio(text)
+        with pytest.raises(ValueError):
+            rational(text)
+    else:
+        assert ratio(text) == (want.numerator, want.denominator)
+        assert rational(text) == want
+
+
+def test_ratio_refuses_exponent_notation():
+    for text in ('1e3', '1E3', '1e-1', '2.5e1', ' 1e0 '):
+        with pytest.raises(ValueError, match='not a rational'):
+            ratio(text)
+    assert ratio('-1.25') == (-5, 4)
+    assert ratio(F(6, 4)) == (3, 2)

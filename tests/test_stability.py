@@ -19,7 +19,8 @@ from kwall.stability import (
     solve_wall,
     vgit_slope,
 )
-from kwall.surface import ConfigurationError, build_blowup_extension, BlowupCenter
+from kwall.lattice import IntersectionLattice
+from kwall.surface import ConfigurationError, SurfaceModel, build_blowup_extension, BlowupCenter
 
 F = Fraction
 
@@ -62,6 +63,52 @@ def test_pair_validation():
     with pytest.raises(ConfigurationError, match='contracted curve'):
         LogPair.make(xn, [('node', 2), ('line12', 4), ('line34', 2),
                           ('exc1', 2), ('exc2', 2)])
+
+
+def _not_a_multiple(coords) -> str:
+    text = ', '.join(f'Fraction({F(x).numerator}, {F(x).denominator})' for x in coords)
+    return f'boundary class ({text}) is not a non-negative multiple of the anticanonical class'
+
+
+def _p2_at_nine_points():
+    names = ('h',) + tuple(f'e{i}' for i in range(1, 10))
+    lat = IntersectionLattice.diagonal(names, (1,) + (-1,) * 9)
+    return SurfaceModel('p2_9', lat, lat.div((-3,) + (1,) * 9),
+                        tuple((f'exc{i}', lat.basis(f'e{i}')) for i in range(1, 10)))
+
+
+DEGREE_NOT_POSITIVE = 'degree is not positive, the scaled polarisation cannot be ample'
+
+
+@pytest.mark.parametrize('surface, parts, message', [
+    # one copy of line12 short of the quintic boundary
+    (builders.sigma5, [('line12', 3), ('line34', 2), ('exc1', 2), ('exc2', 2)],
+     _not_a_multiple((5, -1, -1, -2, -2))),
+    # K itself is a negative multiple of -K
+    (builders.sigma5, [(('k', (-3, 1, 1, 1, 1)), 1)],
+     _not_a_multiple((-3, 1, 1, 1, 1))),
+    # the pullback through the node adds a contracted curve
+    (builders.xn, [('line12', 4), ('line34', 2), ('exc1', 2)],
+     _not_a_multiple((6, -2, -4, -2, -2))),
+    (builders.xn, [('line12', -4), ('line34', 2)],
+     'component line12 has negative multiplicity -4; '
+     + _not_a_multiple((-2, 4, 4, -2, -2))),
+    # a fractional multiplicity, and a component meeting the contracted axis
+    (builders.xq, [('ray1', 2), ('ray2', F(1, 3))],
+     _not_a_multiple((F(7, 3), -2, F(-1, 3), 0, 0, 0))),
+    (builders.xq, [('exc1', 1)],
+     _not_a_multiple((F(1, 4), F(3, 4), F(-1, 4), F(-1, 4), F(-1, 4), F(-1, 4)))),
+    # degree 0: every boundary but the empty one is refused
+    (_p2_at_nine_points, [('exc1', 1)],
+     _not_a_multiple((0, 1, 0, 0, 0, 0, 0, 0, 0, 0)) + '; ' + DEGREE_NOT_POSITIVE),
+    (_p2_at_nine_points, [], DEGREE_NOT_POSITIVE),
+], ids=['extra-line', 'negative-multiple', 'through-the-node', 'negative-multiplicity',
+        'fractional-orders', 'meets-the-axis', 'degree-zero', 'degree-zero-empty'])
+def test_pair_refusals_are_pinned(surface, parts, message):
+    m = surface()
+    with pytest.raises(ConfigurationError) as err:
+        LogPair.make(m, parts)
+    assert str(err.value) == f'{m.name}: {message}'
 
 
 def test_boundary_orders():
@@ -257,8 +304,9 @@ def test_quotient_order_bound():
     c = F(1, 17) + F(1, 1000)
     assert quotient_order_bound(5 * (1 - 2 * c) ** 2) < 3
     assert quotient_order_bound(F(9, 2)) == 2
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as err:
         quotient_order_bound(0)
+    assert str(err.value) == 'degree 0 is not positive'
 
 
 @given(d1=st.fractions(min_value=F(1, 10), max_value=9, max_denominator=40),

@@ -113,8 +113,8 @@ def test_pullback_weil_orthogonality_random():
     for _ in range(50):
         d = m.lattice.div([F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(7)])
         pb = pullback_weil(m, d)
-        for c in m.contracted_classes:
-            assert pair(pb, c) == 0
+        for n in m.contracted:
+            assert pair(pb, m.gen(n)) == 0
 
 
 def test_contraction_orders():
@@ -176,15 +176,20 @@ def test_p2_blowup_preserves_hyperplane_square():
 
 def test_extension_rejects_bad_input():
     base = make_sigma5()
-    with pytest.raises(ConfigurationError):
-        build_blowup_extension(base, BlowupCenter.make(weights=(2, 4)))
-    with pytest.raises(ConfigurationError):
-        build_blowup_extension(base, BlowupCenter.make(weights=(0, 1)))
-    with pytest.raises(ConfigurationError):
-        build_blowup_extension(base, BlowupCenter.make(through={'nope': 1}))
-    with pytest.raises(ConfigurationError):
-        # a (-1)-curve cannot have a triple point
-        build_blowup_extension(base, BlowupCenter.make(through={'line12': 3}))
+    for center, message in [
+            (BlowupCenter.make(weights=(2, 4)), 'weights (2, 4) are not coprime positive integers'),
+            (BlowupCenter.make(weights=(0, 1)), 'weights (0, 1) are not coprime positive integers'),
+            (BlowupCenter.make(exc_name='h'), "name 'h' already used in the base lattice"),
+            (BlowupCenter.make(through={'nope': 1}),
+             "through-curves ['nope'] are not declared generators"),
+            (BlowupCenter.make(through={'line12': -1}), 'negative multiplicity in center data'),
+            # a (-1)-curve cannot have a triple point
+            (BlowupCenter.make(through={'line12': 3}),
+             'ord 3 along exc is inconsistent for curve line12'),
+            (BlowupCenter.make(extra_mori=(('x', (1, 0)),)), 'extra generator x has wrong length')]:
+        with pytest.raises(ConfigurationError) as err:
+            build_blowup_extension(base, center)
+        assert str(err.value) == message
 
 
 def test_extension_center_on_contracted_curve():
@@ -219,5 +224,45 @@ def test_surface_doc_roundtrip():
     assert m2.lattice == m.lattice
     assert m2.canonical == m.canonical
     assert m2.degree == 5
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as err:
         surface_from_doc({'basis': ['h'], 'gram': [['1']]})
+    assert str(err.value) == "bad surface document: 'canonical'"
+
+
+def make_p2_at_nine_points() -> SurfaceModel:
+    '''the plane blown up at nine points: K.K = 0, so no positive degree'''
+    names = ('h',) + tuple(f'e{i}' for i in range(1, 10))
+    lat = IntersectionLattice.diagonal(names, (1,) + (-1,) * 9)
+    return SurfaceModel('p2_9', lat, lat.div((-3,) + (1,) * 9),
+                        tuple((f'exc{i}', lat.basis(f'e{i}')) for i in range(1, 10)))
+
+
+def _extended(m: SurfaceModel, name: str, gens=(), **contraction) -> SurfaceModel:
+    return SurfaceModel(name, m.lattice, m.canonical, m.mori_gens + gens, **contraction)
+
+
+REFUSED_MODELS = [
+    (lambda: _extended(make_xq(), 'xq', contracted=('axis',),
+                       k_discrepancies=(('axis', F(-1, 3)),)),
+     ('xq: pull(K) not orthogonal to contracted curve axis',)),
+    (lambda: _extended(make_xq(), 'x', (('bogus', make_xq().lattice.div((-1, 0, 0, 0, 0, 0))),)),
+     ('x: generator bogus has C.C = 1 >= 0 and K.C = 3 >= 0',)),
+    (lambda: _extended(make_sigma5(), 'sigma5', (('twice', make_sigma5().lattice.div((0, 2, 0, 0, 0))),)),
+     ('sigma5: generator twice fails adjunction (C.C + K.C = -6)',)),
+    (make_p2_at_nine_points, ('p2_9: anticanonical degree 0 is not positive',)),
+    (lambda: _extended(make_xq(), 'xq', contracted=('exc1', 'ray2')),
+     ('xq: contracted curves are not negative definite',
+      'xq: pull(K) not orthogonal to contracted curve exc1',
+      'xq: pull(K) not orthogonal to contracted curve ray2')),
+]
+
+
+@pytest.mark.parametrize('build, failures', REFUSED_MODELS,
+                         ids=['pullback-not-orthogonal', 'neither-negative', 'adjunction',
+                              'degree-not-positive', 'contraction-not-definite'])
+def test_model_refusals_name_the_failed_check(build, failures):
+    m = build()
+    assert m.failures() == failures
+    with pytest.raises(ConfigurationError) as err:
+        m.validate()
+    assert str(err.value) == '; '.join(failures)
