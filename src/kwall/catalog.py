@@ -246,7 +246,7 @@ def _decode_display(doc) -> Display:
         weights=tuple(int(w) for w in doc.get('weights', ())))
 
 
-def _decode_fixture(surfaces: dict, doc) -> Fixture:
+def _decode_fixture(surfaces: dict, pairs: dict, doc) -> Fixture:
     if not isinstance(doc['id'], str):
         raise CatalogError(f'fixture id {doc["id"]!r} is not a string')
     name = doc['surface']
@@ -255,8 +255,12 @@ def _decode_fixture(surfaces: dict, doc) -> Fixture:
     except KeyError:
         raise CatalogError(
             f'fixture {doc["id"]!r} names unknown surface {name!r}') from None
-    parts = tuple(_decode_part(model, p) for p in doc.get('boundary', ()))
-    pair = LogPair.make(model, parts)
+    # fixtures with the same surface and boundary document share one pair
+    boundary = doc.get('boundary', ())
+    key = name, json.dumps(boundary, sort_keys=True)
+    if key not in pairs:
+        pairs[key] = LogPair.make(model, tuple(_decode_part(model, p) for p in boundary))
+    pair = pairs[key]
     valuation = _decode_valuation(pair, doc['valuation'])
     display = doc.get('display')
     return Fixture(
@@ -324,8 +328,9 @@ def _load_resolved(path_str: str) -> Catalog:
         raise CatalogError(f'catalog version {doc["version"]!r} is not an integer')
     surfaces = _decode_each('surface', doc['surfaces'], surface_from_doc)
     index = {m.name: m for m in surfaces}
+    pairs: dict = {}
     fixtures = _decode_each('fixture', doc['fixtures'],
-                            lambda d: _decode_fixture(index, d))
+                            lambda d: _decode_fixture(index, pairs, d))
     seen = set()
     for f in fixtures:
         if f.id in seen:

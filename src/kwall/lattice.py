@@ -448,28 +448,22 @@ def validate_lattice(lat: IntersectionLattice) -> LatticeReport:
 
 
 def bareiss(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
-            ) -> tuple[int, list[list[int]], bool]:
+            ) -> tuple[int, list[list[int]]]:
     '''
     fraction-free (Bareiss 1968) solve of an integer square system
 
     ``cols`` has one row per equation and one entry per right-hand side.
-    Returns ``(det, ys, negative_definite)``: the solution is ys / det with
-    det > 0 (det is the last pivot, +-det(rows)), and ``negative_definite``
-    says whether rows, a symmetric matrix, is negative definite.  Without a
-    row exchange the k-th pivot is the k-th leading principal minor, so by
-    Sylvester's criterion on -rows that holds iff the k-th pivot has sign
-    (-1)^k for every k; a zero pivot, which needs an exchange, means it is
-    not.  Each pivot divides the next step exactly, and back substitution
-    stays in integers because det * x is integral (Cramer's rule).  Raises
-    SingularSystem when rows is singular.
+    Returns ``(det, ys)``: the solution is ys / det with det > 0 (det is the
+    last pivot, +-det(rows)).  Each pivot divides the next step exactly, and
+    back substitution stays in integers because det * x is integral
+    (Cramer's rule).  Raises SingularSystem when rows is singular.
 
     TESTS:
         >>> bareiss([[-2, 1], [1, -2]], [[-1], [0]])
-        (3, [[2], [1]], True)
+        (3, [[2], [1]])
     '''
     n = len(rows)
     a = [[*row, *b] for row, b in zip(rows, cols)]
-    definite = True
     prev = 1
     for k in range(n):
         top = a[k]
@@ -479,11 +473,7 @@ def bareiss(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
                 raise SingularSystem(f'no pivot in column {k}')
             a[k], a[piv] = a[piv], top
             top = a[k]
-            definite = False
         p = top[k]
-        # the (k+1)-th pivot must have sign (-1)^(k+1)
-        if (p < 0) != (k % 2 == 0):
-            definite = False
         # columns up to k are never read again below the pivot row
         tail = top[k + 1:]
         for r in range(k + 1, n):
@@ -498,8 +488,43 @@ def bareiss(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
         ys[i] = [(prev * b - sum([row[j] * ys[j][c] for j in range(i + 1, n)])) // row[i]
                  for c, b in enumerate(row[n:])]
     if prev < 0:
-        return -prev, [[-y for y in yi] for yi in ys], definite
-    return prev, ys, definite
+        return -prev, [[-y for y in yi] for yi in ys]
+    return prev, ys
+
+
+def pivot(a: list[list[int]], rows: Iterable[int], prev: int = 1) -> int:
+    '''
+    fraction-free Gauss-Jordan steps (Bareiss 1968) on an integer matrix
+    whose leading square block S is symmetric: for each r of ``rows`` in
+    turn, pivot on a[r][r] and replace every other row of ``a``, pivoted
+    ones included; each division by the last pivot ``prev`` is exact
+
+    ``prev`` is 1 on a fresh matrix.  After pivoting a set P, with p the
+    last pivot (det S_PP) and x the solution of S_PP x = a_Pc, every column
+    c outside P holds p x in the rows of P and p (a_jc - a_jP x), the Schur
+    complement, in each other row j.  The k-th pivot is the k-th leading
+    principal minor of S in pivot order, so S_PP is negative definite iff
+    the pivots alternate in sign from a negative first one (Sylvester's
+    criterion on -S_PP): each pivot must be nonzero with the sign opposite
+    to the one before it, starting from prev = 1.  Returns the last pivot,
+    or 0 at the first pivot that breaks this, leaving ``a`` part-pivoted.
+
+    TESTS:
+        >>> a = [[-2, 1, -1], [1, -2, 0]]
+        >>> pivot(a, [0, 1]), a
+        (3, [[3, 0, 2], [0, 3, 1]])
+    '''
+    for r in rows:
+        top = a[r]
+        p = top[r]
+        if p == 0 or (p < 0) == (prev < 0):
+            return 0
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[r]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return prev
 
 
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs):
@@ -525,6 +550,6 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs):
         raise ValueError('system is not square')
     several = n > 0 and isinstance(rhs[0], (tuple, list))
     aug = [integral((*row, *(b if several else (b,))))[1] for row, b in zip(rows, rhs)]
-    det, ys, _ = bareiss([r[:n] for r in aug], [r[n:] for r in aug])
+    det, ys = bareiss([r[:n] for r in aug], [r[n:] for r in aug])
     out = tuple([tuple([Fraction(v, det) for v in yi]) for yi in ys])
     return out if several else tuple([x for (x,) in out])

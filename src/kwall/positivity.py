@@ -13,6 +13,13 @@ negative support inside a set S form a convex set (P(D1) + P(D2) is nef and
 at most D1 + D2; Bauer-Kuronya-Szemberg, Crelle 2004), which holds the
 origin.  A piece on which a support coefficient turns negative, a shrinking
 support, raises EngineError.
+
+So each walk runs on one fraction-free elimination (``lattice.pivot``) of
+the integer Gram matrix of the generators, bordered by the class or ray,
+and pivots each generator once, as it joins the support.  The pivot rows
+then hold the support coefficients, the other rows hold the pairings of P
+with the generators off the support (and, for a ray, the volume), and the
+pivot signs say whether the support is still negative definite.
 '''
 from __future__ import annotations
 
@@ -25,12 +32,14 @@ from .lattice import (
     DivClass,
     EngineError,
     Frozen,
+    combination,
     integral,
     is_negative_definite,
     pair,
+    pivot,
     rational_str,
 )
-from .surface import ConfigurationError, SurfaceModel, support_solve
+from .surface import ConfigurationError, SurfaceModel
 
 
 class NotPseudoEffective(EngineError):
@@ -101,63 +110,49 @@ class ZariskiResult(Frozen):
         return tuple(out)
 
 
-def _off_support(model: SurfaceModel, idx, det, ys, ps) -> list[tuple[int, int]]:
-    '''
-    (j, numerator) for every generator j outside the support: the pairing
-    of d - sum_s a_s C_s with C_j, over det times the denominator of ``ps``
-
-    ``ps`` are the generator pairings of d and ``(det, ys)`` the support
-    solve with right-hand sides ps[idx], as support_solve returns them.
-    '''
-    m = model.gen_table.pairing
-    outside = [j for j in range(len(ps)) if j not in idx]
-    w = [ps[j] * det for j in outside]
-    for y, s in zip(ys, idx):
-        row = m[s]
-        w = [x - y * row[j] for x, j in zip(w, outside)]
-    return list(zip(outside, w))
-
-
 def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
     '''
     split d into a nef part and an effective negative-definite remainder
 
     Walks the Zariski chambers: any generator pairing negatively with the
-    current candidate P joins the support, the orthogonality system is
-    re-solved, and the loop stops once P clears every generator.
+    current candidate P joins the support, and the loop stops once P clears
+    every generator.
     '''
     if d.lattice != model.lattice:
         raise ValueError('class does not live on the model lattice')
     dx, xs = d.numerators
-    pd = model.gen_table.pairings(xs)
-    support: tuple[str, ...] = ()
+    table = model.gen_table
+    n = len(table.pairing)
+    a = [[*row, x] for row, x in zip(table.pairing, table.pairings(xs))]
+    last, idx, violators = 1, [], []
     # violators come from outside the support and each pass that does not
-    # return adds one, so once the support holds every generator the pass
-    # finds none and returns
+    # end the walk adds one, so once the support holds every generator the
+    # pass finds none
     while True:
-        idx = [model.gen_index[n] for n in support]
-        try:
-            det, ys = support_solve(model, support, [(pd[i],) for i in idx])
-        except ConfigurationError:
+        last = pivot(a, violators, last)
+        idx += violators
+        if not last:
             # the accumulated support left the negative definite cone, which
             # can only happen when d is outside the pseudo-effective cone
             raise NotPseudoEffective(
                 f'{model.name}: support walk left the negative definite '
-                f'cone at {list(support)}') from None
-        ys = [y for (y,) in ys]
-        violators = [model.gen_names[j]
-                     for j, x in _off_support(model, idx, det, ys, pd) if x < 0]
+                f'cone at {[model.gen_names[i] for i in idx]}')
+        # with det = |last| and s its sign, d - sum_s a_s C_s has the
+        # coefficients a_s = den s a[s][n] / (det dx) on the support, and
+        # s a[j][n] is det den dg dx times its pairing with C_j off it
+        s = 1 if last > 0 else -1
+        violators = [j for j in range(n) if j not in idx and s * a[j][n] < 0]
         if not violators:
-            coeffs = [Fraction(model.gen_table.den * y, det * dx) for y in ys]
-            p = d
-            for a, n in zip(coeffs, support):
-                p = p - a * model.gen(n)
-            result = ZariskiResult(model, d, p, tuple(zip(support, coeffs)))
-            fails = result.failures()
-            if fails:
-                raise NotPseudoEffective(f'{model.name}: ' + '; '.join(fails))
-            return result
-        support += tuple(violators)
+            break
+    coeffs = [Fraction(table.den * s * a[i][n], abs(last) * dx) for i in idx]
+    support = tuple([model.gen_names[i] for i in idx])
+    p = combination(model.lattice, [(1, d), *[(-c, model.gen(name))
+                                              for c, name in zip(coeffs, support)]])
+    result = ZariskiResult(model, d, p, tuple(zip(support, coeffs)))
+    fails = result.failures()
+    if fails:
+        raise NotPseudoEffective(f'{model.name}: ' + '; '.join(fails))
+    return result
 
 
 class QuadraticPiece(Frozen):
@@ -270,77 +265,82 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
     '''
     if origin.lattice != model.lattice or direction.lattice != model.lattice:
         raise ValueError('classes do not live on the model lattice')
-    # the walk runs in generator coordinates and in integers: the ray is
-    # paired with every generator once, each chamber is solved from those
-    # pairings and the generator pairing matrix, and only the pieces hold
-    # Fractions.  Origin and direction are xo / dx and xd / dx.
+    # the walk runs in generator coordinates and in integers, and only the
+    # pieces hold Fractions.  Origin and direction are xo / dx and -xv / dx.
     table = model.gen_table
     dg, gram = model.lattice.scaled_gram
     dx, xs = integral([*origin.coords, *direction.coords])
-    xo, xd = xs[:len(gram)], xs[len(gram):]
-    # pairings with the generators, over den dg dx
-    po = table.pairings(xo)
+    xo, xv = xs[:len(gram)], [-x for x in xs[len(gram):]]
+    # pairings with the generators, over den dg dx, of the origin and v0 =
+    # -direction, and their squares and product, over dg dx^2
+    po, pv = table.pairings(xo), table.pairings(xv)
     names = model.gen_names
     witness = next((n for n, x in zip(names, po) if x < 0), None)
     if witness is not None:
         raise ConfigurationError(
             f'{model.name}: profile origin is not nef (witness {witness})')
-    # squares and products of the ray, over dg dx^2
-    go = [sum(map(mul, row, xo)) for row in gram]
-    oo = sum(map(mul, xo, go))
+    go, gv = [sum(map(mul, row, xo)) for row in gram], [sum(map(mul, row, xv)) for row in gram]
+    oo, ov, vv = sum(map(mul, xo, go)), sum(map(mul, xo, gv)), sum(map(mul, xv, gv))
     if oo <= 0:
         raise ConfigurationError(f'{model.name}: profile origin is not big')
     if direction.is_zero():
         raise ConfigurationError(f'{model.name}: zero profile direction')
-    # v0 = -direction
-    pv = [-x for x in table.pairings(xd)]
-    ov = -sum(map(mul, xd, go))
-    vv = sum([x * sum(map(mul, row, xd)) for x, row in zip(xd, gram)])
 
+    # one elimination serves the whole ray: the Gram matrix of (den C_1,
+    # ..., den C_n, dx origin, dx v0), times dg, with each generator
+    # pivoted once as it joins the support (see ``pivot``)
+    n = len(names)
+    a = [[*row, x, y] for row, x, y in zip(table.pairing, po, pv)]
+    a += [[*po, oo, ov], [*pv, ov, vv]]
     t0 = (0, 1)
-    support: tuple[str, ...] = ()
+    last, idx, joining, free = 1, [], [], range(n)
     pieces: list[QuadraticPiece] = []
     # each pass grows the support, returns or raises: at most len(mori_gens) + 1
     while True:
+        last = pivot(a, joining, last)
+        idx += joining
+        free = [j for j in free if j not in joining]
+        if not last:
+            raise ConfigurationError(f'{model.name}: support '
+                                     f'{[names[i] for i in idx]} is not negative definite')
         # P(t) = u + t v on this chamber, with u = origin - sum a0_s C_s and
-        # v = v0 - sum a1_s C_s orthogonal to the support, where
-        # (a0, a1) = den (y0, y1) / (det dx)
-        idx = [model.gen_index[n] for n in support]
-        rhs = [(po[i], pv[i]) for i in idx]
-        det, ys = support_solve(model, support, rhs)
-        y0, y1 = [y for y, _ in ys], [y for _, y in ys]
-        # u.C_j and v.C_j off the support, both over det den dg dx
-        off = zip(_off_support(model, idx, det, y0, po),
-                  _off_support(model, idx, det, y1, pv))
+        # v = v0 - sum a1_s C_s orthogonal to the support.  With det = |last|
+        # and s its sign, (a0, a1) = den (y0, y1) / (det dx) for
+        # (y0, y1) = s (a[i][n], a[i][n + 1]) on the support, and
+        # s (a[j][n], a[j][n + 1]) off it are u.C_j and v.C_j over
+        # det den dg dx
+        s = 1 if last > 0 else -1
         p, q = t0
         immediate, t_end, joiners = [], None, []
-        for (j, u), (_, v) in off:
+        for j in free:
+            row = a[j]
+            u, v = s * row[n], s * row[n + 1]
             at_t0 = u * q + p * v
             if at_t0 < 0 or (at_t0 == 0 and v < 0):
-                immediate.append(names[j])
+                immediate.append(j)
             elif v < 0:
                 # C_j meets P(t) negatively beyond t = u / -v, which lies
                 # past t0 because P(t0).C_j > 0
                 if t_end is None or u * t_end[1] < t_end[0] * -v:
-                    t_end, joiners = (u, -v), [names[j]]
+                    t_end, joiners = (u, -v), [j]
                 elif u * t_end[1] == t_end[0] * -v:
-                    joiners.append(names[j])
+                    joiners.append(j)
         if immediate:
-            support = support + tuple(immediate)
+            joining = immediate
             continue
 
         # vol(t) = P(t).P(t) = (k0 + k1 t + k2 t^2) / (det dg dx^2)
-        k = (oo * det - sum([a * x for a, (x, _) in zip(y0, rhs)]),
-             2 * (ov * det - sum([a * x for a, (_, x) in zip(y0, rhs)])),
-             vv * det - sum([a * x for a, (_, x) in zip(y1, rhs)]))
-        scale = det * dg * dx * dx
+        k = (s * a[n][n], 2 * s * a[n][n + 1], s * a[n + 1][n + 1])
+        scale = abs(last) * dg * dx * dx
         root = _min_root_after(k, scale, t0, t_end)
         t_hi = t_end if root is None else root
         if t_hi is None:
             raise EngineError(f'{model.name}: volume never vanishes along the ray')
         lo, hi = Fraction(*t0), Fraction(*t_hi)
+        support = tuple([names[i] for i in idx])
         # coefficients are affine in t, so the two ends cover the whole piece
-        if any(a * tq + tp * b < 0 for tp, tq in (t0, t_hi) for a, b in zip(y0, y1)):
+        if any(s * (a[i][n] * tq + tp * a[i][n + 1]) < 0 for tp, tq in (t0, t_hi)
+               for i in idx):
             raise EngineError(
                 f'{model.name}: support {list(support)} shrinks on '
                 f'[{lo}, {hi}]: a support coefficient turns negative')
@@ -349,7 +349,7 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
         if root is not None:
             return VolumeProfile(tuple(pieces), hi)
         t0 = hi.numerator, hi.denominator
-        support = support + tuple(joiners)
+        joining = joiners
 
 
 def integrate_profile(profile: VolumeProfile) -> Fraction:

@@ -25,10 +25,9 @@ from .lattice import (
     EngineError,
     Frozen,
     IntersectionLattice,
-    SingularSystem,
-    bareiss,
     combination,
     pair,
+    pivot,
     rational,
     rational_str,
     validate_lattice,
@@ -131,11 +130,13 @@ class SurfaceModel(Frozen):
                                                     for r in rows]))
 
     @cached_property
-    def _support_grams(self) -> dict:
-        '''support tuple -> its rows of the generator pairing matrix, or None
-        when that is not negative definite; filled as supports are first
-        solved'''
-        return {}
+    def _contracted_gram(self) -> list[list[int]] | None:
+        '''the contracted curves' rows of the generator pairing matrix, or
+        None when they are not negative definite'''
+        m = self.gen_table.pairing
+        idx = [self.gen_index[n] for n in self.contracted]
+        gram = [[m[i][j] for j in idx] for i in idx]
+        return gram if pivot([list(row) for row in gram], range(len(idx))) else None
 
     @cached_property
     def _extensions(self) -> dict:
@@ -190,11 +191,8 @@ class SurfaceModel(Frozen):
             out.append(f'{self.name}: discrepancy given for a non-contracted curve')
         if out:
             return tuple(out)
-        if self.contracted:
-            try:
-                support_solve(self, self.contracted, [()] * len(self.contracted))
-            except ConfigurationError:
-                out.append(f'{self.name}: contracted curves are not negative definite')
+        if self.contracted and self._contracted_gram is None:
+            out.append(f'{self.name}: contracted curves are not negative definite')
         # every intersection number below is an integer product over a
         # positive denominator: with table = (den, C, R, M) and G / dg the
         # scaled Gram matrix, C_i.C_i = M[i][i] / (den^2 dg) and, for a class
@@ -228,49 +226,18 @@ class SurfaceModel(Frozen):
         return self
 
 
-def support_solve(model: SurfaceModel, support: tuple[str, ...], cols):
-    '''
-    the orthogonal-complement solve, in integers: (det, ys) with det > 0 and
-    sum_s ys[s] M[s][t] = det cols[t] for every curve t of the support,
-    where M is the generator pairing matrix of ``model.gen_table``
-
-    ``cols`` has one row per support curve and one entry per right-hand
-    side, and so does ``ys``.  When cols[t] holds the pairings R[t] . xs of
-    a class d with numerators xs / dx, then a_s = den ys[s] / (det dx) are
-    the coefficients with d - sum a_s C_s orthogonal to the support.
-
-    The support must be negative definite (ConfigurationError otherwise).
-    The elimination that solves a support's first system also decides
-    that, and the verdict is cached on the model.
-    '''
-    if not support:
-        return 1, ()
-    grams = model._support_grams
-    if support not in grams:
-        m = model.gen_table.pairing
-        idx = [model.gen_index[n] for n in support]
-        gram = [[m[i][j] for j in idx] for i in idx]
-        try:
-            det, ys, definite = bareiss(gram, cols)
-        except SingularSystem:
-            definite = False
-        grams[support] = gram if definite else None
-        if definite:
-            return det, ys
-    gram = grams[support]
+def _contraction_solve(model: SurfaceModel, dx: int, xs: Sequence[int]):
+    '''(det, ys) with det > 0: the contracted curve s has coefficient
+    den ys[s] / (det dx) in the Weil pullback of the class xs / dx; the
+    contracted curves must be negative definite (ConfigurationError)'''
+    gram = model._contracted_gram
     if gram is None:
         raise ConfigurationError(
-            f'{model.name}: support {list(support)} is not negative definite')
-    return bareiss(gram, cols)[:2]
-
-
-def _contraction_solve(model: SurfaceModel, dx: int, xs: Sequence[int]):
-    '''(det, ys): the contracted curve s has coefficient den ys[s] / (det dx)
-    in the Weil pullback of the class xs / dx'''
+            f'{model.name}: support {list(model.contracted)} is not negative definite')
     ps = model.gen_table.pairings(xs)
-    det, ys = support_solve(model, model.contracted,
-                            [(-ps[model.gen_index[n]],) for n in model.contracted])
-    return det, [y for (y,) in ys]
+    a = [[*row, -ps[model.gen_index[n]]] for row, n in zip(gram, model.contracted)]
+    last = pivot(a, range(len(a)))
+    return abs(last), [row[-1] if last > 0 else -row[-1] for row in a]
 
 
 def contraction_orders(model: SurfaceModel, d: DivClass) -> Mapping[str, Fraction]:

@@ -5,6 +5,7 @@ import pytest
 
 import builders
 import kwall.catalog
+import kwall.positivity
 import kwall.surface
 from kwall.catalog import (
     CatalogError,
@@ -18,6 +19,7 @@ from kwall.catalog import (
     valuation_from_doc,
 )
 from kwall.stability import (
+    LogPair,
     Verdict,
     beta,
     log_discrepancy,
@@ -211,22 +213,26 @@ def test_standalone_documents_decode_to_the_fixture_pair():
 
 
 def _cache_state(cat):
-    '''per model: the attributes cached on it, and the supports it has solved'''
+    '''per model: the attributes cached on it'''
     models = {m.name: m for m in cat.surfaces}
     models.update((f.valuation.model.name, f.valuation.model) for f in cat.fixtures)
-    return {n: (sorted(vars(m)), sorted(vars(m).get('_support_grams', ())))
-            for n, m in models.items()}
+    return {n: sorted(vars(m)) for n, m in models.items()}
 
 
 def test_a_fresh_decode_starts_cold(monkeypatch):
     '''compiled tables hang off the decoded objects, so a fresh decode
     starts from the same cold state and redoes the same work, however much
-    earlier decodes computed; the work counted is the support eliminations,
-    each of which also decides a new support's definiteness'''
+    earlier decodes computed; the work counted is the chamber walks' pivots,
+    each of which also decides that the grown support is still definite'''
     calls = []
-    real = kwall.surface.bareiss
-    monkeypatch.setattr(kwall.surface, 'bareiss',
-                        lambda rows, cols: calls.append(rows) or real(rows, cols))
+    real = kwall.positivity.pivot
+
+    def counted(a, rows, prev=1):
+        rows = list(rows)
+        calls.extend(rows)
+        return real(a, rows, prev)
+
+    monkeypatch.setattr(kwall.positivity, 'pivot', counted)
 
     def decode_and_walk():
         kwall.catalog._load_resolved.cache_clear()
@@ -239,14 +245,37 @@ def test_a_fresh_decode_starts_cold(monkeypatch):
         return cat, state, len(calls) - before
 
     first, cold, walked = decode_and_walk()
-    # decoding only solves the contracted supports its pullbacks need
+    # decoding only decides the definiteness of the contracted curves, which
+    # its pullbacks need
     for m in first.surfaces:
-        assert cold[m.name][1] in ([], [m.contracted]), m.name
+        assert ('_contracted_gram' in cold[m.name]) == bool(m.contracted), m.name
     second, state, rewalked = decode_and_walk()
     assert state == cold
     assert rewalked == walked > 0
     for a, b in zip(first.surfaces, second.surfaces):
         assert a is not b and a.lattice is not b.lattice
+
+
+def test_each_pair_document_is_decoded_once_per_decode(monkeypatch):
+    '''fixtures with the same surface and boundary document share one
+    validated pair, and a fresh decode builds its own'''
+    validated = []
+    real = LogPair.validate
+    monkeypatch.setattr(LogPair, 'validate', lambda p: validated.append(p) or real(p))
+    doc = json.loads(catalog_path().read_text())
+    documents = {(f['surface'], json.dumps(f.get('boundary', []), sort_keys=True))
+                 for f in doc['fixtures']}
+
+    def decode():
+        kwall.catalog._load_resolved.cache_clear()
+        return [f.pair for f in load_catalog().fixtures]
+
+    first = decode()
+    assert len(validated) == len({id(p) for p in first}) == len(documents)
+    assert len(documents) < len(first)
+    second = decode()
+    assert len(validated) == 2 * len(documents)
+    assert not {id(p) for p in first} & {id(p) for p in second}
 
 
 def test_each_extension_is_built_once_per_decode(monkeypatch):

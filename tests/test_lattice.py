@@ -14,6 +14,7 @@ from kwall.lattice import (
     bareiss,
     is_negative_definite,
     pair,
+    pivot,
     ratio,
     rational,
     rational_str,
@@ -236,7 +237,7 @@ def test_bareiss_matches_solve_linear(data):
         with pytest.raises(SingularSystem):
             solve_linear([r[:n] for r in scaled], [tuple(r[n:]) for r in scaled])
         return
-    det, ys, _ = bareiss(rows, cols)
+    det, ys = bareiss(rows, cols)
     assert det == abs(_determinant(rows))
     for row, b in zip(rows, cols):
         assert [sum(a * y[c] for a, y in zip(row, ys)) for c in range(2)] == [det * x for x in b]
@@ -244,27 +245,50 @@ def test_bareiss_matches_solve_linear(data):
     assert tuple([tuple([F(y, det) for y in yi]) for yi in ys]) == want
 
 
-@settings(max_examples=80)
+@settings(max_examples=120)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
            st.lists(st.sampled_from((-3, -1, 0, 1, 2)), min_size=n, max_size=n),
-           st.lists(small, min_size=n * n, max_size=n * n))))
-@example(([-1, -1, -1], [0, 0, 0, 5, 0, 0, -3, 4, 0]))
-@example(([-1, 0, -2], [0, 0, 0, 0, 0, 0, 0, 0, 0]))
-def test_bareiss_decides_negative_definiteness(data):
-    '''on L D L^T with L unit lower triangular the verdict is that of the
-    diagonal D, and equals is_negative_definite'''
-    diag, fill = data
+           st.lists(small, min_size=n * n, max_size=n * n),
+           st.lists(st.lists(small, min_size=2, max_size=2), min_size=n, max_size=n),
+           st.permutations(range(n)),
+           st.integers(1, n))))
+@example(([-1, -1, -1], [0, 0, 0, 5, 0, 0, -3, 4, 0], [[0, 0]] * 3, [0, 1, 2], 3))
+@example(([-1, 0, -2], [0] * 9, [[0, 0]] * 3, [0, 1, 2], 3))
+@example(([-1, -1], [0, 0, 2, 0], [[1, 0], [0, 1]], [1, 0], 2))
+@example(([-1, 0, -2], [0, 0, 0, 1, 0, 0, 0, 0, 0], [[0, 1], [2, 0], [1, 1]], [1, 2, 0], 3))
+def test_pivot_solves_and_decides_negative_definiteness(data):
+    '''on L D L^T with L unit lower triangular, bordered by two columns,
+    pivoting a set P in a random order leaves det S_PP times the solution
+    in the pivot rows and times the Schur complement in every other row,
+    and returns 0 exactly when S_PP is not negative definite: when P is
+    everything, exactly when D is not'''
+    diag, fill, border, order, k = data
     n = len(diag)
     low = [[1 if i == j else (fill[i * n + j] if j < i else 0) for j in range(n)]
            for i in range(n)]
-    m = [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)]
+    m = [[sum(low[i][l] * diag[l] * low[j][l] for l in range(n)) for j in range(n)]
          for i in range(n)]
-    try:
-        definite = bareiss(m, [()] * n)[2]
-    except SingularSystem:
-        definite = False
-    assert definite == all(d < 0 for d in diag)
-    assert definite == is_negative_definite([[F(x) for x in row] for row in m])
+    a = [[*row, *b] for row, b in zip(m, border)]
+    ps = order[:k]
+    block = [[m[i][j] for j in ps] for i in ps]
+    last = pivot(a, ps)
+    assert (last != 0) == is_negative_definite([[F(x) for x in row] for row in block])
+    if k == n:
+        assert (last != 0) == all(d < 0 for d in diag)
+    if not last:
+        return
+    assert last == _determinant(block)
+    rest = [c for c in range(n + 2) if c not in ps]
+    full = [[*row, *b] for row, b in zip(m, border)]
+    xs = solve_linear([[F(x) for x in row] for row in block],
+                      [tuple([F(full[i][c]) for c in rest]) for i in ps])
+    for i, x in zip(ps, xs):
+        assert [a[i][c] for c in rest] == [last * y for y in x]
+    for j in range(n):
+        if j not in ps:
+            schur = [full[j][c] - sum(full[j][i] * x[s] for i, x in zip(ps, xs))
+                     for s, c in enumerate(rest)]
+            assert [a[j][c] for c in rest] == [last * y for y in schur]
 
 
 def test_rational_rejects_a_zero_denominator():

@@ -273,6 +273,48 @@ def test_a_shrinking_support_is_refused():
         volume_profile(m, lat.basis('h'), lat.div((1, -1, 2)))
 
 
+def _refusal(call, *args):
+    with pytest.raises(EngineError) as exc:
+        call(*args)
+    return type(exc.value), str(exc.value)
+
+
+def test_a_singular_support_is_refused():
+    '''a generator list with a repeated ray: both copies join at once and
+    their Gram matrix [[-1, -2], [-2, -4]] is singular, a zero pivot'''
+    lat = IntersectionLattice.diagonal(('h', 'e'), (1, -1))
+    m = SurfaceModel('twice', lat, lat.div((-3, 1)),
+                     (('e', lat.basis('e')), ('e2', lat.div((0, 2)))))
+    assert _refusal(volume_profile, m, lat.basis('h'), lat.div((0, -1))) == (
+        ConfigurationError, "twice: support ['e', 'e2'] is not negative definite")
+    # f.f = 0: the support [f] is singular at its first pivot
+    m = SurfaceModel('fibre', lat, lat.div((-3, 1)),
+                     (('e', lat.basis('e')), ('f', lat.div((1, -1)))))
+    assert _refusal(zariski_decompose, m, lat.div((-1, 0))) == (
+        NotPseudoEffective,
+        "fibre: support walk left the negative definite cone at ['f']")
+
+
+def test_a_support_with_a_wrong_sign_pivot_is_refused():
+    '''the second leading minor of a negative definite support is positive;
+    here it is negative.  On a surface the Hodge index theorem keeps the
+    walk's joiners definite, so the volume case needs a lattice of
+    signature (2, 1), which no surface has'''
+    lat = IntersectionLattice.diagonal(('h', 'e'), (1, -1))
+    # e.e = -1, d.d = -3 and e.d = 2: minors -1, then 3 - 4 = -1
+    m = SurfaceModel('steep', lat, lat.div((-3, 1)),
+                     (('e', lat.basis('e')), ('d', lat.div((1, -2)))))
+    assert _refusal(zariski_decompose, m, lat.div((-3, 1))) == (
+        NotPseudoEffective,
+        "steep: support walk left the negative definite cone at ['e', 'd']")
+    lat = IntersectionLattice.diagonal(('h1', 'h2', 'e'), (1, 1, -1))
+    # a.a = -2, b.b = 7 and a.b = 2: minors -2, then -14 - 4 = -18
+    m = SurfaceModel('split', lat, lat.div((-3, -3, 1)),
+                     (('a', lat.div((1, 1, 2))), ('b', lat.div((2, 2, 1)))))
+    assert _refusal(volume_profile, m, lat.div((4, 3, -3)), lat.div((1, -1, -2))) == (
+        ConfigurationError, "split: support ['a', 'b'] is not negative definite")
+
+
 MODELS = [builders.sigma5, builders.xn, builders.x11, builders.x12,
           builders.xq, builders.xt, builders.xprime]
 
