@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,6 +149,16 @@ def _profile_lines(head: str, r: dict) -> list[str]:
     return [*lines, '', f'integral over [0, tau]: {r["integral"]}']
 
 
+@contextmanager
+def _naming(f):
+    '''re-raise an engine or configuration refusal naming the fixture f as
+    well as the surface'''
+    try:
+        yield
+    except EngineError as exc:
+        raise type(exc)(f'fixture {f.id}: {exc}') from exc
+
+
 def _family_ids(cat, family: str | None) -> tuple[str, ...]:
     ids = cat.ids(family)
     if not ids:
@@ -213,8 +224,10 @@ def _render_zariski(r: dict) -> list[str]:
 def cmd_profile(args) -> dict:
     f = load_fixture(args.fixture)
     base = f.valuation.base_surface()
+    with _naming(f):
+        profile = valuation_profile(f.valuation)
     results = {'fixture': f.id, 'surface': base.name, 'valuation': f.valuation.name,
-               **_profile_results(valuation_profile(f.valuation))}
+               **_profile_results(profile)}
     s0 = rational(results['integral']) / base.degree
     return {**results, 'vanishing_order_at_zero': rational_str(s0)}
 
@@ -252,9 +265,9 @@ def cmd_beta(args) -> dict:
                 'a valuation argument only applies to pair file input')
         f = load_fixture(args.target)
         p, v = f.pair, f.valuation
-    a = log_discrepancy(p, v)
-    s = s_invariant(p, v)
-    b = beta(p, v)
+    with _naming(f) if f else nullcontext():
+        a, s = log_discrepancy(p, v), s_invariant(p, v)
+    b = a - s
     sol = solve_wall(b, p.c_lo, p.c_hi)
     results = {
         'surface': p.surface.name,
@@ -318,7 +331,8 @@ def cmd_walls(args) -> dict:
     rows = []
     for fid in _family_ids(cat, args.family):
         f = cat.fixture(fid)
-        sol = solve_wall(beta(f.pair, f.valuation), f.pair.c_lo, f.pair.c_hi)
+        with _naming(f):
+            sol = solve_wall(beta(f.pair, f.valuation), f.pair.c_lo, f.pair.c_hi)
         rows.append((fid, sol.root, f.expected.wall))
     rows.sort(key=lambda r: (r[1] is None, r[1] or Fraction(0), r[0]))
     found = {root for _, root, _ in rows if root is not None}

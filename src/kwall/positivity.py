@@ -20,11 +20,18 @@ and pivots each generator once, as it joins the support.  The pivot rows
 then hold the support coefficients, the other rows hold the pairings of P
 with the generators off the support (and, for a ray, the volume), and the
 pivot signs say whether the support is still negative definite.
+
+A profile piece keeps the walk's integers: the volume quadratic as integer
+coefficients over one positive scale, and its ends as (numerator,
+denominator) pairs.  ``integrate_profile`` sums those integers, and a piece
+turns them into Fractions only when something reads its ends or
+coefficients.
 '''
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Optional
 
@@ -156,11 +163,42 @@ def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
 
 
 class QuadraticPiece(Frozen):
-    '''vol(t) = q0 + q1 t + q2 t^2 on [t_lo, t_hi], one Zariski chamber'''
+    '''
+    vol(t) = q0 + q1 t + q2 t^2 on [t_lo, t_hi], one Zariski chamber
+
+    Held in integers: the coefficients are ``k`` / ``scale``, and ``lo`` and
+    ``hi`` are the ends as (numerator, positive denominator) pairs.  The
+    constructor takes Fractions; ``from_integers`` takes a walk's integers,
+    and then ``t_lo``, ``t_hi`` and ``coeffs`` become Fractions on first
+    use.
+    '''
 
     def __init__(self, t_lo: Fraction, t_hi: Fraction,
                  coeffs: tuple[Fraction, Fraction, Fraction], chamber_support: tuple[str, ...]):
-        vars(self).update(t_lo=t_lo, t_hi=t_hi, coeffs=coeffs, chamber_support=chamber_support)
+        scale, k = integral(coeffs)
+        e, (lo, hi) = integral((t_lo, t_hi))
+        vars(self).update(k=k, scale=scale, lo=(lo, e), hi=(hi, e), t_lo=t_lo, t_hi=t_hi,
+                          coeffs=coeffs, chamber_support=chamber_support)
+
+    @classmethod
+    def from_integers(cls, k: tuple[int, int, int], scale: int, lo: tuple[int, int],
+                      hi: tuple[int, int], chamber_support: tuple[str, ...]) -> 'QuadraticPiece':
+        '''the piece with coefficients k / scale, scale > 0, on [lo, hi]'''
+        piece = cls.__new__(cls)
+        vars(piece).update(k=k, scale=scale, lo=lo, hi=hi, chamber_support=chamber_support)
+        return piece
+
+    @cached_property
+    def t_lo(self) -> Fraction:
+        return Fraction(*self.lo)
+
+    @cached_property
+    def t_hi(self) -> Fraction:
+        return Fraction(*self.hi)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
+        return tuple([Fraction(x, self.scale) for x in self.k])
 
     def value(self, t) -> Fraction:
         q0, q1, q2 = self.coeffs
@@ -336,19 +374,17 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
         t_hi = t_end if root is None else root
         if t_hi is None:
             raise EngineError(f'{model.name}: volume never vanishes along the ray')
-        lo, hi = Fraction(*t0), Fraction(*t_hi)
         support = tuple([names[i] for i in idx])
         # coefficients are affine in t, so the two ends cover the whole piece
         if any(s * (a[i][n] * tq + tp * a[i][n + 1]) < 0 for tp, tq in (t0, t_hi)
                for i in idx):
             raise EngineError(
                 f'{model.name}: support {list(support)} shrinks on '
-                f'[{lo}, {hi}]: a support coefficient turns negative')
-        pieces.append(QuadraticPiece(lo, hi, tuple([Fraction(x, scale) for x in k]),
-                                     support))
+                f'[{Fraction(*t0)}, {Fraction(*t_hi)}]: a support coefficient turns negative')
+        pieces.append(QuadraticPiece.from_integers(k, scale, t0, t_hi, support))
         if root is not None:
-            return VolumeProfile(tuple(pieces), hi)
-        t0 = hi.numerator, hi.denominator
+            return VolumeProfile(tuple(pieces), Fraction(*t_hi))
+        t0 = t_hi
         joining = joiners
 
 
@@ -362,16 +398,17 @@ def integrate_profile(profile: VolumeProfile) -> Fraction:
         >>> integrate_profile(VolumeProfile((p,), Fraction(2)))
         Fraction(8, 3)
     '''
-    # summed as one integer fraction: each piece's integral is
-    # (6 k0 (h - l) e^2 + 3 k1 (h^2 - l^2) e + 2 k2 (h^3 - l^3)) / (6 d e^3)
-    # for coefficients k / d and ends l / e, h / e
+    # summed as one integer fraction: with F(x, y) = 6 k0 x y^2 + 3 k1 x^2 y
+    # + 2 k2 x^3, each piece's integral is (F(h, e) q^3 - F(l, q) e^3) /
+    # (6 d e^3 q^3) for coefficients k / d and ends l / q, h / e
     num, den = 0, 1
     for p in profile.pieces:
-        d, (k0, k1, k2) = integral(p.coeffs)
-        e, (lo, hi) = integral((p.t_lo, p.t_hi))
-        n = (6 * k0 * (hi - lo) * e * e + 3 * k1 * (hi * hi - lo * lo) * e
-             + 2 * k2 * (hi ** 3 - lo ** 3))
-        dp = 6 * d * e ** 3
+        k0, k1, k2 = p.k
+        (lo, q), (hi, e) = p.lo, p.hi
+        q3, e3 = q * q * q, e * e * e
+        n = ((6 * k0 * e * e + 3 * k1 * hi * e + 2 * k2 * hi * hi) * hi * q3
+             - (6 * k0 * q * q + 3 * k1 * lo * q + 2 * k2 * lo * lo) * lo * e3)
+        dp = 6 * p.scale * e3 * q3
         num, den = num * dp + n * den, den * dp
     return Fraction(num, den)
 

@@ -308,12 +308,17 @@ def log_discrepancy(p: LogPair, v: ValuationSpec) -> AffineRatFn:
     return AffineRatFn(v.a_x, -v.ord_b)
 
 
-def valuation_profile(v: ValuationSpec) -> VolumeProfile:
-    '''volume profile of the anticanonical class along the valuation ray'''
+def _valuation_origin(v: ValuationSpec) -> DivClass:
+    '''the pullback of -K to the valuation's model, where its ray starts'''
     origin = v.base_surface().anticanonical_pullback
     if isinstance(v.ambient, BlowupExtension):
         origin = v.ambient.pullback(origin)
-    return volume_profile(v.model, origin, v.e_class)
+    return origin
+
+
+def valuation_profile(v: ValuationSpec) -> VolumeProfile:
+    '''volume profile of the anticanonical class along the valuation ray'''
+    return volume_profile(v.model, _valuation_origin(v), v.e_class)
 
 
 def s_invariant(p: LogPair, v: ValuationSpec) -> AffineRatFn:
@@ -323,10 +328,17 @@ def s_invariant(p: LogPair, v: ValuationSpec) -> AffineRatFn:
     Because the boundary class is k times the anticanonical class (k = 2
     for the pairs of interest), scaling by c only rescales the polarisation
     by (1 - kc), so the integral computed once at c = 0 carries the whole
-    c-dependence.
+    c-dependence.  The integral depends only on the model and the ray, so
+    each model keeps it per ray, and valuations that walk the same ray of
+    the same model share one walk.
     '''
     _check_pairing(p, v)
-    s = integrate_profile(valuation_profile(v)) / p.surface.degree
+    integrals, origin = v.model.ray_integrals, _valuation_origin(v)
+    ray = origin.numerators, v.e_class.numerators
+    total = integrals.get(ray)
+    if total is None:
+        total = integrals[ray] = integrate_profile(volume_profile(v.model, origin, v.e_class))
+    s = total / p.surface.degree
     return AffineRatFn(s, -p.anticanonical_factor * s)
 
 

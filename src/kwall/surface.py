@@ -146,6 +146,13 @@ class SurfaceModel(Frozen):
         which outlives the last reference to a decoded catalog'''
         return {}
 
+    @cached_property
+    def ray_integrals(self) -> dict:
+        '''(origin numerators, direction numerators) -> the exact integral
+        of the volume profile along that ray, filled as the rays are first
+        integrated (``stability.s_invariant``)'''
+        return {}
+
     def extension(self, center: 'BlowupCenter') -> 'BlowupExtension':
         '''the blow-up extension at ``center``, built once per model and center'''
         parts = self._extensions.get(center)

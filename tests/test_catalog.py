@@ -6,6 +6,7 @@ import pytest
 import builders
 import kwall.catalog
 import kwall.positivity
+import kwall.stability
 import kwall.surface
 from kwall.catalog import (
     CatalogError,
@@ -254,6 +255,24 @@ def test_a_fresh_decode_starts_cold(monkeypatch):
     assert rewalked == walked > 0
     for a, b in zip(first.surfaces, second.surfaces):
         assert a is not b and a.lattice is not b.lattice
+
+
+def test_a_decode_and_walk_pass_walks_each_ray_once(monkeypatch):
+    '''the 45 fixtures walk 37 distinct rays of their models, and each
+    ray is walked once per decode'''
+    walks = []
+    real = kwall.stability.volume_profile
+    monkeypatch.setattr(kwall.stability, 'volume_profile',
+                        lambda *args: walks.append(args) or real(*args))
+    for _ in range(2):
+        kwall.catalog._load_resolved.cache_clear()
+        cat = load_catalog()
+        for f in cat.fixtures:
+            beta(f.pair, f.valuation)
+        rays = {(id(m), origin, direction) for m, origin, direction in walks}
+        assert len(cat.fixtures) == 45
+        assert len(walks) == len(rays) == 37
+        walks.clear()
 
 
 def test_each_pair_document_is_decoded_once_per_decode(monkeypatch):

@@ -11,7 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kwall.catalog import DATA_PATH
+import kwall.catalog
+import kwall.cli
+import kwall.stability
+from kwall.catalog import DATA_PATH, load_catalog
 from kwall.cli import main
 
 
@@ -460,6 +463,46 @@ def test_walls_against_a_perturbed_catalog_exits_four(argv, lines, tmp_path,
     assert code == 4
     for line in lines:
         assert line in out.split('\n')
+
+
+@pytest.mark.parametrize('argv', [('walls',), ('walls', '--diff'), ('beta', 'Sigma5/D_1_17/L1'),
+                                  ('profile', 'Sigma5/D_1_17/L1')])
+@pytest.mark.parametrize('direction, code, message', [
+    (lambda ac: [0] * len(ac), 2, 'configuration error: fixture Sigma5/D_1_17/L1: '
+                                  'sigma5: zero profile direction'),
+    (lambda ac: [-x for x in ac], 3, 'engine failure: fixture Sigma5/D_1_17/L1: '
+                                     'sigma5: volume never vanishes along the ray'),
+], ids=['zero-direction', 'growing-volume'])
+def test_a_refused_fixture_walk_names_the_fixture(argv, direction, code, message,
+                                                  tmp_path, monkeypatch, capsys):
+    '''a fixture whose valuation ray the walk refuses: the refusal keeps its
+    exit code and names the fixture as well as the surface'''
+    doc = json.loads(DATA_PATH.read_text())
+    f = next(f for f in doc['fixtures'] if f['id'] == 'Sigma5/D_1_17/L1')
+    ac = load_catalog().surface(f['surface']).anticanonical_pullback.coords
+    f['valuation'] = {'kind': 'class', 'name': 'ray', 'class': [str(x) for x in direction(ac)],
+                      'a_x': '1', 'ord_b': '0'}
+    bad = tmp_path / 'catalog.json'
+    bad.write_text(json.dumps(doc))
+    monkeypatch.setenv('KWALL_CATALOG', str(bad))
+    assert run(capsys, *argv) == (code, '', message + '\n')
+
+
+def test_beta_of_a_fixture_walks_its_ray_once(monkeypatch, capsys):
+    '''the report derives beta = A - S from the two invariants it holds:
+    one S-invariant and one walk, on a freshly decoded catalog, so nothing
+    is left over from earlier walks'''
+    calls, walks = [], []
+    real_s, real_walk = kwall.stability.s_invariant, kwall.stability.volume_profile
+    counting_s = lambda *args: calls.append(args) or real_s(*args)
+    monkeypatch.setattr(kwall.stability, 's_invariant', counting_s)
+    monkeypatch.setattr(kwall.cli, 's_invariant', counting_s)
+    monkeypatch.setattr(kwall.stability, 'volume_profile',
+                        lambda *args: walks.append(args) or real_walk(*args))
+    kwall.catalog._load_resolved.cache_clear()
+    code, out, _ = run(capsys, 'beta', 'X12/D_4_23/exc-a1')
+    assert code == 0 and 'status: ok' in out
+    assert len(calls) == len(walks) == 1
 
 
 def test_reports_are_identical_across_repeated_runs(capsys):

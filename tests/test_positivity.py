@@ -383,6 +383,27 @@ def test_integrate_trivial_profile():
     assert NotPseudoEffective.__mro__[1] is EngineError
 
 
+def test_walk_pieces_equal_pieces_built_from_fractions():
+    '''a walk keeps each piece in its own integers; the same chamber built
+    from Fractions through the constructor reads back the same ends,
+    coefficients and integral, and both integrals equal the integral of
+    the quadratic summed term by term'''
+    cat = load_catalog()
+    walked = 0
+    for f in cat.fixtures:
+        for p in valuation_profile(f.valuation).pieces:
+            lo, hi = F(*p.lo), F(*p.hi)
+            coeffs = tuple(F(k, p.scale) for k in p.k)
+            q = QuadraticPiece(lo, hi, coeffs, p.chamber_support)
+            assert (p.t_lo, p.t_hi, p.coeffs) == (q.t_lo, q.t_hi, q.coeffs) == (lo, hi, coeffs)
+            by_terms = sum(c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
+                           for i, c in enumerate(coeffs))
+            assert (integrate_profile(VolumeProfile((p,), hi))
+                    == integrate_profile(VolumeProfile((q,), hi)) == by_terms)
+            walked += 1
+    assert walked > len(cat.fixtures)
+
+
 def test_every_catalog_profile_is_pinned():
     cat = load_catalog()
     docs = [[f.id, profile_to_doc(valuation_profile(f.valuation))] for f in cat.fixtures]

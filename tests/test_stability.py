@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import builders
+import kwall.stability
+from kwall.positivity import integrate_profile
 from kwall.stability import (
     AffineRatFn,
     LogPair,
@@ -17,6 +19,7 @@ from kwall.stability import (
     quotient_order_bound,
     s_invariant,
     solve_wall,
+    valuation_profile,
     vgit_slope,
 )
 from kwall.lattice import IntersectionLattice
@@ -164,6 +167,47 @@ def test_s_invariant_line():
     p = d_1_17(builders.sigma5())
     s = s_invariant(p, ValuationSpec.on_surface(p, 'line12'))
     assert (s.const, s.slope) == (F(13, 15), F(-26, 15))
+
+
+def _counting_walks(monkeypatch):
+    walks = []
+    real = kwall.stability.volume_profile
+    monkeypatch.setattr(kwall.stability, 'volume_profile',
+                        lambda *args: walks.append(args) or real(*args))
+    return walks
+
+
+def test_each_ray_of_a_model_is_integrated_once(monkeypatch):
+    '''the integral is kept on the model per ray: a second valuation along
+    the same ray, on a second pair over the model, does not walk again'''
+    walks = _counting_walks(monkeypatch)
+    m = builders.sigma5()
+    p, other = d_1_17(m), LogPair.make(m, [])
+    first = s_invariant(p, ValuationSpec.on_surface(p, 'line12'))
+    assert s_invariant(p, ValuationSpec.on_surface(p, 'line12')) == first
+    assert s_invariant(other, ValuationSpec.on_surface(other, 'line12')) == affine(
+        first.const, 0)
+    assert len(walks) == 1
+    s_invariant(p, ValuationSpec.on_surface(p, 'line34'))
+    assert len(walks) == 2
+
+
+def test_rays_are_told_apart_by_origin_and_direction(monkeypatch):
+    '''the extension's own -K starts a different ray along the same
+    exceptional curve than the pulled-back -K of the base'''
+    walks = _counting_walks(monkeypatch)
+    m = builders.sigma5()
+    # the point where line12 meets exc1
+    ext = build_blowup_extension(m, BlowupCenter.make(exc_name='e',
+                                                      through={'line12': 1, 'exc1': 1}))
+    p, q = d_1_17(m), LogPair.make(ext.model, [])
+    over_base = ValuationSpec.on_extension(p, ext)
+    on_model = ValuationSpec('e', ext.model, ext.e_class, F(1), F(0))
+    s, t = s_invariant(p, over_base), s_invariant(q, on_model)
+    assert len(walks) == 2 and len(ext.model.ray_integrals) == 2
+    assert s.const == integrate_profile(valuation_profile(over_base)) / m.degree
+    assert t.const == integrate_profile(valuation_profile(on_model)) / ext.model.degree
+    assert s.const != t.const
 
 
 def test_beta_and_wall_line():
