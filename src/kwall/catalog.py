@@ -172,10 +172,13 @@ def _string(doc, key: str, default: str) -> str:
     return x
 
 
-def _strings(doc, key: str) -> tuple[str, ...]:
+def _list_of(doc, key: str, kind: type) -> tuple:
+    '''doc[key] (default []) as a tuple, when it is a list of values of
+    exactly the type ``kind``: str, or int (which no bool passes for)'''
     xs = doc.get(key, [])
-    if not isinstance(xs, list) or not all(isinstance(x, str) for x in xs):
-        raise TypeError(f'{key!r} is not a list of strings')
+    if not isinstance(xs, list) or not all(type(x) is kind for x in xs):
+        noun = 'strings' if kind is str else 'integers'
+        raise TypeError(f'{key!r} is not a list of {noun}')
     return tuple(xs)
 
 
@@ -210,7 +213,7 @@ def _decode_valuation(pair: LogPair, doc) -> ValuationSpec:
     if kind == 'blowup':
         cdoc = doc['center']
         center = BlowupCenter.make(
-            weights=tuple(int(w) for w in cdoc.get('weights', (1, 1))),
+            weights=cdoc.get('weights', (1, 1)),
             exc_name=cdoc.get('exc_name', 'e'),
             through=tuple((n, rational(m)) for n, m in cdoc.get('through', ())),
             extra_mori=tuple((n, cl) for n, cl in cdoc.get('extra_mori', ())))
@@ -243,7 +246,7 @@ def _decode_display(doc) -> Display:
         scale=rational(doc.get('scale', 1)),
         beta_text=doc.get('beta'),
         curve=doc.get('curve'),
-        weights=tuple(int(w) for w in doc.get('weights', ())))
+        weights=_list_of(doc, 'weights', int))
 
 
 def _decode_fixture(surfaces: dict, pairs: dict, doc) -> Fixture:
@@ -269,7 +272,7 @@ def _decode_fixture(surfaces: dict, pairs: dict, doc) -> Fixture:
         valuation=valuation,
         expected=_decode_expected(doc['expected']),
         display=None if display is None else _decode_display(display),
-        notes=_strings(doc, 'notes'),
+        notes=_list_of(doc, 'notes', str),
         equivariant=tuple(_decode_valuation(pair, v)
                           for v in doc.get('equivariant', ())))
 
@@ -279,7 +282,7 @@ def _decode_wall(doc) -> WallEntry:
     if kind not in ('divisorial', 'flip'):
         raise CatalogError(f'unknown wall kind {kind!r}')
     return WallEntry(value=rational(doc['value']), kind=kind,
-                     families=_strings(doc, 'families'),
+                     families=_list_of(doc, 'families', str),
                      description=_string(doc, 'description', ''))
 
 

@@ -3,9 +3,12 @@ Exact rational bilinear-form algebra for divisor classes.
 
 Everything downstream (nef tests, Zariski decompositions, volume integrals,
 wall coefficients) reduces to arithmetic in a finite-rank lattice with a
-Q-valued symmetric pairing. All scalars are fractions.Fraction, computed
-through integer numerators over common denominators; no floats appear
-anywhere in this module.
+Q-valued symmetric pairing.  Every value has one exact form, integers
+over one positive common denominator in lowest terms: a lattice holds its
+Gram matrix, a class its coordinates that way, and both read their
+Fractions off those integers only when something asks for them.  Scalars
+such as pairings are fractions.Fraction; no floats appear anywhere in this
+module.
 '''
 from __future__ import annotations
 
@@ -117,54 +120,36 @@ def rational_str(x: Fraction) -> str:
     return str(x)
 
 
-def _exact_vector(xs: Iterable[int | str | Fraction]
-                  ) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
-    '''
-    (fs, d, ns): xs as Fractions, and as integer numerators ns over their
-    least common denominator d
-
-    TESTS:
-        >>> _exact_vector(['1/2', -1, '2/3'])
-        ((Fraction(1, 2), Fraction(-1, 1), Fraction(2, 3)), 6, (3, -6, 4))
-    '''
-    fs, ps, qs = [], [], []
-    for x in xs:
-        if type(x) is Fraction:
-            f, p, q = x, x.numerator, x.denominator
-        else:
-            p, q = ratio(x)
-            f = _fraction(p, q)
-        fs.append(f)
-        ps.append(p)
-        qs.append(q)
-    d = lcm(*qs)
-    return tuple(fs), d, tuple([p * (d // q) for p, q in zip(ps, qs)])
-
-
-def integral(xs: Iterable[int | Fraction]) -> tuple[int, tuple[int, ...]]:
+def integral(xs: Iterable[int | str | Fraction]) -> tuple[int, tuple[int, ...]]:
     '''
     (d, ns) with xs = ns / d: integer numerators over the least common
-    denominator
+    denominator, each x read by ``ratio``
 
     TESTS:
-        >>> integral([Fraction(1, 2), Fraction(-1, 3), 4])
+        >>> integral([Fraction(1, 2), '-1/3', 4])
         (6, (3, -2, 24))
     '''
     # built from lists: a tuple grown from a generator is resized as it
     # grows, and the interpreter then keeps the discarded ones in its tuple
     # free lists, which costs resident memory on hot paths
-    xs = list(xs)
-    d = lcm(*[x.denominator for x in xs])
-    return d, tuple([x.numerator * (d // x.denominator) for x in xs])
+    pqs = [ratio(x) for x in xs]
+    d = lcm(*[q for _, q in pqs])
+    return d, tuple([p * (d // q) for p, q in pqs])
 
 
-def integral_matrix(rows: Sequence[Sequence[int | Fraction]]
+def integral_matrix(rows: Sequence[Sequence[int | str | Fraction]]
                     ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     '''(d, ns) with rows = ns / d: integer rows over one common denominator'''
-    n = len(rows)
-    d, flat = integral(x for row in rows for x in row)
-    w = len(flat) // n if n else 0
-    return d, tuple([flat[i * w:(i + 1) * w] for i in range(n)])
+    parsed = [integral(row) for row in rows]
+    d = lcm(*[dr for dr, _ in parsed])
+    return d, tuple([tuple([x * (d // dr) for x in xs]) for dr, xs in parsed])
+
+
+def _divisor(d: int, ns: Sequence[int]) -> int:
+    '''gcd(d, *ns), signed like d: dividing d and ns by it leaves them in
+    lowest terms with a positive denominator'''
+    g = gcd(d, *ns)
+    return -g if d < 0 else g
 
 
 class IntersectionLattice(Frozen):
@@ -173,53 +158,51 @@ class IntersectionLattice(Frozen):
 
     Fields:
         - ``names`` -- basis labels, one per row of the Gram matrix
-        - ``gram`` -- r x r matrix of rationals
+        - ``scaled_gram`` -- (d, rows): the Gram matrix is rows / d, with
+          integer rows and d > 0 in lowest terms, so equal lattices hold
+          equal integers
+
+    ``gram``, the r x r matrix of Fractions, is read off ``scaled_gram``
+    on first use.
 
     TESTS:
-        >>> lat = IntersectionLattice.diagonal(("h", "e1"), (1, -1))
-        >>> lat.rank
-        2
+        >>> lat = IntersectionLattice.diagonal(("h", "e1"), (1, '-2/4'))
+        >>> lat.rank, lat.scaled_gram
+        (2, (2, ((2, 0), (0, -1))))
         >>> pair(lat.basis("h"), lat.basis("h"))
         Fraction(1, 1)
     '''
 
-    def __init__(self, names: tuple[str, ...], gram: tuple[tuple[Fraction, ...], ...]):
+    def __init__(self, names: Sequence[str], d: int, rows: Sequence[Sequence[int]]):
         r = len(names)
         if len(set(names)) != r:
             raise ValueError('duplicate basis names')
-        if len(gram) != r or any(len(row) != r for row in gram):
+        if len(rows) != r or any(len(row) != r for row in rows):
             raise ValueError(f'gram matrix is not {r} x {r}')
-        vars(self).update(names=names, gram=gram)
+        g = _divisor(d, [x for row in rows for x in row])
+        if g != 1:
+            d, rows = d // g, [[x // g for x in row] for row in rows]
+        vars(self).update(names=tuple(names),
+                          scaled_gram=(d, tuple([tuple(row) for row in rows])))
 
     def __eq__(self, other):
         if type(other) is not IntersectionLattice:
             return NotImplemented
-        return (self.names, self.gram) == (other.names, other.gram)
+        return (self.names, self.scaled_gram) == (other.names, other.scaled_gram)
 
     def __hash__(self):
-        return hash((self.names, self.gram))
+        return hash((self.names, self.scaled_gram))
 
     @cached_property
-    def scaled_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        '''(d, rows): the Gram matrix as integer rows over its least common
-        denominator d'''
-        return integral_matrix(self.gram)
-
-    @classmethod
-    def with_scaled_gram(cls, names: Sequence[str], gram, scaled_gram) -> 'IntersectionLattice':
-        '''the lattice with the given Gram matrix and its scaled_gram, which
-        must equal integral_matrix(gram)'''
-        lat = cls(tuple(names), gram)
-        lat.__dict__['scaled_gram'] = scaled_gram
-        return lat
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        '''the Gram matrix as Fractions'''
+        d, rows = self.scaled_gram
+        return tuple([tuple([_fraction(x, d) for x in row]) for row in rows])
 
     @classmethod
     def from_rows(cls, names: Sequence[str],
                   rows: Sequence[Sequence[int | str | Fraction]]) -> 'IntersectionLattice':
-        parsed = [_exact_vector(row) for row in rows]
-        d = lcm(*[dr for _, dr, _ in parsed])
-        return cls.with_scaled_gram(names, tuple([fs for fs, _, _ in parsed]), (d, tuple([
-            tuple([x * (d // dr) for x in xs]) for _, dr, xs in parsed])))
+        return cls(names, *integral_matrix(rows))
 
     @classmethod
     def diagonal(cls, names: Sequence[str],
@@ -239,10 +222,10 @@ class IntersectionLattice(Frozen):
             raise KeyError(f'no basis vector {name!r}; have {list(self.names)}') from None
 
     def div(self, coords: Sequence[int | str | Fraction]) -> 'DivClass':
-        cs, d, ns = _exact_vector(coords)
-        if len(cs) != self.rank:
-            raise ValueError(f'expected {self.rank} coordinates, got {len(cs)}')
-        return DivClass.with_numerators(self, cs, (d, ns))
+        d, ns = integral(coords)
+        if len(ns) != self.rank:
+            raise ValueError(f'expected {self.rank} coordinates, got {len(ns)}')
+        return DivClass(self, d, ns)
 
     def basis(self, name: str) -> 'DivClass':
         i = self.index(name)
@@ -253,68 +236,61 @@ class IntersectionLattice(Frozen):
 
 
 class DivClass(Frozen):
-    '''divisor class: a coordinate vector over an owning lattice'''
+    '''
+    divisor class: a coordinate vector over an owning lattice
 
-    def __init__(self, lattice: IntersectionLattice, coords: tuple[Fraction, ...]):
-        vars(self).update(lattice=lattice, coords=coords)
+    ``numerators`` is (d, ns): the coordinates are ns / d, with integer ns
+    and d > 0 in lowest terms, so equal classes hold equal integers.
+    ``coords``, the coordinates as Fractions, is read off them on first use.
+
+    TESTS:
+        >>> lat = IntersectionLattice.diagonal(("h", "e"), (1, -1))
+        >>> c = DivClass(lat, -4, (2, 0))
+        >>> c.numerators, c.coords
+        ((2, (-1, 0)), (Fraction(-1, 2), Fraction(0, 1)))
+    '''
+
+    def __init__(self, lattice: IntersectionLattice, d: int, ns: Sequence[int]):
+        g = _divisor(d, ns)
+        if g != 1:
+            d, ns = d // g, [n // g for n in ns]
+        vars(self).update(lattice=lattice, numerators=(d, tuple(ns)))
 
     def __eq__(self, other):
         if type(other) is not DivClass:
             return NotImplemented
-        return (self.lattice, self.coords) == (other.lattice, other.coords)
+        return (self.lattice, self.numerators) == (other.lattice, other.numerators)
 
     def __hash__(self):
-        return hash((self.lattice, self.coords))
+        return hash((self.lattice, self.numerators))
 
     @cached_property
-    def numerators(self) -> tuple[int, tuple[int, ...]]:
-        '''(d, ns): the coordinates as integer numerators over their least
-        common denominator d'''
-        return integral(self.coords)
-
-    @classmethod
-    def with_numerators(cls, lattice: IntersectionLattice, coords,
-                        numerators: tuple[int, tuple[int, ...]]) -> 'DivClass':
-        '''the class with the given coordinates and their numerators, which
-        must equal integral(coords)'''
-        d = cls(lattice, coords)
-        d.__dict__['numerators'] = numerators
-        return d
-
-    @classmethod
-    def from_numerators(cls, lattice: IntersectionLattice, d: int,
-                        ns: Sequence[int]) -> 'DivClass':
-        '''the class with coordinates ns / d, for d > 0'''
-        g = gcd(d, *ns)
-        if g != 1:
-            d, ns = d // g, [n // g for n in ns]
-        return cls.with_numerators(lattice, tuple([_fraction(n, d) for n in ns]),
-                                   (d, tuple(ns)))
+    def coords(self) -> tuple[Fraction, ...]:
+        d, ns = self.numerators
+        return tuple([_fraction(n, d) for n in ns])
 
     def _check_mate(self, other: 'DivClass') -> None:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise ValueError('classes live on different lattices')
 
     def __add__(self, other: 'DivClass') -> 'DivClass':
-        self._check_mate(other)
-        return DivClass(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return combination(self.lattice, [(1, self), (1, other)])
 
     def __sub__(self, other: 'DivClass') -> 'DivClass':
-        self._check_mate(other)
-        return DivClass(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return combination(self.lattice, [(1, self), (-1, other)])
 
     def __neg__(self) -> 'DivClass':
-        return DivClass(self.lattice, tuple(-a for a in self.coords))
+        d, ns = self.numerators
+        return DivClass(self.lattice, d, [-n for n in ns])
 
     def scale(self, k: int | str | Fraction) -> 'DivClass':
-        kk = rational(k)
-        return DivClass(self.lattice, tuple(kk * a for a in self.coords))
+        return combination(self.lattice, [(k, self)])
 
     __mul__ = scale
     __rmul__ = scale
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.numerators[1])
 
     def __repr__(self) -> str:
         terms = [f'{rational_str(c)}*{n}' for c, n in zip(self.coords, self.lattice.names) if c != 0]
@@ -341,7 +317,7 @@ def combination(lattice: IntersectionLattice, terms) -> DivClass:
     for (p, q), (dc, ns) in parts:
         f = p * (d // (q * dc))
         total = [t + f * n for t, n in zip(total, ns)]
-    return DivClass.from_numerators(lattice, d, total)
+    return DivClass(lattice, d, total)
 
 
 def pair(a: DivClass, b: DivClass) -> Fraction:

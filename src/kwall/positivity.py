@@ -40,7 +40,6 @@ from .lattice import (
     EngineError,
     Frozen,
     combination,
-    integral,
     is_negative_definite,
     pair,
     pivot,
@@ -93,10 +92,8 @@ class ZariskiResult(Frozen):
 
     @property
     def negative(self) -> DivClass:
-        out = self.model.lattice.zero()
-        for n, a in self.negative_support:
-            out = out + a * self.model.gen(n)
-        return out
+        return combination(self.model.lattice,
+                           [(a, self.model.gen(n)) for n, a in self.negative_support])
 
     def failures(self) -> tuple[str, ...]:
         out: list[str] = []
@@ -166,27 +163,20 @@ class QuadraticPiece(Frozen):
     '''
     vol(t) = q0 + q1 t + q2 t^2 on [t_lo, t_hi], one Zariski chamber
 
-    Held in integers: the coefficients are ``k`` / ``scale``, and ``lo`` and
-    ``hi`` are the ends as (numerator, positive denominator) pairs.  The
-    constructor takes Fractions; ``from_integers`` takes a walk's integers,
-    and then ``t_lo``, ``t_hi`` and ``coeffs`` become Fractions on first
-    use.
+    Held in integers, as the walk computes them: the coefficients are
+    ``k`` / ``scale`` with scale > 0, and ``lo`` and ``hi`` are the ends as
+    (numerator, positive denominator) pairs.  ``t_lo``, ``t_hi`` and
+    ``coeffs`` are read off them as Fractions on first use.
+
+    TESTS:
+        >>> p = QuadraticPiece((8, -8, 2), 2, (0, 1), (4, 2), ('e',))
+        >>> p.t_hi, p.coeffs[1], p.value(1)
+        (Fraction(2, 1), Fraction(-4, 1), Fraction(1, 1))
     '''
 
-    def __init__(self, t_lo: Fraction, t_hi: Fraction,
-                 coeffs: tuple[Fraction, Fraction, Fraction], chamber_support: tuple[str, ...]):
-        scale, k = integral(coeffs)
-        e, (lo, hi) = integral((t_lo, t_hi))
-        vars(self).update(k=k, scale=scale, lo=(lo, e), hi=(hi, e), t_lo=t_lo, t_hi=t_hi,
-                          coeffs=coeffs, chamber_support=chamber_support)
-
-    @classmethod
-    def from_integers(cls, k: tuple[int, int, int], scale: int, lo: tuple[int, int],
-                      hi: tuple[int, int], chamber_support: tuple[str, ...]) -> 'QuadraticPiece':
-        '''the piece with coefficients k / scale, scale > 0, on [lo, hi]'''
-        piece = cls.__new__(cls)
-        vars(piece).update(k=k, scale=scale, lo=lo, hi=hi, chamber_support=chamber_support)
-        return piece
+    def __init__(self, k: tuple[int, int, int], scale: int, lo: tuple[int, int],
+                 hi: tuple[int, int], chamber_support: tuple[str, ...]):
+        vars(self).update(k=k, scale=scale, lo=lo, hi=hi, chamber_support=chamber_support)
 
     @cached_property
     def t_lo(self) -> Fraction:
@@ -303,12 +293,13 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
     '''
     if origin.lattice != model.lattice or direction.lattice != model.lattice:
         raise ValueError('classes do not live on the model lattice')
-    # the walk runs in generator coordinates and in integers, and only the
-    # pieces hold Fractions.  Origin and direction are xo / dx and -xv / dx.
+    # the walk runs in generator coordinates and in integers.  Origin and
+    # direction are xo / dx and -xv / dx.
     table = model.gen_table
     dg, gram = model.lattice.scaled_gram
-    dx, xs = integral([*origin.coords, *direction.coords])
-    xo, xv = xs[:len(gram)], [-x for x in xs[len(gram):]]
+    (do, no), (dv, nv) = origin.numerators, direction.numerators
+    dx = math.lcm(do, dv)
+    xo, xv = [x * (dx // do) for x in no], [-x * (dx // dv) for x in nv]
     # pairings with the generators, over den dg dx, of the origin and v0 =
     # -direction, and their squares and product, over dg dx^2
     po, pv = table.pairings(xo), table.pairings(xv)
@@ -381,7 +372,7 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
             raise EngineError(
                 f'{model.name}: support {list(support)} shrinks on '
                 f'[{Fraction(*t0)}, {Fraction(*t_hi)}]: a support coefficient turns negative')
-        pieces.append(QuadraticPiece.from_integers(k, scale, t0, t_hi, support))
+        pieces.append(QuadraticPiece(k, scale, t0, t_hi, support))
         if root is not None:
             return VolumeProfile(tuple(pieces), Fraction(*t_hi))
         t0 = t_hi
@@ -393,8 +384,7 @@ def integrate_profile(profile: VolumeProfile) -> Fraction:
     exact integral of the profile over [0, tau]
 
     TESTS:
-        >>> p = QuadraticPiece(Fraction(0), Fraction(2),
-        ...                    (Fraction(4), Fraction(-4), Fraction(1)), ())
+        >>> p = QuadraticPiece((4, -4, 1), 1, (0, 1), (2, 1), ())
         >>> integrate_profile(VolumeProfile((p,), Fraction(2)))
         Fraction(8, 3)
     '''

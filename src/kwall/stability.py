@@ -149,7 +149,7 @@ class LogPair(Frozen):
     def boundary_class(self) -> DivClass:
         '''full pullback of the boundary cycle to the resolution'''
         db, bs, _, _ = self._boundary_pullback
-        return DivClass.from_numerators(self.surface.lattice, db, bs)
+        return DivClass(self.surface.lattice, db, bs)
 
     @cached_property
     def anticanonical_factor(self) -> Fraction:

@@ -38,9 +38,6 @@ class ConfigurationError(EngineError):
     '''model data is internally inconsistent'''
 
 
-ZERO = Fraction(0)
-
-
 class GeneratorTable(Frozen):
     '''
     the declared generators of a model compiled to integers
@@ -294,7 +291,7 @@ def pullback_weil(model: SurfaceModel, d: DivClass) -> DivClass:
         return d
     if d.lattice is not model.lattice and d.lattice != model.lattice:
         raise ValueError('classes live on different lattices')
-    return DivClass.from_numerators(model.lattice, *pullback_numerators(model, *d.numerators))
+    return DivClass(model.lattice, *pullback_numerators(model, *d.numerators))
 
 
 class BlowupCenter(Frozen):
@@ -326,10 +323,12 @@ class BlowupCenter(Frozen):
 
     @classmethod
     def make(cls, weights=(1, 1), exc_name='exc', through=(), extra_mori=()) -> 'BlowupCenter':
-        if len(weights) != 2:
+        if len(weights) != 2 or any(type(w) is not int for w in weights):
             raise ConfigurationError(f'weights {list(weights)} are not two integers')
+        if not isinstance(exc_name, str):
+            raise ConfigurationError(f'exceptional divisor name {exc_name!r} is not a string')
         return cls(
-            (int(weights[0]), int(weights[1])),
+            tuple(weights),
             exc_name,
             tuple((n, rational(m)) for n, m in (through.items() if isinstance(through, dict) else through)),
             tuple((n, tuple([rational(x) for x in v])) for n, v in extra_mori),
@@ -355,7 +354,7 @@ class BlowupExtension(Frozen):
         if d.lattice != self.base.lattice:
             raise ValueError('class does not live on the base lattice')
         dx, xs = d.numerators
-        return DivClass.with_numerators(self.model.lattice, (*d.coords, ZERO), (dx, (*xs, 0)))
+        return DivClass(self.model.lattice, dx, (*xs, 0))
 
 
 def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupExtension:
@@ -382,19 +381,14 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupEx
     # the base Gram matrix bordered by e.e = -1/(a b), over the least
     # common denominator dn of both
     r = base.lattice.rank
-    e2 = Fraction(-1, a * b)
     dg, gram = base.lattice.scaled_gram
     dn = lcm(dg, a * b)
-    names = base.lattice.names + (center.exc_name,)
-    rows = tuple([(*row, ZERO) for row in base.lattice.gram]) + ((ZERO,) * r + (e2,),)
-    lat = IntersectionLattice.with_scaled_gram(names, rows, (dn, tuple(
-        [(*[x * (dn // dg) for x in row], 0) for row in gram]) + ((0,) * r + (-dn // (a * b),),)))
+    lat = IntersectionLattice(base.lattice.names + (center.exc_name,), dn, [
+        *[(*[x * (dn // dg) for x in row], 0) for row in gram], (0,) * r + (-dn // (a * b),)])
 
-    e = DivClass.with_numerators(lat, (ZERO,) * r + (Fraction(1),), (1, (0,) * r + (1,)))
-    a_over = Fraction(a + b)
+    e = DivClass(lat, 1, (0,) * r + (1,))
     dk, ks = base.canonical.numerators
-    canonical = DivClass.with_numerators(lat, (*base.canonical.coords, a_over - 1),
-                                         (dk, (*ks, (a + b - 1) * dk)))
+    canonical = DivClass(lat, dk, (*ks, (a + b - 1) * dk))
 
     # an ordinary blow-up (e.e = -1, K' = K + e) takes C to C - m e and
     # lowers C.C + K.C = 2 p_a - 2 by m^2 - m, which may not take an
@@ -403,7 +397,7 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupEx
     kcs = table.pairings(ks)
     gens: list[tuple[str, DivClass]] = []
     for i, (n, c) in enumerate(base.mori_gens):
-        m = through.get(n, ZERO)
+        m = through.get(n, 0)
         dc, cs = c.numerators
         if (a, b) == (1, 1) and m.denominator == 1 and dc == 1:
             g, q = table.adjunction_sum(i, kcs[i], dk, dg)
@@ -412,8 +406,8 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupEx
                 raise ConfigurationError(
                     f'ord {m} along {center.exc_name} is inconsistent for curve {n}')
         d = lcm(dc, m.denominator)
-        gens.append((n, DivClass.with_numerators(lat, (*c.coords, -m if m else ZERO), (d, (
-            *[x * (d // dc) for x in cs], -m.numerator * (d // m.denominator))))))
+        gens.append((n, DivClass(lat, d, (*[x * (d // dc) for x in cs],
+                                          -m.numerator * (d // m.denominator)))))
     gens.append((center.exc_name, e))
     for n, v in center.extra_mori:
         if len(v) != r + 1:
@@ -428,14 +422,7 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupEx
         contracted=base.contracted,
         k_discrepancies=base.k_discrepancies,
     )
-
-    # pullback is an isometry onto the complement of e
-    if (any(lat.gram[i] != (*base.lattice.gram[i], ZERO) for i in range(r))
-            or lat.gram[r] != (ZERO,) * r + (e2,)):
-        raise ConfigurationError(f'{model.name}: the extension does not restrict '
-                                 f'to the base lattice')
-
-    return BlowupExtension(base=base, model=model, e_class=e, a_over_base=a_over)
+    return BlowupExtension(base=base, model=model, e_class=e, a_over_base=Fraction(a + b))
 
 
 def surface_to_doc(model: SurfaceModel) -> dict:
@@ -452,16 +439,24 @@ def surface_to_doc(model: SurfaceModel) -> dict:
     }
 
 
+def _string(what: str, x) -> str:
+    if not isinstance(x, str):
+        raise TypeError(f'{what} {x!r} is not a string')
+    return x
+
+
 def surface_from_doc(doc: Mapping) -> SurfaceModel:
     '''parse and validate a surface document'''
     try:
-        lat = IntersectionLattice.from_rows(tuple(doc['basis']), doc['gram'])
+        lat = IntersectionLattice.from_rows([_string('basis entry', x) for x in doc['basis']],
+                                            doc['gram'])
         model = SurfaceModel(
-            name=str(doc.get('name', 'surface')),
+            name=_string('name', doc.get('name', 'surface')),
             lattice=lat,
             canonical=lat.div(doc['canonical']),
-            mori_gens=tuple((g['name'], lat.div(g['class'])) for g in doc['mori']),
-            contracted=tuple(doc.get('contracted', ())),
+            mori_gens=tuple((_string('generator name', g['name']), lat.div(g['class']))
+                            for g in doc['mori']),
+            contracted=tuple(_string('contracted curve', n) for n in doc.get('contracted', ())),
             k_discrepancies=tuple((n, rational(x))
                                   for n, x in doc.get('k_discrepancies', {}).items()),
         )

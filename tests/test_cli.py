@@ -227,7 +227,19 @@ def _one_blowup_weight(doc):
     v['center']['weights'] = [1]
 
 
-@pytest.mark.parametrize('edit, docs, message', [
+def _display_weight_is_a_string(doc):
+    d = next(f['display'] for f in doc['fixtures'] if f.get('display'))
+    d['weights'][0] = str(d['weights'][0])
+
+
+def _blowup(**center):
+    '''the pair PAIR_DOC and a blow-up valuation with the given center'''
+    return PAIR_DOC, {'kind': 'blowup', 'center': center}
+
+
+# with an edit, the command to run is ``fixtures list`` unless given; with
+# no edit, ``kwall beta`` reads the pair and valuation documents given
+@pytest.mark.parametrize('edit, inputs, message', [
     (_edit('fixtures', 'expected'), None,
      "catalog error: fixture 0 is missing field 'expected'"),
     (_edit('walls', 'value'), None, "catalog error: wall 0 is missing field 'value'"),
@@ -268,6 +280,19 @@ def _one_blowup_weight(doc):
      "configuration error: bad surface document: not a rational: '1e3'"),
     (None, ({'surface': 'sigma5', 'boundary': [{'gen': 'line12', 'mult': '4e0'}]}, 'exc1'),
      "catalog error: boundary part 0 is malformed: not a rational: '4e0'"),
+    (None, _blowup(weights=[1.9, 1]),
+     'configuration error: weights [1.9, 1] are not two integers'),
+    (None, _blowup(weights=['1', '1']),
+     "configuration error: weights ['1', '1'] are not two integers"),
+    (None, _blowup(weights=[True, 1]),
+     'configuration error: weights [True, 1] are not two integers'),
+    (None, _blowup(exc_name=5), 'configuration error: exceptional divisor name 5 is not a string'),
+    (_display_weight_is_a_string, None,
+     "catalog error: fixture 3 is malformed: 'weights' is not a list of integers"),
+    (_edit('surfaces', 'basis', [0]), ('surface', 'show', 'p2'),
+     'configuration error: bad surface document: basis entry 0 is not a string'),
+    (lambda doc: doc['surfaces'][0]['mori'][0].__setitem__('name', 1), ('surface', 'show', 'p2'),
+     'configuration error: bad surface document: generator name 1 is not a string'),
 ], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
         'boundary-is-a-string', 'boundary-part-is-a-number',
         'expected-is-a-string', 'valuation-is-a-number', 'display-is-a-boolean',
@@ -276,8 +301,11 @@ def _one_blowup_weight(doc):
         'notes-is-a-string', 'notes-holds-a-number', 'families-is-a-string',
         'trust-is-a-number', 'description-is-a-list', 'fixture-without-surface',
         'wall-value-has-an-exponent', 'multiplicity-has-an-exponent',
-        'gram-entry-has-an-exponent', 'pair-multiplicity-has-an-exponent'])
-def test_malformed_entries_are_usage_errors(edit, docs, message, tmp_path,
+        'gram-entry-has-an-exponent', 'pair-multiplicity-has-an-exponent',
+        'blowup-weight-is-a-float', 'blowup-weights-are-strings', 'blowup-weight-is-a-boolean',
+        'blowup-exc-name-is-a-number', 'display-weight-is-a-string', 'basis-holds-a-number',
+        'generator-name-is-a-number'])
+def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,
                                             monkeypatch, capsys):
     if edit is not None:
         doc = json.loads(json.dumps(SHIPPED))
@@ -285,9 +313,9 @@ def test_malformed_entries_are_usage_errors(edit, docs, message, tmp_path,
         bad = tmp_path / 'catalog.json'
         bad.write_text(json.dumps(doc))
         monkeypatch.setenv('KWALL_CATALOG', str(bad))
-        argv = ('fixtures', 'list')
+        argv = inputs or ('fixtures', 'list')
     else:
-        pair_doc, valuation = docs
+        pair_doc, valuation = inputs
         bad = tmp_path / 'pair.json'
         bad.write_text(json.dumps(pair_doc))
         if isinstance(valuation, dict):
@@ -333,14 +361,17 @@ def test_malformed_catalogs_keep_the_exit_code_contract(edit):
         path = Path(tmp) / 'catalog.json'
         path.write_text(json.dumps(doc))
         mp.setenv('KWALL_CATALOG', str(path))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(['fixtures', 'list'])
-    assert code in (0, 2, 3, 4)
-    assert 'Traceback' not in err.getvalue()
-    if code == 0:
-        assert out.getvalue().count('# kwall fixtures list\n') == 1
-        assert out.getvalue().endswith('status: ok\n')
+        # the first surface as the edited catalog names it, if it does
+        first = str(doc['surfaces'][0].get('name'))
+        for argv in (['fixtures', 'list'], ['surface', 'show', first]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3, 4)
+            assert 'Traceback' not in err.getvalue()
+            if code == 0:
+                assert out.getvalue().count(f'# kwall {" ".join(argv)}\n') == 1
+                assert out.getvalue().endswith('status: ok\n')
 
 
 # the pair and valuation documents of every fixture, as `kwall beta` reads

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -301,6 +301,52 @@ def test_rational_returns_a_fraction_unchanged():
     assert rational(x) is x
     with pytest.raises(ValueError, match='not a rational'):
         rational(True)
+
+
+@st.composite
+def spelled(draw):
+    '''(x, text): a rational and a string for it, often not in lowest terms
+    (as '2/4', '-0' or '3/3')'''
+    x = draw(rationals)
+    m = draw(st.integers(1, 4))
+    p, q = abs(x.numerator) * m, x.denominator * m
+    sign = '-' if x < 0 else draw(st.sampled_from(['', '+', '-'] if x == 0 else ['', '+']))
+    return x, f'{sign}{p}' if q == 1 else f'{sign}{p}/{q}'
+
+
+def _vector_and_rows(r):
+    row = st.lists(spelled(), min_size=r, max_size=r)
+    return st.tuples(row, st.lists(row, min_size=r, max_size=r))
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4).flatmap(_vector_and_rows))
+@example(([(F(1, 2), '2/4'), (F(0), '-0'), (F(1), '3/3')],
+          [[(F(1), '3/3'), (F(0), '-0'), (F(0), '0/5')],
+           [(F(0), '0'), (F(-1, 2), '-2/4'), (F(0), '+0')],
+           [(F(0), '-0/2'), (F(0), '0'), (F(-1, 3), '-3/9')]]))
+def test_lattices_and_classes_hold_one_reduced_integer_form(drawn):
+    '''strings not in lowest terms parse to integers in lowest terms over a
+    positive denominator; the Fractions read off them are the inputs, and
+    the same values spelled another way give equal objects with equal
+    hashes'''
+    vector, rows = drawn
+    names = tuple(f'b{i}' for i in range(len(vector)))
+    lat = IntersectionLattice.from_rows(names, [[t for _, t in row] for row in rows])
+    dg, ints = lat.scaled_gram
+    assert dg > 0 and gcd(dg, *[x for row in ints for x in row]) == 1
+    assert lat.gram == tuple(tuple(x for x, _ in row) for row in rows)
+    twin = IntersectionLattice.from_rows(names, [[x for x, _ in row] for row in rows])
+    assert twin == lat and hash(twin) == hash(lat)
+    assert IntersectionLattice(names, -2 * dg, [[-2 * x for x in row] for row in ints]) == lat
+
+    c = lat.div([t for _, t in vector])
+    d, ns = c.numerators
+    assert d > 0 and gcd(d, *ns) == 1
+    assert c.coords == tuple(x for x, _ in vector)
+    same = twin.div([x for x, _ in vector])
+    assert same == c and hash(same) == hash(c)
+    assert DivClass(lat, -3 * d, [-3 * n for n in ns]) == c
 
 
 def test_no_floats_leak():

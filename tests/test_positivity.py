@@ -378,23 +378,26 @@ def test_walk_matches_subset_oracle():
 
 
 def test_integrate_trivial_profile():
-    piece = QuadraticPiece(F(0), F(1), (F(3), F(0), F(0)), ())
+    piece = QuadraticPiece((3, 0, 0), 1, (0, 1), (1, 1), ())
     assert integrate_profile(VolumeProfile((piece,), F(1))) == 3
     assert NotPseudoEffective.__mro__[1] is EngineError
 
 
 def test_walk_pieces_equal_pieces_built_from_fractions():
-    '''a walk keeps each piece in its own integers; the same chamber built
-    from Fractions through the constructor reads back the same ends,
-    coefficients and integral, and both integrals equal the integral of
-    the quadratic summed term by term'''
+    '''a walk keeps each piece in its own integers; they read back as the
+    Fractions they stand for, the same chamber with every integer scaled
+    (not in lowest terms) reads back the same ends, coefficients and
+    integral, and both integrals equal the integral of the quadratic
+    summed term by term over Fractions'''
     cat = load_catalog()
     walked = 0
     for f in cat.fixtures:
         for p in valuation_profile(f.valuation).pieces:
             lo, hi = F(*p.lo), F(*p.hi)
             coeffs = tuple(F(k, p.scale) for k in p.k)
-            q = QuadraticPiece(lo, hi, coeffs, p.chamber_support)
+            (ln, ld), (hn, hd) = p.lo, p.hi
+            q = QuadraticPiece(tuple(3 * k for k in p.k), 3 * p.scale, (5 * ln, 5 * ld),
+                               (7 * hn, 7 * hd), p.chamber_support)
             assert (p.t_lo, p.t_hi, p.coeffs) == (q.t_lo, q.t_hi, q.coeffs) == (lo, hi, coeffs)
             by_terms = sum(c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
                            for i, c in enumerate(coeffs))
