@@ -203,6 +203,9 @@ def _decode_part(model: SurfaceModel, doc):
 def _decode_valuation(pair: LogPair, doc) -> ValuationSpec:
     kind = doc.get('kind')
     tag = doc.get('tag', 'plain')
+    name = doc.get('name', '')
+    if not isinstance(name, str):
+        raise TypeError(f'valuation name {name!r} is not a string')
     if kind == 'surface':
         return ValuationSpec.on_surface(pair, doc['name'], tag=tag)
     if kind == 'class':
@@ -220,8 +223,7 @@ def _decode_valuation(pair: LogPair, doc) -> ValuationSpec:
         ext = pair.surface.extension(center)
         a_x = rational(doc['a_x']) if 'a_x' in doc else None
         ord_b = rational(doc['ord_b']) if 'ord_b' in doc else None
-        return ValuationSpec.on_extension(pair, ext, name=doc.get('name', ''),
-                                          tag=tag, a_x=a_x, ord_b=ord_b)
+        return ValuationSpec.on_extension(pair, ext, name=name, tag=tag, a_x=a_x, ord_b=ord_b)
     raise CatalogError(f'unknown valuation kind {kind!r}')
 
 

@@ -468,38 +468,52 @@ def bareiss(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
     return prev, ys
 
 
-def pivot(a: list[list[int]], rows: Iterable[int], prev: int = 1) -> int:
+def pivot(a: list[list[int]], scales: list[int], rows: Iterable[int], prev: int = 1) -> int:
     '''
     fraction-free Gauss-Jordan steps (Bareiss 1968) on an integer matrix
-    whose leading square block S is symmetric: for each r of ``rows`` in
-    turn, pivot on a[r][r] and replace every other row of ``a``, pivoted
-    ones included; each division by the last pivot ``prev`` is exact
+    whose leading square block S is symmetric, each row at its own scale:
+    for each r of ``rows`` in turn, pivot on a[r][r] and rewrite only the
+    other rows whose entry in column r is not zero; each division is exact
 
-    ``prev`` is 1 on a fresh matrix.  After pivoting a set P, with p the
-    last pivot (det S_PP) and x the solution of S_PP x = a_Pc, every column
-    c outside P holds p x in the rows of P and p (a_jc - a_jP x), the Schur
-    complement, in each other row j.  The k-th pivot is the k-th leading
-    principal minor of S in pivot order, so S_PP is negative definite iff
-    the pivots alternate in sign from a negative first one (Sylvester's
-    criterion on -S_PP): each pivot must be nonzero with the sign opposite
-    to the one before it, starting from prev = 1.  Returns the last pivot,
-    or 0 at the first pivot that breaks this, leaving ``a`` part-pivoted.
+    Row i holds scales[i] times its current value, scales[i] being the
+    pivot the row was last brought to; a fresh matrix starts with every
+    scale 1 and ``prev`` 1.  After pivoting a set P, with x the solution of
+    S_PP x = a_Pc, every column c outside P holds the row's scale times x
+    in the rows of P and times the Schur complement a_jc - a_jP x in each
+    other row j.  A step on r with last pivot ``prev`` brings row r to
+    prev (x * prev // scales[r]), takes p = a[r][r], and rewrites each row
+    i with f = a[i][r] != 0 as (p * x - f * y) // scales[i] at scale p.  A
+    row with f = 0 keeps its value, so it is left as it is: the same list.
 
-    TESTS:
-        >>> a = [[-2, 1, -1], [1, -2, 0]]
-        >>> pivot(a, [0, 1]), a
-        (3, [[3, 0, 2], [0, 3, 1]])
+    The k-th pivot is the k-th leading principal minor of S in pivot order,
+    so S_PP is negative definite iff the pivots alternate in sign from a
+    negative first one (Sylvester's criterion on -S_PP): each pivot must be
+    nonzero with the sign opposite to the one before it, starting from
+    prev = 1.  Returns the last pivot, det S_PP, or 0 at the first pivot
+    that breaks this, leaving ``a`` part-pivoted.
+
+    TESTS (row 0 has a zero factor at the second step, and keeps its scale):
+        >>> a, scales = [[-2, 1, 0, 1], [1, -2, 0, 0], [0, 0, -1, 1]], [1, 1, 1]
+        >>> pivot(a, scales, [0, 2]), scales
+        (2, [-2, -2, 2])
+        >>> a
+        [[-2, 1, 0, 1], [0, 3, 0, -1], [0, 0, 2, -2]]
     '''
     for r in rows:
         top = a[r]
+        if scales[r] != prev:
+            d = scales[r]
+            top = a[r] = [x * prev // d for x in top]
         p = top[r]
         if p == 0 or (p < 0) == (prev < 0):
             return 0
         for i, row in enumerate(a):
-            if i != r:
-                f = row[r]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
+            f = row[r]
+            if f and i != r:
+                d = scales[i]
+                a[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+                scales[i] = p
+        scales[r] = prev = p
     return prev
 
 

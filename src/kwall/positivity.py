@@ -16,10 +16,16 @@ support, raises EngineError.
 
 So each walk runs on one fraction-free elimination (``lattice.pivot``) of
 the integer Gram matrix of the generators, bordered by the class or ray,
-and pivots each generator once, as it joins the support.  The pivot rows
-then hold the support coefficients, the other rows hold the pairings of P
-with the generators off the support (and, for a ray, the volume), and the
-pivot signs say whether the support is still negative definite.
+and pivots each generator once, as it joins the support.  Each row holds
+its value times its own scale, the last pivot that changed it: a step
+rewrites only the rows that meet the joining generator, and most
+generators are disjoint.  The pivot rows then hold the support
+coefficients, the other rows the pairings of P with the generators off the
+support (and, for a ray, the volume).  The chamber tests compare signs and
+ratios, so they read the sign of a row's scale; the volume rows are brought
+to the last pivot to read the quadratic, and a Zariski coefficient is read
+over its own row's scale.  The pivot signs say whether the support is
+still negative definite.
 
 A profile piece keeps the walk's integers: the volume quadratic as integer
 coefficients over one positive scale, and its ends as (numerator,
@@ -128,12 +134,13 @@ def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
     table = model.gen_table
     n = len(table.pairing)
     a = [[*row, x] for row, x in zip(table.pairing, table.pairings(xs))]
+    scales = [1] * n
     last, idx, violators = 1, [], []
     # violators come from outside the support and each pass that does not
     # end the walk adds one, so once the support holds every generator the
     # pass finds none
     while True:
-        last = pivot(a, violators, last)
+        last = pivot(a, scales, violators, last)
         idx += violators
         if not last:
             # the accumulated support left the negative definite cone, which
@@ -141,14 +148,13 @@ def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
             raise NotPseudoEffective(
                 f'{model.name}: support walk left the negative definite '
                 f'cone at {[model.gen_names[i] for i in idx]}')
-        # with det = |last| and s its sign, d - sum_s a_s C_s has the
-        # coefficients a_s = den s a[s][n] / (det dx) on the support, and
-        # s a[j][n] is det den dg dx times its pairing with C_j off it
-        s = 1 if last > 0 else -1
-        violators = [j for j in range(n) if j not in idx and s * a[j][n] < 0]
+        # with d_i = scales[i], d - sum_s a_s C_s has the coefficients
+        # a_s = den a[s][n] / (d_s dx) on the support, and a[j][n] is d_j
+        # den dg dx times its pairing with C_j off it
+        violators = [j for j in range(n) if j not in idx and a[j][n] * scales[j] < 0]
         if not violators:
             break
-    coeffs = [Fraction(table.den * s * a[i][n], abs(last) * dx) for i in idx]
+    coeffs = [Fraction(table.den * a[i][n], scales[i] * dx) for i in idx]
     support = tuple([model.gen_names[i] for i in idx])
     p = combination(model.lattice, [(1, d), *[(-c, model.gen(name))
                                               for c, name in zip(coeffs, support)]])
@@ -321,29 +327,28 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
     n = len(names)
     a = [[*row, x, y] for row, x, y in zip(table.pairing, po, pv)]
     a += [[*po, oo, ov], [*pv, ov, vv]]
+    scales = [1] * (n + 2)
     t0 = (0, 1)
     last, idx, joining, free = 1, [], [], range(n)
     pieces: list[QuadraticPiece] = []
     # each pass grows the support, returns or raises: at most len(mori_gens) + 1
     while True:
-        last = pivot(a, joining, last)
+        last = pivot(a, scales, joining, last)
         idx += joining
         free = [j for j in free if j not in joining]
         if not last:
             raise ConfigurationError(f'{model.name}: support '
                                      f'{[names[i] for i in idx]} is not negative definite')
         # P(t) = u + t v on this chamber, with u = origin - sum a0_s C_s and
-        # v = v0 - sum a1_s C_s orthogonal to the support.  With det = |last|
-        # and s its sign, (a0, a1) = den (y0, y1) / (det dx) for
-        # (y0, y1) = s (a[i][n], a[i][n + 1]) on the support, and
-        # s (a[j][n], a[j][n + 1]) off it are u.C_j and v.C_j over
-        # det den dg dx
-        s = 1 if last > 0 else -1
+        # v = v0 - sum a1_s C_s orthogonal to the support.  With d_i =
+        # scales[i], (a0, a1) = den (a[i][n], a[i][n + 1]) / (d_i dx) on the
+        # support, and (a[j][n], a[j][n + 1]) off it are u.C_j and v.C_j
+        # times d_j den dg dx: only the sign of d_j matters to these tests
         p, q = t0
         immediate, t_end, joiners = [], None, []
         for j in free:
             row = a[j]
-            u, v = s * row[n], s * row[n + 1]
+            u, v = (row[n], row[n + 1]) if scales[j] > 0 else (-row[n], -row[n + 1])
             at_t0 = u * q + p * v
             if at_t0 < 0 or (at_t0 == 0 and v < 0):
                 immediate.append(j)
@@ -358,16 +363,18 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
             joining = immediate
             continue
 
-        # vol(t) = P(t).P(t) = (k0 + k1 t + k2 t^2) / (det dg dx^2)
-        k = (s * a[n][n], 2 * s * a[n][n + 1], s * a[n + 1][n + 1])
-        scale = abs(last) * dg * dx * dx
+        # vol(t) = P(t).P(t) = (k0 + k1 t + k2 t^2) / (det dg dx^2) with
+        # det = |last|: the two volume rows brought to det
+        det, d0, d1 = abs(last), scales[n], scales[n + 1]
+        k = (det * a[n][n] // d0, 2 * (det * a[n][n + 1] // d0), det * a[n + 1][n + 1] // d1)
+        scale = det * dg * dx * dx
         root = _min_root_after(k, scale, t0, t_end)
         t_hi = t_end if root is None else root
         if t_hi is None:
             raise EngineError(f'{model.name}: volume never vanishes along the ray')
         support = tuple([names[i] for i in idx])
         # coefficients are affine in t, so the two ends cover the whole piece
-        if any(s * (a[i][n] * tq + tp * a[i][n + 1]) < 0 for tp, tq in (t0, t_hi)
+        if any((a[i][n] * tq + tp * a[i][n + 1]) * scales[i] < 0 for tp, tq in (t0, t_hi)
                for i in idx):
             raise EngineError(
                 f'{model.name}: support {list(support)} shrinks on '

@@ -38,6 +38,24 @@ class ConfigurationError(EngineError):
     '''model data is internally inconsistent'''
 
 
+def _numerator_rows(mori_gens) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    '''(den, C): the generators' coordinates as integer rows C over their
+    least common denominator den'''
+    nums = [c.numerators for _, c in mori_gens]
+    den = lcm(*[d for d, _ in nums])
+    return den, tuple([tuple([x * (den // d) for x in xs]) for d, xs in nums])
+
+
+def _repeated(names: Sequence[str]) -> str | None:
+    '''the first name that appears a second time in names, if one does'''
+    return next((n for i, n in enumerate(names) if n in names[:i]), None)
+
+
+def _products(cs, cols) -> list[tuple[int, ...]]:
+    '''each row of cs paired with each of cols'''
+    return [tuple([sum(map(mul, c, col)) for col in cols]) for c in cs]
+
+
 class GeneratorTable(Frozen):
     '''
     the declared generators of a model compiled to integers
@@ -50,11 +68,44 @@ class GeneratorTable(Frozen):
         - ``rows`` -- R = C G, so gen_i . x = R[i] . xs / (den dg dx) for
           a class with coordinates xs / dx
         - ``pairing`` -- M = R C^T, so gen_i . gen_j = M[i][j] / (den^2 dg)
+
+    A base model's table is built by these two dense products; a blow-up
+    extension's is bordered from its base's (``bordered``).
     '''
 
     def __init__(self, den: int, gens: tuple[tuple[int, ...], ...],
                  rows: tuple[tuple[int, ...], ...], pairing: tuple[tuple[int, ...], ...]):
         vars(self).update(den=den, gens=gens, rows=rows, pairing=pairing)
+
+    def bordered(self, lam: int, lattice: IntersectionLattice, mori_gens) -> 'GeneratorTable':
+        '''
+        the table of a blow-up extension of this table's model
+
+        ``lattice`` is the base lattice bordered by e, with scaled Gram
+        matrix G' / dE: its base block is lam G for lam = dE / dg, an
+        integer because G / dg is in lowest terms, and its last diagonal
+        entry is eps = -dE / (a b).  ``mori_gens`` are the base generators
+        in their order, each with its e-coordinate appended, then e and the
+        extra curves.  With den' their common denominator, kappa = den' /
+        den and mu_i the e-numerator of base generator i, the base
+        generators' numerators are (kappa C_i, mu_i), so
+
+            R'_i = (kappa lam R_i, mu_i eps)
+            M'_ij = kappa^2 lam M_ij + mu_i mu_j eps
+
+        and the rows of e and of the extra curves are products against G'.
+        '''
+        den, cs = _numerator_rows(mori_gens)
+        _, gram = lattice.scaled_gram
+        eps, b, kappa = gram[-1][-1], len(self.gens), den // self.den
+        mus, new = [c[-1] for c in cs[:b]], cs[b:]
+        kl, k2l = kappa * lam, kappa * kappa * lam
+        rows = [(*[kl * x for x in row], mu * eps) for row, mu in zip(self.rows, mus)]
+        rows += _products(new, list(zip(*gram)))
+        pairing = [(*[k2l * x + mu * nu * eps for x, nu in zip(m, mus)], *new_cols)
+                   for m, mu, new_cols in zip(self.pairing, mus, _products(rows[:b], new))]
+        pairing += _products(rows[b:], cs)
+        return GeneratorTable(den, cs, tuple(rows), tuple(pairing))
 
     def pairings(self, xs: Sequence[int]) -> list[int]:
         '''R xs: every generator paired with a class of numerators xs'''
@@ -92,7 +143,7 @@ class SurfaceModel(Frozen):
                 self.k_discrepancies)
 
     def __eq__(self, other):
-        if type(other) is not SurfaceModel:
+        if not isinstance(other, SurfaceModel):
             return NotImplemented
         return self._key() == other._key()
 
@@ -117,14 +168,9 @@ class SurfaceModel(Frozen):
     @cached_property
     def gen_table(self) -> GeneratorTable:
         '''the generators as integer rows and their pairing matrix'''
-        _, gram = self.lattice.scaled_gram
-        nums = [c.numerators for _, c in self.mori_gens]
-        den = lcm(*[d for d, _ in nums])
-        cs = tuple([tuple([x * (den // d) for x in xs]) for d, xs in nums])
-        cols = list(zip(*gram))
-        rows = tuple([tuple([sum(map(mul, c, col)) for col in cols]) for c in cs])
-        return GeneratorTable(den, cs, rows, tuple([tuple([sum(map(mul, r, c)) for c in cs])
-                                                    for r in rows]))
+        den, cs = _numerator_rows(self.mori_gens)
+        rows = _products(cs, list(zip(*self.lattice.scaled_gram[1])))
+        return GeneratorTable(den, cs, tuple(rows), tuple(_products(rows, cs)))
 
     @cached_property
     def _contracted_gram(self) -> list[list[int]] | None:
@@ -133,7 +179,7 @@ class SurfaceModel(Frozen):
         m = self.gen_table.pairing
         idx = [self.gen_index[n] for n in self.contracted]
         gram = [[m[i][j] for j in idx] for i in idx]
-        return gram if pivot([list(row) for row in gram], range(len(idx))) else None
+        return gram if pivot([list(row) for row in gram], [1] * len(idx), range(len(idx))) else None
 
     @cached_property
     def _extensions(self) -> dict:
@@ -188,6 +234,9 @@ class SurfaceModel(Frozen):
         rep = validate_lattice(self.lattice)
         out.extend(f'{self.name}: {f}' for f in rep.failures)
         known = set(self.gen_names)
+        twice = _repeated(self.gen_names)
+        if twice is not None:
+            out.append(f'{self.name}: generator name {twice!r} is used twice')
         for n in self.contracted:
             if n not in known:
                 out.append(f'{self.name}: contracted curve {n!r} is not a declared generator')
@@ -230,6 +279,24 @@ class SurfaceModel(Frozen):
         return self
 
 
+class ExtensionModel(SurfaceModel):
+    '''
+    a blow-up extension viewed as a SurfaceModel, whose generator table is
+    bordered from its base model's (``GeneratorTable.bordered``)
+
+    It keeps the base's table and lam = dE / dg, not the base model: the
+    base keeps its extensions, so that would make a reference cycle.
+    '''
+
+    def __init__(self, base_table: GeneratorTable, lam: int, **fields):
+        super().__init__(**fields)
+        vars(self).update(base_table=base_table, lam=lam)
+
+    @cached_property
+    def gen_table(self) -> GeneratorTable:
+        return self.base_table.bordered(self.lam, self.lattice, self.mori_gens)
+
+
 def _contraction_solve(model: SurfaceModel, dx: int, xs: Sequence[int]):
     '''(det, ys) with det > 0: the contracted curve s has coefficient
     den ys[s] / (det dx) in the Weil pullback of the class xs / dx; the
@@ -240,8 +307,10 @@ def _contraction_solve(model: SurfaceModel, dx: int, xs: Sequence[int]):
             f'{model.name}: support {list(model.contracted)} is not negative definite')
     ps = model.gen_table.pairings(xs)
     a = [[*row, -ps[model.gen_index[n]]] for row, n in zip(gram, model.contracted)]
-    last = pivot(a, range(len(a)))
-    return abs(last), [row[-1] if last > 0 else -row[-1] for row in a]
+    scales = [1] * len(a)
+    det = abs(pivot(a, scales, range(len(a))))
+    # each row brought to det: row s holds scales[s] times its solution
+    return det, [det * row[-1] // d for row, d in zip(a, scales)]
 
 
 def contraction_orders(model: SurfaceModel, d: DivClass) -> Mapping[str, Fraction]:
@@ -327,11 +396,15 @@ class BlowupCenter(Frozen):
             raise ConfigurationError(f'weights {list(weights)} are not two integers')
         if not isinstance(exc_name, str):
             raise ConfigurationError(f'exceptional divisor name {exc_name!r} is not a string')
+        extra = tuple((n, tuple([rational(x) for x in v])) for n, v in extra_mori)
+        for n, _ in extra:
+            if not isinstance(n, str):
+                raise ConfigurationError(f'extra generator name {n!r} is not a string')
         return cls(
             tuple(weights),
             exc_name,
             tuple((n, rational(m)) for n, m in (through.items() if isinstance(through, dict) else through)),
-            tuple((n, tuple([rational(x) for x in v])) for n, v in extra_mori),
+            extra,
         )
 
 
@@ -364,19 +437,28 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupEx
     The new basis vector e satisfies e.e = -1/(a b) and is orthogonal to the
     pulled-back base lattice, so pullback is an isometry onto the complement
     of e. A base generator C listed in ``through`` with ord m transforms to
-    pull(C) - m e; the exceptional e joins the generator list.
+    pull(C) - m e; the exceptional e joins the generator list, then the
+    declared extra curves.  Every generator name must differ from the
+    others, since the extension's generator table, bordered from the
+    base's on first use, reads its rows by position.
     '''
     a, b = center.weights
     if a < 1 or b < 1 or gcd(a, b) != 1:
         raise ConfigurationError(f'weights {center.weights} are not coprime positive integers')
     if center.exc_name in base.lattice.names:
         raise ConfigurationError(f'name {center.exc_name!r} already used in the base lattice')
+    twice = _repeated([n for n, _ in center.through])
+    if twice is not None:
+        raise ConfigurationError(f'through-curve {twice!r} is listed twice')
     through = dict(center.through)
     unknown = set(through) - set(base.gen_names)
     if unknown:
         raise ConfigurationError(f'through-curves {sorted(unknown)} are not declared generators')
     if any(m < 0 for m in through.values()):
         raise ConfigurationError('negative multiplicity in center data')
+    twice = _repeated([*base.gen_names, center.exc_name, *[n for n, _ in center.extra_mori]])
+    if twice is not None:
+        raise ConfigurationError(f'generator name {twice!r} is used twice on the extension')
 
     # the base Gram matrix bordered by e.e = -1/(a b), over the least
     # common denominator dn of both
@@ -414,7 +496,8 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupEx
             raise ConfigurationError(f'extra generator {n} has wrong length')
         gens.append((n, lat.div(v)))
 
-    model = SurfaceModel(
+    model = ExtensionModel(
+        table, lat.scaled_gram[0] // dg,
         name=f'{base.name}^{center.exc_name}({a},{b})',
         lattice=lat,
         canonical=canonical,

@@ -228,10 +228,10 @@ def test_a_fresh_decode_starts_cold(monkeypatch):
     calls = []
     real = kwall.positivity.pivot
 
-    def counted(a, rows, prev=1):
+    def counted(a, scales, rows, prev=1):
         rows = list(rows)
         calls.extend(rows)
-        return real(a, rows, prev)
+        return real(a, scales, rows, prev)
 
     monkeypatch.setattr(kwall.positivity, 'pivot', counted)
 
@@ -239,6 +239,12 @@ def test_a_fresh_decode_starts_cold(monkeypatch):
         kwall.catalog._load_resolved.cache_clear()
         cat = load_catalog()
         state = _cache_state(cat)
+        # an extension's generator table is bordered on its first use
+        extensions = {id(v.model): v.model for f in cat.fixtures
+                      for v in (f.valuation, *f.equivariant)
+                      if isinstance(v.ambient, BlowupExtension)}
+        assert len(extensions) == 10
+        assert not any('gen_table' in vars(m) for m in extensions.values())
         before = len(calls)
         for f in cat.fixtures:
             beta(f.pair, f.valuation)

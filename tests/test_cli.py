@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kwall.catalog
 import kwall.cli
@@ -232,6 +232,14 @@ def _display_weight_is_a_string(doc):
     d['weights'][0] = str(d['weights'][0])
 
 
+def _extra_mori_name(name):
+    '''catalog edit: rename the first extra curve of Xprime/D_13_41/E'''
+    def edit(doc):
+        f = next(f for f in doc['fixtures'] if f['id'] == 'Xprime/D_13_41/E')
+        f['valuation']['center']['extra_mori'][0][0] = name
+    return edit
+
+
 def _blowup(**center):
     '''the pair PAIR_DOC and a blow-up valuation with the given center'''
     return PAIR_DOC, {'kind': 'blowup', 'center': center}
@@ -293,6 +301,15 @@ def _blowup(**center):
      'configuration error: bad surface document: basis entry 0 is not a string'),
     (lambda doc: doc['surfaces'][0]['mori'][0].__setitem__('name', 1), ('surface', 'show', 'p2'),
      'configuration error: bad surface document: generator name 1 is not a string'),
+    (_extra_mori_name(7), ('profile', 'Xprime/D_13_41/E'),
+     'configuration error: extra generator name 7 is not a string'),
+    (None, (PAIR_DOC, {'kind': 'class', 'name': 5, 'class': [1, 0, 0, 0, 0],
+                       'a_x': '1', 'ord_b': '0'}),
+     'catalog error: valuation document is malformed: valuation name 5 is not a string'),
+    (_extra_mori_name('line12'), ('profile', 'Xprime/D_13_41/E'),
+     "configuration error: generator name 'line12' is used twice on the extension"),
+    (_extra_mori_name('e'), ('profile', 'Xprime/D_13_41/E'),
+     "configuration error: generator name 'e' is used twice on the extension"),
 ], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
         'boundary-is-a-string', 'boundary-part-is-a-number',
         'expected-is-a-string', 'valuation-is-a-number', 'display-is-a-boolean',
@@ -304,7 +321,9 @@ def _blowup(**center):
         'gram-entry-has-an-exponent', 'pair-multiplicity-has-an-exponent',
         'blowup-weight-is-a-float', 'blowup-weights-are-strings', 'blowup-weight-is-a-boolean',
         'blowup-exc-name-is-a-number', 'display-weight-is-a-string', 'basis-holds-a-number',
-        'generator-name-is-a-number'])
+        'generator-name-is-a-number', 'extra-mori-name-is-a-number',
+        'valuation-name-is-a-number', 'extra-mori-name-repeats-a-generator',
+        'extra-mori-name-repeats-the-exceptional-name'])
 def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,
                                             monkeypatch, capsys):
     if edit is not None:
@@ -364,6 +383,69 @@ def test_malformed_catalogs_keep_the_exit_code_contract(edit):
         # the first surface as the edited catalog names it, if it does
         first = str(doc['surfaces'][0].get('name'))
         for argv in (['fixtures', 'list'], ['surface', 'show', first]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3, 4)
+            assert 'Traceback' not in err.getvalue()
+            if code == 0:
+                assert out.getvalue().count(f'# kwall {" ".join(argv)}\n') == 1
+                assert out.getvalue().endswith('status: ok\n')
+
+
+# the fixtures whose valuation blows up a point, and the names a blow-up may
+# collide with: the surface's generator and basis names, and e
+BLOWUP_FIXTURES = [i for i, f in enumerate(SHIPPED['fixtures'])
+                   if f['valuation']['kind'] == 'blowup']
+SURFACE_NAMES = {s['name']: [*[g['name'] for g in s['mori']], *s['basis'], 'e']
+                 for s in SHIPPED['surfaces']}
+
+
+XPRIME = next(i for i, f in enumerate(SHIPPED['fixtures']) if f['id'] == 'Xprime/D_13_41/E')
+
+
+@st.composite
+def blowup_edits(draw):
+    '''(fixture, field, entry, value): give the name of one blow-up
+    valuation, its center's exc_name or extra_mori list, or one extra_mori
+    entry or entry name, a JSON value of any type or a name already in use'''
+    i = draw(st.sampled_from(BLOWUP_FIXTURES))
+    field = draw(st.sampled_from(['name', 'exc_name', 'extra_mori', 'entry', 'entry name']))
+    value = draw(JSON_VALUES | st.sampled_from(SURFACE_NAMES[SHIPPED['fixtures'][i]['surface']]))
+    return i, field, draw(st.integers(0, 2)), value
+
+
+@settings(max_examples=50, deadline=None)
+@given(edit=blowup_edits())
+# the extra curve l1-strict joins the support of the profile's last chamber
+@example(edit=(XPRIME, 'entry name', 0, 7))
+@example(edit=(XPRIME, 'entry name', 0, 'line12'))
+@example(edit=(XPRIME, 'name', 0, 5))
+def test_malformed_blowup_valuations_keep_the_exit_code_contract(edit):
+    '''``fixtures list`` and ``kwall profile`` of the edited fixture exit
+    0, 2, 3 or 4, and never with a traceback'''
+    i, field, j, value = edit
+    doc = copy.deepcopy(SHIPPED)
+    f = doc['fixtures'][i]
+    v, center = f['valuation'], f['valuation']['center']
+    if field == 'name':
+        v['name'] = value
+    elif field in ('exc_name', 'extra_mori'):
+        center[field] = value
+    else:
+        extra = center.setdefault('extra_mori', [])
+        if not extra:
+            rank = len(next(s for s in doc['surfaces'] if s['name'] == f['surface'])['basis'])
+            extra.append(['x', ['0'] * rank + ['1']])
+        if field == 'entry':
+            extra[j % len(extra)] = value
+        else:
+            extra[j % len(extra)][0] = value
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / 'catalog.json'
+        path.write_text(json.dumps(doc))
+        mp.setenv('KWALL_CATALOG', str(path))
+        for argv in (['fixtures', 'list'], ['profile', f['id']]):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)

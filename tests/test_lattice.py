@@ -256,12 +256,18 @@ def test_bareiss_matches_solve_linear(data):
 @example(([-1, 0, -2], [0] * 9, [[0, 0]] * 3, [0, 1, 2], 3))
 @example(([-1, -1], [0, 0, 2, 0], [[1, 0], [0, 1]], [1, 0], 2))
 @example(([-1, 0, -2], [0, 0, 0, 1, 0, 0, 0, 0, 0], [[0, 1], [2, 0], [1, 1]], [1, 2, 0], 3))
+# two 2 x 2 blocks and a 1 x 1 block: row 1 is skipped by the pivot on 2,
+# then brought to that pivot's scale when it is pivoted itself, and row 4
+# meets no pivot at all
+@example(([-1, -1, -2, -1, -1], [0] * 5 + [2] + [0] * 11 + [1] + [0] * 7,
+          [[1, 0], [0, 1], [1, 1], [2, 0], [1, -1]], [0, 2, 1, 3, 4], 3))
 def test_pivot_solves_and_decides_negative_definiteness(data):
     '''on L D L^T with L unit lower triangular, bordered by two columns,
-    pivoting a set P in a random order leaves det S_PP times the solution
-    in the pivot rows and times the Schur complement in every other row,
-    and returns 0 exactly when S_PP is not negative definite: when P is
-    everything, exactly when D is not'''
+    pivoting a set P in a random order leaves each row's scale times the
+    solution in the pivot rows and times the Schur complement in every
+    other row, never rewrites a row whose entries in the pivot columns are
+    zero, and returns det S_PP, or 0 exactly when S_PP is not negative
+    definite: when P is everything, exactly when D is not'''
     diag, fill, border, order, k = data
     n = len(diag)
     low = [[1 if i == j else (fill[i * n + j] if j < i else 0) for j in range(n)]
@@ -269,9 +275,10 @@ def test_pivot_solves_and_decides_negative_definiteness(data):
     m = [[sum(low[i][l] * diag[l] * low[j][l] for l in range(n)) for j in range(n)]
          for i in range(n)]
     a = [[*row, *b] for row, b in zip(m, border)]
+    before, scales = list(a), [1] * n
     ps = order[:k]
     block = [[m[i][j] for j in ps] for i in ps]
-    last = pivot(a, ps)
+    last = pivot(a, scales, ps)
     assert (last != 0) == is_negative_definite([[F(x) for x in row] for row in block])
     if k == n:
         assert (last != 0) == all(d < 0 for d in diag)
@@ -283,12 +290,14 @@ def test_pivot_solves_and_decides_negative_definiteness(data):
     xs = solve_linear([[F(x) for x in row] for row in block],
                       [tuple([F(full[i][c]) for c in rest]) for i in ps])
     for i, x in zip(ps, xs):
-        assert [a[i][c] for c in rest] == [last * y for y in x]
+        assert [a[i][c] for c in rest] == [scales[i] * y for y in x]
     for j in range(n):
         if j not in ps:
             schur = [full[j][c] - sum(full[j][i] * x[s] for i, x in zip(ps, xs))
                      for s, c in enumerate(rest)]
-            assert [a[j][c] for c in rest] == [last * y for y in schur]
+            assert [a[j][c] for c in rest] == [scales[j] * y for y in schur]
+            if not any(m[j][i] for i in ps):
+                assert a[j] is before[j] and scales[j] == 1
 
 
 def test_rational_rejects_a_zero_denominator():

@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from kwall.catalog import load_catalog
 from kwall.lattice import IntersectionLattice, pair
 from kwall.surface import (
     BlowupCenter,
+    BlowupExtension,
     ConfigurationError,
+    ExtensionModel,
     SurfaceModel,
     build_blowup_extension,
     contraction_orders,
@@ -183,13 +188,83 @@ def test_extension_rejects_bad_input():
             (BlowupCenter.make(through={'nope': 1}),
              "through-curves ['nope'] are not declared generators"),
             (BlowupCenter.make(through={'line12': -1}), 'negative multiplicity in center data'),
+            (BlowupCenter.make(through=(('line12', 1), ('line12', F(1, 2)))),
+             "through-curve 'line12' is listed twice"),
             # a (-1)-curve cannot have a triple point
             (BlowupCenter.make(through={'line12': 3}),
              'ord 3 along exc is inconsistent for curve line12'),
-            (BlowupCenter.make(extra_mori=(('x', (1, 0)),)), 'extra generator x has wrong length')]:
+            (BlowupCenter.make(extra_mori=(('x', (1, 0)),)), 'extra generator x has wrong length'),
+            # a generator's name is its row in the generator table
+            (BlowupCenter.make(extra_mori=(('line12', (0,) * 6),)),
+             "generator name 'line12' is used twice on the extension"),
+            (BlowupCenter.make(exc_name='exc1'),
+             "generator name 'exc1' is used twice on the extension"),
+            (BlowupCenter.make(extra_mori=(('x', (0,) * 6),) * 2),
+             "generator name 'x' is used twice on the extension")]:
         with pytest.raises(ConfigurationError) as err:
             build_blowup_extension(base, center)
         assert str(err.value) == message
+
+
+def _dense(model):
+    '''(den, C, R, M) of a model's generators by the dense products R = C G
+    and M = R C^T, for C / den the generators and G / dg the Gram matrix'''
+    _, gram = model.lattice.scaled_gram
+    nums = [c.numerators for _, c in model.mori_gens]
+    den = lcm(*[d for d, _ in nums])
+    cs = [[x * (den // d) for x in xs] for d, xs in nums]
+    rows = [[sum(x * g for x, g in zip(c, col)) for col in zip(*gram)] for c in cs]
+    return den, cs, rows, [[sum(x * y for x, y in zip(r, c)) for c in cs] for r in rows]
+
+
+def _table(model):
+    t = model.gen_table
+    return t.den, [list(c) for c in t.gens], [list(r) for r in t.rows], [list(m) for m in t.pairing]
+
+
+def test_catalog_extension_tables_equal_the_dense_products():
+    cat = load_catalog()
+    models = {id(v.model): v.model for f in cat.fixtures for v in (f.valuation, *f.equivariant)
+              if isinstance(v.ambient, BlowupExtension)}
+    assert len(models) == 10
+    for m in models.values():
+        assert isinstance(m, ExtensionModel)
+        assert _table(m) == _dense(m), m.name
+
+
+WEIGHTS = [(a, b) for a in range(1, 4) for b in range(1, 4) if gcd(a, b) == 1]
+
+
+@st.composite
+def centers(draw):
+    '''a catalog surface and a center on it: coprime weights up to 3,
+    multiplicities in halves along up to three generators, and up to two
+    extra curves with rational coordinates'''
+    base = draw(st.sampled_from(load_catalog().surfaces))
+    through = draw(st.dictionaries(st.sampled_from(base.gen_names),
+                                   st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)]),
+                                   max_size=3))
+    r = base.lattice.rank + 1
+    coord = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    extra = draw(st.lists(st.lists(coord, min_size=r, max_size=r), max_size=2))
+    return base, BlowupCenter.make(weights=draw(st.sampled_from(WEIGHTS)), exc_name='new-e',
+                                   through=through,
+                                   extra_mori=[(f'new-{i}', v) for i, v in enumerate(extra)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(centers())
+def test_bordered_extension_tables_equal_the_dense_products(drawn):
+    '''an extension's table, bordered from its base's, is the table the
+    dense products give on the extension's own lattice and generators'''
+    base, center = drawn
+    try:
+        ext = build_blowup_extension(base, center)
+    except ConfigurationError as exc:
+        # a multiplicity that the genus of an integral curve does not allow
+        assert 'is inconsistent for curve' in str(exc)
+        assume(False)
+    assert _table(ext.model) == _dense(ext.model)
 
 
 def test_extension_center_on_contracted_curve():
@@ -250,6 +325,8 @@ REFUSED_MODELS = [
     (lambda: _extended(make_sigma5(), 'sigma5', (('twice', make_sigma5().lattice.div((0, 2, 0, 0, 0))),)),
      ('sigma5: generator twice fails adjunction (C.C + K.C = -6)',)),
     (make_p2_at_nine_points, ('p2_9: anticanonical degree 0 is not positive',)),
+    (lambda: _extended(make_sigma5(), 'sigma5', (('exc1', make_sigma5().lattice.basis('e1')),)),
+     ("sigma5: generator name 'exc1' is used twice",)),
     (lambda: _extended(make_xq(), 'xq', contracted=('exc1', 'ray2')),
      ('xq: contracted curves are not negative definite',
       'xq: pull(K) not orthogonal to contracted curve exc1',
@@ -259,7 +336,8 @@ REFUSED_MODELS = [
 
 @pytest.mark.parametrize('build, failures', REFUSED_MODELS,
                          ids=['pullback-not-orthogonal', 'neither-negative', 'adjunction',
-                              'degree-not-positive', 'contraction-not-definite'])
+                              'degree-not-positive', 'generator-name-twice',
+                              'contraction-not-definite'])
 def test_model_refusals_name_the_failed_check(build, failures):
     m = build()
     assert m.failures() == failures
