@@ -196,6 +196,9 @@ def _decode_part(model: SurfaceModel, doc):
         return doc['gen'], mult
     cls = model.lattice.div(doc['class'])
     if 'label' in doc:
+        # LogPair.make would read a (number, class) pair as coordinates
+        if not isinstance(doc['label'], str):
+            raise CatalogError(f'{model.name}: boundary label {doc["label"]!r} is not a string')
         return (doc['label'], cls), mult
     return cls, mult
 

@@ -361,6 +361,10 @@ def signature(rows: Sequence[Sequence[int | Fraction]]) -> tuple[int, int, int]:
     the sign of each Gaussian pivot is the sign of the ratio of two
     successive Bareiss pivots.
 
+    It stays separate from ``pivot``: ``validate_lattice`` reports the full
+    inertia, so a zero pivot is stepped over here, where ``pivot`` stops at
+    the first pivot that breaks negative definiteness.
+
     TESTS:
         >>> signature([[Fraction(-2), Fraction(1)], [Fraction(1), Fraction(0)]])
         (1, 1, 0)
@@ -397,11 +401,6 @@ def signature(rows: Sequence[Sequence[int | Fraction]]) -> tuple[int, int, int]:
                 row[j] = (p * row[j] - f * a[k][j]) // prev
         prev = p
     return pos, neg, zero
-
-
-def is_negative_definite(rows: Sequence[Sequence[Fraction]]) -> bool:
-    n = len(rows)
-    return signature(rows) == (0, n, 0)
 
 
 def validate_lattice(lat: IntersectionLattice) -> LatticeReport:

@@ -45,8 +45,6 @@ from .lattice import (
     DivClass,
     EngineError,
     Frozen,
-    combination,
-    is_negative_definite,
     pair,
     pivot,
     rational_str,
@@ -89,35 +87,11 @@ def is_nef(model: SurfaceModel, d: DivClass) -> NefReport:
 
 
 class ZariskiResult(Frozen):
-    '''decomposition divisor = positive + sum of negative_support'''
+    '''Zariski decomposition D = positive + sum of a C over the (name, a) of
+    negative_support'''
 
-    def __init__(self, model: SurfaceModel, divisor: DivClass, positive: DivClass,
-                 negative_support: tuple[tuple[str, Fraction], ...]):
-        vars(self).update(model=model, divisor=divisor, positive=positive,
-                          negative_support=negative_support)
-
-    @property
-    def negative(self) -> DivClass:
-        return combination(self.model.lattice,
-                           [(a, self.model.gen(n)) for n, a in self.negative_support])
-
-    def failures(self) -> tuple[str, ...]:
-        out: list[str] = []
-        if self.positive + self.negative != self.divisor:
-            out.append('P + N does not reconstruct the input')
-        for n, a in self.negative_support:
-            if a < 0:
-                out.append(f'negative coefficient {a} on {n}')
-            if pair(self.positive, self.model.gen(n)) != 0:
-                out.append(f'P not orthogonal to support curve {n}')
-        rep = is_nef(self.model, self.positive)
-        if not rep:
-            out.append(f'P is not nef (witness {rep.witness})')
-        cs = [self.model.gen(n) for n, _ in self.negative_support]
-        gram = [[pair(a, b) for b in cs] for a in cs]
-        if cs and not is_negative_definite(gram):
-            out.append('support Gram matrix is not negative definite')
-        return tuple(out)
+    def __init__(self, positive: DivClass, negative_support: tuple[tuple[str, Fraction], ...]):
+        vars(self).update(positive=positive, negative_support=negative_support)
 
 
 def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
@@ -126,7 +100,10 @@ def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
 
     Walks the Zariski chambers: any generator pairing negatively with the
     current candidate P joins the support, and the loop stops once P clears
-    every generator.
+    every generator.  A support that leaves the negative definite cone means
+    d is not pseudo-effective (NotPseudoEffective).  The result is then
+    certified in integers; a failed certificate is an engine fault or a
+    generator list that is not a set of curves, and raises EngineError.
     '''
     if d.lattice != model.lattice:
         raise ValueError('class does not live on the model lattice')
@@ -154,15 +131,25 @@ def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
         violators = [j for j in range(n) if j not in idx and a[j][n] * scales[j] < 0]
         if not violators:
             break
+    # the certificate, read off the table rather than the elimination: with
+    # m = lcm(d_s), P = d - sum a_s C_s has numerators ps over m dx, and one
+    # product R ps gives every P.C_j times den dg m dx.  It must be 0 on the
+    # support and >= 0 off it, and every coefficient positive; the pivot
+    # signs above already certify that the support is negative definite
+    m = math.lcm(*[scales[i] for i in idx])
+    ps = [m * x for x in xs]
+    for i in idx:
+        f = m // scales[i] * a[i][n]
+        ps = [x - f * g for x, g in zip(ps, table.gens[i])]
+    pc = table.pairings(ps)
+    bad = [j for j in idx if pc[j] or a[j][n] * scales[j] <= 0]
+    bad += [j for j in range(n) if j not in idx and pc[j] < 0]
+    if bad:
+        raise EngineError(f'{model.name}: the decomposition fails its certificate at '
+                          f'{[model.gen_names[j] for j in bad]}')
     coeffs = [Fraction(table.den * a[i][n], scales[i] * dx) for i in idx]
     support = tuple([model.gen_names[i] for i in idx])
-    p = combination(model.lattice, [(1, d), *[(-c, model.gen(name))
-                                              for c, name in zip(coeffs, support)]])
-    result = ZariskiResult(model, d, p, tuple(zip(support, coeffs)))
-    fails = result.failures()
-    if fails:
-        raise NotPseudoEffective(f'{model.name}: ' + '; '.join(fails))
-    return result
+    return ZariskiResult(DivClass(model.lattice, m * dx, ps), tuple(zip(support, coeffs)))
 
 
 class QuadraticPiece(Frozen):
@@ -200,10 +187,6 @@ class QuadraticPiece(Frozen):
         q0, q1, q2 = self.coeffs
         return q0 + q1 * t + q2 * t * t
 
-    def derivative(self, t) -> Fraction:
-        _, q1, q2 = self.coeffs
-        return q1 + 2 * q2 * t
-
 
 class VolumeProfile(Frozen):
     '''piecewise quadratic volume along a ray, valid on [0, tau]'''
@@ -218,32 +201,6 @@ class VolumeProfile(Frozen):
             if t <= p.t_hi:
                 return p.value(t)
         return self.pieces[-1].value(t)
-
-    def failures(self, degree: Optional[Fraction] = None) -> tuple[str, ...]:
-        out: list[str] = []
-        if not self.pieces:
-            return ('profile has no pieces',)
-        if self.pieces[0].t_lo != 0:
-            out.append('profile does not start at 0')
-        if self.pieces[-1].t_hi != self.tau:
-            out.append('last piece does not end at tau')
-        prev = None
-        for p in self.pieces:
-            if not p.t_lo < p.t_hi:
-                out.append(f'empty piece at {p.t_lo}')
-            if prev is not None:
-                if prev.t_hi != p.t_lo:
-                    out.append(f'gap between {prev.t_hi} and {p.t_lo}')
-                elif prev.value(p.t_lo) != p.value(p.t_lo):
-                    out.append(f'discontinuity at {p.t_lo}')
-            if p.derivative(p.t_lo) > 0 or p.derivative(p.t_hi) > 0:
-                out.append(f'volume increases on [{p.t_lo}, {p.t_hi}]')
-            prev = p
-        if self.pieces[-1].value(self.tau) != 0:
-            out.append('volume does not vanish at tau')
-        if degree is not None and self.pieces[0].value(Fraction(0)) != degree:
-            out.append('volume at 0 does not match the degree')
-        return tuple(out)
 
 
 def _min_root_after(k, scale: int, lo, hi):

@@ -8,6 +8,9 @@ enumerates every negative definite subset of the declared generators, solves
 the orthogonality system with a precomputed inverse, and keeps the subsets
 whose candidate P clears all invariants.  All surviving subsets must share
 one P.
+
+``profile_failures`` is the matching reference check on a volume profile,
+in plain Fraction arithmetic over its pieces.
 '''
 from fractions import Fraction
 from itertools import combinations
@@ -95,3 +98,41 @@ class ZariskiOracle:
         p0 = found[0][1]
         assert all(p == p0 for _, p in found), f'oracle ambiguous for {d}'
         return p0
+
+
+def _derivative(piece, t):
+    '''vol'(t) of one profile piece'''
+    _, q1, q2 = piece.coeffs
+    return q1 + 2 * q2 * t
+
+
+def profile_failures(profile, degree=None):
+    '''
+    what is wrong with a volume profile, read off its Fractions: the pieces
+    must tile [0, tau] without gaps, join continuously, never increase, and
+    vanish at tau; with ``degree``, the volume at 0 must equal it
+    '''
+    out = []
+    if not profile.pieces:
+        return ('profile has no pieces',)
+    if profile.pieces[0].t_lo != 0:
+        out.append('profile does not start at 0')
+    if profile.pieces[-1].t_hi != profile.tau:
+        out.append('last piece does not end at tau')
+    prev = None
+    for p in profile.pieces:
+        if not p.t_lo < p.t_hi:
+            out.append(f'empty piece at {p.t_lo}')
+        if prev is not None:
+            if prev.t_hi != p.t_lo:
+                out.append(f'gap between {prev.t_hi} and {p.t_lo}')
+            elif prev.value(p.t_lo) != p.value(p.t_lo):
+                out.append(f'discontinuity at {p.t_lo}')
+        if _derivative(p, p.t_lo) > 0 or _derivative(p, p.t_hi) > 0:
+            out.append(f'volume increases on [{p.t_lo}, {p.t_hi}]')
+        prev = p
+    if profile.pieces[-1].value(profile.tau) != 0:
+        out.append('volume does not vanish at tau')
+    if degree is not None and profile.pieces[0].value(Fraction(0)) != degree:
+        out.append('volume at 0 does not match the degree')
+    return tuple(out)

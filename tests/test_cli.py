@@ -310,6 +310,11 @@ def _blowup(**center):
      "configuration error: generator name 'line12' is used twice on the extension"),
     (_extra_mori_name('e'), ('profile', 'Xprime/D_13_41/E'),
      "configuration error: generator name 'e' is used twice on the extension"),
+    (lambda doc: doc['fixtures'][2]['boundary'][2].__setitem__('label', 5), None,
+     'catalog error: xn: boundary label 5 is not a string'),
+    (None, ({'surface': 'sigma5', 'boundary': [
+        {'label': 5, 'class': [1, 0, 0, 0, 0], 'mult': '1'}]}, 'exc1'),
+     'catalog error: sigma5: boundary label 5 is not a string'),
 ], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
         'boundary-is-a-string', 'boundary-part-is-a-number',
         'expected-is-a-string', 'valuation-is-a-number', 'display-is-a-boolean',
@@ -323,7 +328,8 @@ def _blowup(**center):
         'blowup-exc-name-is-a-number', 'display-weight-is-a-string', 'basis-holds-a-number',
         'generator-name-is-a-number', 'extra-mori-name-is-a-number',
         'valuation-name-is-a-number', 'extra-mori-name-repeats-a-generator',
-        'extra-mori-name-repeats-the-exceptional-name'])
+        'extra-mori-name-repeats-the-exceptional-name', 'boundary-label-is-a-number',
+        'pair-boundary-label-is-a-number'])
 def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,
                                             monkeypatch, capsys):
     if edit is not None:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import builders
-from oracle import ZariskiOracle, reference_pair
-from kwall.lattice import EngineError, IntersectionLattice, pair
+from oracle import ZariskiOracle, profile_failures, reference_pair
+from kwall.lattice import EngineError, IntersectionLattice, pair, signature
 from kwall.positivity import (
     NotPseudoEffective,
     QuadraticPiece,
@@ -22,7 +22,7 @@ from kwall.positivity import (
 )
 from kwall.catalog import load_catalog
 from kwall.stability import valuation_profile
-from kwall.surface import ConfigurationError, SurfaceModel
+from kwall.surface import ConfigurationError, GeneratorTable, SurfaceModel
 
 F = Fraction
 
@@ -34,7 +34,7 @@ PROFILES_DIGEST = 'e97e9e6ceee347423e31ef1dbd39598e7fc07bfc476325ec516e652730b6a
 def _ray(model, origin, direction, expected, tau, integral):
     prof = volume_profile(model, origin, direction)
     assert prof.tau == tau
-    assert prof.failures(degree=pair(origin, origin)) == ()
+    assert profile_failures(prof, degree=pair(origin, origin)) == ()
     got = [(p.t_lo, p.t_hi, p.coeffs, set(p.chamber_support)) for p in prof.pieces]
     assert got == [(F(a), F(b), tuple(F(x) for x in q), set(s))
                    for a, b, q, s in expected]
@@ -138,15 +138,39 @@ def test_x11_extension_along_exceptional():
 def test_zariski_known_negative_part():
     m = builders.sigma5()
     mk = -1 * m.canonical
-    res = zariski_decompose(m, mk - F(3, 2) * m.gen('line12'))
+    d = mk - F(3, 2) * m.gen('line12')
+    res = zariski_decompose(m, d)
     assert dict(res.negative_support) == {
         'exc1': F(1, 2), 'exc2': F(1, 2), 'line34': F(1, 2)}
-    assert res.failures() == ()
+    # the four facts of a Zariski decomposition, re-derived in Fractions:
+    # P + N = D, P orthogonal to the support, P nef, the support definite
+    support = [m.gen(n) for n, _ in res.negative_support]
+    negative = m.lattice.zero()
+    for n, a in res.negative_support:
+        negative = negative + a * m.gen(n)
+    assert res.positive + negative == d
+    assert [pair(res.positive, c) for c in support] == [0, 0, 0]
+    assert all(pair(res.positive, c) >= 0 for _, c in m.mori_gens)
+    assert signature([[pair(a, b) for b in support] for a in support]) == (0, 3, 0)
     res2 = zariski_decompose(m, mk - F(1, 2) * m.gen('line12'))
     assert res2.negative_support == ()
     assert res2.positive == mk - F(1, 2) * m.gen('line12')
     res3 = zariski_decompose(m, mk)
     assert res3.negative_support == () and res3.positive == mk
+
+
+def test_a_broken_certificate_is_an_engine_fault():
+    '''a generator table whose rows R disagree with its pairings M = R C^T:
+    the walk solves against M, the certificate pairs P through R, and the
+    mismatch is reported as an engine fault naming the surface and the
+    generator, not as a class outside the cone'''
+    m = builders.sigma5()
+    t = m.gen_table
+    rows = [list(r) for r in t.rows]
+    rows[m.gen_names.index('line34')][m.lattice.index('e1')] += 1
+    vars(m)['gen_table'] = GeneratorTable(t.den, t.gens, tuple(map(tuple, rows)), t.pairing)
+    assert _refusal(zariski_decompose, m, -1 * m.canonical - F(3, 2) * m.gen('line12')) == (
+        EngineError, "sigma5: the decomposition fails its certificate at ['line34']")
 
 
 def test_nef_reports():
@@ -327,7 +351,7 @@ def test_profiles_along_every_generator(make):
     deg = pair(o, o)
     for name, _ in m.mori_gens:
         prof = volume_profile(m, o, m.gen(name))
-        assert prof.failures(degree=deg) == ()
+        assert profile_failures(prof, degree=deg) == ()
         for k in range(8):
             t = prof.tau * k / 7
             p = zariski_decompose(m, o - t * m.gen(name)).positive
@@ -350,7 +374,7 @@ def test_random_ray_profiles_are_valid(data):
         return
     o = m.anticanonical_pullback
     prof = volume_profile(m, o, direction)
-    assert prof.failures(degree=pair(o, o)) == ()
+    assert profile_failures(prof, degree=pair(o, o)) == ()
     assert integrate_profile(prof) > 0
     mid = prof.tau / 2
     p = zariski_decompose(m, o - mid * direction).positive
