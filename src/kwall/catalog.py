@@ -20,6 +20,7 @@ import os
 from fractions import Fraction
 from math import gcd, lcm
 from functools import cached_property, lru_cache
+from itertools import count
 from pathlib import Path
 from typing import Optional
 
@@ -183,7 +184,7 @@ def _list_of(doc, key: str, kind: type) -> tuple:
 
 
 def _decode_affine(doc) -> AffineRatFn:
-    return AffineRatFn(rational(doc['const']), rational(doc['slope']))
+    return AffineRatFn(doc['const'], doc['slope'])
 
 
 def _decode_part(model: SurfaceModel, doc):
@@ -254,7 +255,8 @@ def _decode_display(doc) -> Display:
         weights=_list_of(doc, 'weights', int))
 
 
-def _decode_fixture(surfaces: dict, pairs: dict, doc) -> Fixture:
+def _decode_fixture(surfaces: dict, pairs: dict, doc, i: int) -> Fixture:
+    '''decode fixture number i of the catalog'''
     if not isinstance(doc['id'], str):
         raise CatalogError(f'fixture id {doc["id"]!r} is not a string')
     name = doc['surface']
@@ -267,7 +269,12 @@ def _decode_fixture(surfaces: dict, pairs: dict, doc) -> Fixture:
     boundary = doc.get('boundary', ())
     key = name, json.dumps(boundary, sort_keys=True)
     if key not in pairs:
-        pairs[key] = LogPair.make(model, tuple(_decode_part(model, p) for p in boundary))
+        try:
+            parts = tuple(_decode_part(model, p) for p in boundary)
+        except CatalogError as exc:
+            # the surface carries several fixtures: name the one at fault
+            raise CatalogError(f'fixture {i} {doc["id"]!r}: {exc}') from None
+        pairs[key] = LogPair.make(model, parts)
     pair = pairs[key]
     valuation = _decode_valuation(pair, doc['valuation'])
     display = doc.get('display')
@@ -337,8 +344,10 @@ def _load_resolved(path_str: str) -> Catalog:
     surfaces = _decode_each('surface', doc['surfaces'], surface_from_doc)
     index = {m.name: m for m in surfaces}
     pairs: dict = {}
+    # decode is called once per fixture in turn, so this counts their places
+    position = count()
     fixtures = _decode_each('fixture', doc['fixtures'],
-                            lambda d: _decode_fixture(index, pairs, d))
+                            lambda d: _decode_fixture(index, pairs, d, next(position)))
     seen = set()
     for f in fixtures:
         if f.id in seen:

@@ -481,8 +481,10 @@ def pivot(a: list[list[int]], scales: list[int], rows: Iterable[int], prev: int 
     in the rows of P and times the Schur complement a_jc - a_jP x in each
     other row j.  A step on r with last pivot ``prev`` brings row r to
     prev (x * prev // scales[r]), takes p = a[r][r], and rewrites each row
-    i with f = a[i][r] != 0 as (p * x - f * y) // scales[i] at scale p.  A
-    row with f = 0 keeps its value, so it is left as it is: the same list.
+    i with f = a[i][r] != 0 as (p * x - f * y) // scales[i] at scale p, or
+    as p * x - f * y while its scale is still 1, where the division would
+    change nothing.  A row with f = 0 keeps its value, so it is left as it
+    is: the same list.
 
     The k-th pivot is the k-th leading principal minor of S in pivot order,
     so S_PP is negative definite iff the pivots alternate in sign from a
@@ -510,7 +512,10 @@ def pivot(a: list[list[int]], scales: list[int], rows: Iterable[int], prev: int 
             f = row[r]
             if f and i != r:
                 d = scales[i]
-                a[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+                if d == 1:
+                    a[i] = [p * x - f * y for x, y in zip(row, top)]
+                else:
+                    a[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
                 scales[i] = p
         scales[r] = prev = p
     return prev

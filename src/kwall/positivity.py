@@ -21,11 +21,11 @@ its value times its own scale, the last pivot that changed it: a step
 rewrites only the rows that meet the joining generator, and most
 generators are disjoint.  The pivot rows then hold the support
 coefficients, the other rows the pairings of P with the generators off the
-support (and, for a ray, the volume).  The chamber tests compare signs and
-ratios, so they read the sign of a row's scale; the volume rows are brought
-to the last pivot to read the quadratic, and a Zariski coefficient is read
-over its own row's scale.  The pivot signs say whether the support is
-still negative definite.
+support.  The chamber tests compare signs and ratios, so they read the sign
+of a row's scale, and a Zariski coefficient is read over its own row's
+scale.  A ray's volume is a 2 x 2 Schur state kept at the last pivot beside
+the generator rows, updated at each step from the joining row's border.
+The pivot signs say whether the support is still negative definite.
 
 A profile piece keeps the walk's integers: the volume quadratic as integer
 coefficients over one positive scale, and its ends as (numerator,
@@ -263,8 +263,8 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
     (do, no), (dv, nv) = origin.numerators, direction.numerators
     dx = math.lcm(do, dv)
     xo, xv = [x * (dx // do) for x in no], [-x * (dx // dv) for x in nv]
-    # pairings with the generators, over den dg dx, of the origin and v0 =
-    # -direction, and their squares and product, over dg dx^2
+    # generator pairings of the origin and v0 = -direction, over den dg dx;
+    # their squares and product, over dg dx^2, start the volume corner
     po, pv = table.pairings(xo), table.pairings(xv)
     names = model.gen_names
     witness = next((n for n, x in zip(names, po) if x < 0), None)
@@ -272,25 +272,37 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
         raise ConfigurationError(
             f'{model.name}: profile origin is not nef (witness {witness})')
     go, gv = [sum(map(mul, row, xo)) for row in gram], [sum(map(mul, row, xv)) for row in gram]
-    oo, ov, vv = sum(map(mul, xo, go)), sum(map(mul, xo, gv)), sum(map(mul, xv, gv))
-    if oo <= 0:
+    v00, v01, v11 = sum(map(mul, xo, go)), sum(map(mul, xo, gv)), sum(map(mul, xv, gv))
+    if v00 <= 0:
         raise ConfigurationError(f'{model.name}: profile origin is not big')
     if direction.is_zero():
         raise ConfigurationError(f'{model.name}: zero profile direction')
 
     # one elimination serves the whole ray: the Gram matrix of (den C_1,
-    # ..., den C_n, dx origin, dx v0), times dg, with each generator
-    # pivoted once as it joins the support (see ``pivot``)
+    # ..., den C_n), times dg and bordered by the columns of (dx origin, dx
+    # v0), with each generator pivoted once as it joins the support (see
+    # ``pivot``).  The two volume rows of the bordered matrix are not kept:
+    # only their 2 x 2 corner is ever read, held as the Schur state (v00,
+    # v01, v11) = last dg dx^2 (u.u, u.v, v.v) at the last pivot
     n = len(names)
     a = [[*row, x, y] for row, x, y in zip(table.pairing, po, pv)]
-    a += [[*po, oo, ov], [*pv, ov, vv]]
-    scales = [1] * (n + 2)
+    scales = [1] * n
     t0 = (0, 1)
     last, idx, joining, free = 1, [], [], range(n)
     pieces: list[QuadraticPiece] = []
     # each pass grows the support, returns or raises: at most len(mori_gens) + 1
     while True:
-        last = pivot(a, scales, joining, last)
+        for r in joining:
+            prev = last
+            last = pivot(a, scales, (r,), prev)
+            if not last:
+                break
+            # row r, brought to prev, holds its border entries (x, y): by
+            # symmetry the volume rows' entries in column r, so the corner
+            # is rewritten as pivot rewrites every other row
+            x, y = a[r][n], a[r][n + 1]
+            v00, v01, v11 = ((last * v00 - x * x) // prev, (last * v01 - x * y) // prev,
+                             (last * v11 - y * y) // prev)
         idx += joining
         free = [j for j in free if j not in joining]
         if not last:
@@ -321,10 +333,9 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
             continue
 
         # vol(t) = P(t).P(t) = (k0 + k1 t + k2 t^2) / (det dg dx^2) with
-        # det = |last|: the two volume rows brought to det
-        det, d0, d1 = abs(last), scales[n], scales[n + 1]
-        k = (det * a[n][n] // d0, 2 * (det * a[n][n + 1] // d0), det * a[n + 1][n + 1] // d1)
-        scale = det * dg * dx * dx
+        # det = |last|, read off the Schur state
+        k = (v00, 2 * v01, v11) if last > 0 else (-v00, -2 * v01, -v11)
+        scale = abs(last) * dg * dx * dx
         root = _min_root_after(k, scale, t0, t_end)
         t_hi = t_end if root is None else root
         if t_hi is None:

@@ -14,10 +14,11 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from operator import mul
 from typing import Mapping
 
-from .lattice import DivClass, Frozen, combination, pair, rational, rational_str
+from .lattice import DivClass, Frozen, combination, pair, ratio, rational, rational_str
 from .positivity import VolumeProfile, integrate_profile, volume_profile
 from .surface import (
     BlowupExtension,
@@ -35,40 +36,77 @@ TAGS = frozenset({'plain', 'vertical', 'horizontal'})
 class AffineRatFn(Frozen):
     '''exact affine function const + slope * c of the boundary coefficient
 
+    Held in integers: ``numerators`` is (d, cn, sn) with const = cn / d and
+    slope = sn / d, d > 0 and the three in lowest terms, so equal functions
+    hold equal integers.  ``const`` and ``slope`` are read off them as
+    Fractions on first use.  The constructor takes each coefficient as
+    ``lattice.ratio`` reads it (an int, a Fraction or a string);
+    ``from_numerators`` takes the integers.
+
     TESTS:
         >>> f = AffineRatFn(Fraction(1), Fraction(-4))
         >>> f.value(Fraction(1, 17))
         Fraction(13, 17)
-        >>> str(f - AffineRatFn(Fraction(13, 15), Fraction(-26, 15)))
-        '2/15 - 34/15 c'
+        >>> g = f - AffineRatFn(Fraction(13, 15), Fraction(-26, 15))
+        >>> str(g), g.numerators
+        ('2/15 - 34/15 c', (15, 2, -34))
     '''
 
-    def __init__(self, const: Fraction, slope: Fraction):
-        vars(self).update(const=const, slope=slope)
+    def __init__(self, const, slope):
+        (cn, cd), (sn, sd) = ratio(const), ratio(slope)
+        # with both in lowest terms, their least common denominator leaves
+        # the three integers in lowest terms
+        d = lcm(cd, sd)
+        vars(self).update(numerators=(d, cn * (d // cd), sn * (d // sd)))
+
+    @classmethod
+    def from_numerators(cls, d: int, cn: int, sn: int) -> 'AffineRatFn':
+        '''the function (cn + sn c) / d, for integers with d != 0'''
+        g = gcd(d, cn, sn)
+        if d < 0:
+            g = -g
+        f = cls.__new__(cls)
+        vars(f).update(numerators=(d // g, cn // g, sn // g))
+        return f
 
     def __eq__(self, other):
         if type(other) is not AffineRatFn:
             return NotImplemented
-        return (self.const, self.slope) == (other.const, other.slope)
+        return self.numerators == other.numerators
 
     def __hash__(self):
-        return hash((self.const, self.slope))
+        return hash(self.numerators)
+
+    @cached_property
+    def const(self) -> Fraction:
+        d, cn, _ = self.numerators
+        return Fraction(cn, d)
+
+    @cached_property
+    def slope(self) -> Fraction:
+        d, _, sn = self.numerators
+        return Fraction(sn, d)
 
     def value(self, c) -> Fraction:
-        return self.const + self.slope * rational(c)
+        d, cn, sn = self.numerators
+        p, q = ratio(c)
+        return Fraction(cn * q + sn * p, d * q)
 
     @property
     def is_zero(self) -> bool:
-        return self.const == 0 and self.slope == 0
+        return not (self.numerators[1] or self.numerators[2])
 
     def __add__(self, other: 'AffineRatFn') -> 'AffineRatFn':
-        return AffineRatFn(self.const + other.const, self.slope + other.slope)
+        (d, cn, sn), (e, cm, sm) = self.numerators, other.numerators
+        return AffineRatFn.from_numerators(d * e, cn * e + cm * d, sn * e + sm * d)
 
     def __sub__(self, other: 'AffineRatFn') -> 'AffineRatFn':
-        return AffineRatFn(self.const - other.const, self.slope - other.slope)
+        (d, cn, sn), (e, cm, sm) = self.numerators, other.numerators
+        return AffineRatFn.from_numerators(d * e, cn * e - cm * d, sn * e - sm * d)
 
     def __neg__(self) -> 'AffineRatFn':
-        return AffineRatFn(-self.const, -self.slope)
+        d, cn, sn = self.numerators
+        return AffineRatFn.from_numerators(d, -cn, -sn)
 
     def __str__(self) -> str:
         if self.slope == 0:
@@ -81,7 +119,7 @@ class AffineRatFn(Frozen):
 
 
 def affine(const, slope) -> AffineRatFn:
-    return AffineRatFn(rational(const), rational(slope))
+    return AffineRatFn(const, slope)
 
 
 class LogPair(Frozen):
@@ -305,7 +343,9 @@ def _check_pairing(p: LogPair, v: ValuationSpec) -> None:
 def log_discrepancy(p: LogPair, v: ValuationSpec) -> AffineRatFn:
     '''a_x - ord_b * c, the log discrepancy of the scaled pair'''
     _check_pairing(p, v)
-    return AffineRatFn(v.a_x, -v.ord_b)
+    a, b = v.a_x, v.ord_b
+    return AffineRatFn.from_numerators(a.denominator * b.denominator, a.numerator * b.denominator,
+                                       -b.numerator * a.denominator)
 
 
 def _valuation_origin(v: ValuationSpec) -> DivClass:
@@ -338,8 +378,12 @@ def s_invariant(p: LogPair, v: ValuationSpec) -> AffineRatFn:
     total = integrals.get(ray)
     if total is None:
         total = integrals[ray] = integrate_profile(volume_profile(v.model, origin, v.e_class))
-    s = total / p.surface.degree
-    return AffineRatFn(s, -p.anticanonical_factor * s)
+    # s = total / degree and the slope is -k s, with k the anticanonical
+    # factor
+    deg, k = p.surface.degree, p.anticanonical_factor
+    s = total.numerator * deg.denominator
+    return AffineRatFn.from_numerators(total.denominator * deg.numerator * k.denominator,
+                                       s * k.denominator, -s * k.numerator)
 
 
 def beta(p: LogPair, v: ValuationSpec) -> AffineRatFn:
@@ -369,14 +413,14 @@ def solve_wall(b: AffineRatFn, lo=0, hi=HALF) -> WallSolve:
         >>> solve_wall(affine(1, -1)).root is None
         True
     '''
-    lo, hi = rational(lo), rational(hi)
-    if b.is_zero:
-        return WallSolve(None, identically_zero=True)
-    if b.slope == 0:
-        return WallSolve(None)
-    root = -b.const / b.slope
-    if lo < root < hi:
-        return WallSolve(root)
+    (ln, ld), (hn, hd) = ratio(lo), ratio(hi)
+    _, cn, sn = b.numerators
+    if not sn:
+        return WallSolve(None, identically_zero=not cn)
+    # the root -cn / sn as rn / rd with rd > 0
+    rn, rd = (-cn, sn) if sn > 0 else (cn, -sn)
+    if ln * rd < rn * ld and rn * hd < hn * rd:
+        return WallSolve(Fraction(rn, rd))
     return WallSolve(None)
 
 

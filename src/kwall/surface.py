@@ -94,18 +94,25 @@ class GeneratorTable(Frozen):
             M'_ij = kappa^2 lam M_ij + mu_i mu_j eps
 
         and the rows of e and of the extra curves are products against G'.
+        M' is symmetric, so their rows of M' also give the base rows their
+        new columns.  A base generator that misses the center (mu_i = 0)
+        keeps R_i and M_i when kappa lam = 1, and is passed through.
         '''
         den, cs = _numerator_rows(mori_gens)
         _, gram = lattice.scaled_gram
         eps, b, kappa = gram[-1][-1], len(self.gens), den // self.den
-        mus, new = [c[-1] for c in cs[:b]], cs[b:]
+        mus = [c[-1] for c in cs[:b]]
         kl, k2l = kappa * lam, kappa * kappa * lam
-        rows = [(*[kl * x for x in row], mu * eps) for row, mu in zip(self.rows, mus)]
-        rows += _products(new, list(zip(*gram)))
-        pairing = [(*[k2l * x + mu * nu * eps for x, nu in zip(m, mus)], *new_cols)
-                   for m, mu, new_cols in zip(self.pairing, mus, _products(rows[:b], new))]
-        pairing += _products(rows[b:], cs)
-        return GeneratorTable(den, cs, tuple(rows), tuple(pairing))
+        new_rows = _products(cs[b:], list(zip(*gram)))
+        new_pairing = _products(new_rows, cs)
+        rows, pairing = [], []
+        for row, m, mu, new_cols in zip(self.rows, self.pairing, mus, zip(*new_pairing)):
+            if mu or kl != 1:
+                row = [kl * x for x in row]
+                m = [k2l * x + mu * nu * eps for x, nu in zip(m, mus)]
+            rows.append((*row, mu * eps))
+            pairing.append((*m, *new_cols))
+        return GeneratorTable(den, cs, tuple(rows + new_rows), tuple(pairing + new_pairing))
 
     def pairings(self, xs: Sequence[int]) -> list[int]:
         '''R xs: every generator paired with a class of numerators xs'''
@@ -143,6 +150,8 @@ class SurfaceModel(Frozen):
                 self.k_discrepancies)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, SurfaceModel):
             return NotImplemented
         return self._key() == other._key()

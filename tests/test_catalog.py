@@ -281,6 +281,39 @@ def test_a_decode_and_walk_pass_walks_each_ray_once(monkeypatch):
         walks.clear()
 
 
+def test_a_walls_pass_rewrites_at_most_484_rows(monkeypatch):
+    '''work-count guard: one walls pass on a fresh decode, its pivots
+    stepped one row at a time, rewrites at most 484 rows (5,319 entries;
+    758 rows and 8,280 entries while the walk also eliminated the two
+    volume rows), in 37 walks of 93 chambers.  A rewritten row is a new
+    list in place of the old one, the pivot row aside'''
+    real, walk = kwall.positivity.pivot, kwall.stability.volume_profile
+    rewritten, pieces = [], []
+
+    def counted(a, scales, rows, prev=1):
+        for r in rows:
+            old = list(a)
+            prev = real(a, scales, (r,), prev)
+            rewritten.extend(len(x) for i, x in enumerate(a) if i != r and x is not old[i])
+            if not prev:
+                return 0
+        return prev
+
+    def walked(*args):
+        out = walk(*args)
+        pieces.append(len(out.pieces))
+        return out
+
+    monkeypatch.setattr(kwall.positivity, 'pivot', counted)
+    monkeypatch.setattr(kwall.stability, 'volume_profile', walked)
+    kwall.catalog._load_resolved.cache_clear()
+    cat = load_catalog()
+    for f in cat.fixtures:
+        solve_wall(beta(f.pair, f.valuation), f.pair.c_lo, f.pair.c_hi)
+    assert (len(pieces), sum(pieces)) == (37, 93)
+    assert len(rewritten) <= 484 and sum(rewritten) <= 5319
+
+
 def test_each_pair_document_is_decoded_once_per_decode(monkeypatch):
     '''fixtures with the same surface and boundary document share one
     validated pair, and a fresh decode builds its own'''

@@ -311,7 +311,10 @@ def _blowup(**center):
     (_extra_mori_name('e'), ('profile', 'Xprime/D_13_41/E'),
      "configuration error: generator name 'e' is used twice on the extension"),
     (lambda doc: doc['fixtures'][2]['boundary'][2].__setitem__('label', 5), None,
-     'catalog error: xn: boundary label 5 is not a string'),
+     "catalog error: fixture 2 'Xn/D_2_19/node': xn: boundary label 5 is not a string"),
+    (lambda doc: doc['fixtures'][2]['boundary'][0].__setitem__('gen', 'ghost'), None,
+     "catalog error: fixture 2 'Xn/D_2_19/node': xn: boundary part names unknown generator "
+     "'ghost'; have ["),
     (None, ({'surface': 'sigma5', 'boundary': [
         {'label': 5, 'class': [1, 0, 0, 0, 0], 'mult': '1'}]}, 'exc1'),
      'catalog error: sigma5: boundary label 5 is not a string'),
@@ -329,7 +332,7 @@ def _blowup(**center):
         'generator-name-is-a-number', 'extra-mori-name-is-a-number',
         'valuation-name-is-a-number', 'extra-mori-name-repeats-a-generator',
         'extra-mori-name-repeats-the-exceptional-name', 'boundary-label-is-a-number',
-        'pair-boundary-label-is-a-number'])
+        'boundary-gen-is-unknown', 'pair-boundary-label-is-a-number'])
 def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,
                                             monkeypatch, capsys):
     if edit is not None:

@@ -22,7 +22,7 @@ from kwall.positivity import (
 )
 from kwall.catalog import load_catalog
 from kwall.stability import valuation_profile
-from kwall.surface import ConfigurationError, GeneratorTable, SurfaceModel
+from kwall.surface import BlowupExtension, ConfigurationError, GeneratorTable, SurfaceModel
 
 F = Fraction
 
@@ -284,6 +284,28 @@ def test_profile_values_match_the_subset_oracle(name, data):
         for t in (piece.t_lo, (piece.t_lo + piece.t_hi) / 2, piece.t_hi):
             p = oracle.positive_part(o - t * direction)
             assert prof.value(t) == reference_pair(m.lattice.gram, p.coords, p.coords)
+
+
+def test_catalog_extension_rays_match_the_subset_oracle():
+    '''the walk on the 10 catalog blow-up extensions, whose tables are
+    bordered from their bases', against the oracle: at both ends and the
+    midpoint of every piece of each catalog ray, the profile's value is
+    P.P for the oracle's nef part P'''
+    rays = {}
+    for f in load_catalog().fixtures:
+        for v in (f.valuation, *f.equivariant):
+            if isinstance(v.ambient, BlowupExtension):
+                origin = v.ambient.pullback(v.base_surface().anticanonical_pullback)
+                rays.setdefault(id(v.model), (v.model, set()))[1].add((origin, v.e_class))
+    assert len(rays) == 10
+    for m, model_rays in rays.values():
+        oracle = ZariskiOracle(m)
+        for o, direction in model_rays:
+            prof = volume_profile(m, o, direction)
+            for piece in prof.pieces:
+                for t in (piece.t_lo, (piece.t_lo + piece.t_hi) / 2, piece.t_hi):
+                    p = oracle.positive_part(o - t * direction)
+                    assert prof.value(t) == reference_pair(m.lattice.gram, p.coords, p.coords)
 
 
 def test_a_shrinking_support_is_refused():

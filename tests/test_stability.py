@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import builders
 import kwall.stability
@@ -252,6 +252,80 @@ def test_solve_wall_edges():
     assert solve_wall(affine(-1, 4)).root == F(1, 4)
     assert solve_wall(affine(-1, 4), F(1, 4), F(1, 2)).root is None
     assert not solve_wall(affine(1, -4)).identically_zero
+
+
+# small numerators and denominators, so that sums cancel and roots land on
+# the interval ends often
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def _reference_str(const, slope):
+    '''the display form of const + slope c, from the Fractions'''
+    if slope == 0:
+        return str(const)
+    tail = f'{abs(slope)} c'
+    if const == 0:
+        return tail if slope > 0 else f'-{tail}'
+    return f'{const} {"+" if slope > 0 else "-"} {tail}'
+
+
+def _built_every_way(const, slope):
+    '''the function const + slope c from each constructor'''
+    d = const.denominator * slope.denominator
+    cn, sn = const.numerator * slope.denominator, slope.numerator * const.denominator
+    out = [AffineRatFn(const, slope), affine(str(const), str(slope)),
+           AffineRatFn.from_numerators(-3 * d, -3 * cn, -3 * sn)]
+    if const.denominator == slope.denominator == 1:
+        out.append(AffineRatFn(int(const), int(slope)))
+    return out
+
+
+@settings(max_examples=200)
+@given(c0=SMALL, s0=SMALL, c1=SMALL, s1=SMALL, c=SMALL)
+@example(c0=F(1, 2), s0=F(-1, 3), c1=F(1, 2), s1=F(-1, 3), c=F(0))
+def test_affine_functions_match_fraction_arithmetic(c0, s0, c1, s1, c):
+    '''sums, differences, negations, values and display forms read the
+    Fractions that plain Fraction arithmetic gives, and equal functions
+    compare and hash equal whichever constructor or operation built them'''
+    f, g = AffineRatFn(c0, s0), AffineRatFn(c1, s1)
+    for h, const, slope in [(f, c0, s0), (f + g, c0 + c1, s0 + s1),
+                            (f - g, c0 - c1, s0 - s1), (-f, -c0, -s0)]:
+        assert (h.const, h.slope) == (const, slope)
+        assert h.value(c) == const + slope * c
+        assert str(h) == _reference_str(const, slope)
+        assert h.is_zero == (const == slope == 0)
+        d, cn, sn = h.numerators
+        assert d > 0 and F(cn, d) == const and F(sn, d) == slope
+        for other in _built_every_way(const, slope):
+            assert other == h and hash(other) == hash(h)
+            assert other.numerators == h.numerators
+    assert (f - g + g) == f and hash(f - g + g) == hash(f)
+    assert (f == g) == ((c0, s0) == (c1, s1))
+
+
+def _reference_wall(const, slope, lo, hi):
+    '''the root of const + slope c in the open (lo, hi), by Fractions'''
+    if const == slope == 0:
+        return None, True
+    if slope == 0:
+        return None, False
+    root = -const / slope
+    return (root if lo < root < hi else None), False
+
+
+@settings(max_examples=200)
+@given(const=SMALL, slope=SMALL, lo=SMALL, hi=SMALL)
+@example(const=F(-1), slope=F(4), lo=F(1, 4), hi=F(1, 2))     # root at lo
+@example(const=F(-1), slope=F(2), lo=F(1, 4), hi=F(1, 2))     # root at hi
+@example(const=F(1, 3), slope=F(-2, 3), lo=F(1, 2), hi=F(1))  # at lo, falling
+@example(const=F(3, 2), slope=F(0), lo=F(-3), hi=F(3))        # zero slope
+@example(const=F(0), slope=F(0), lo=F(0), hi=F(1, 2))         # identically zero
+@example(const=F(-1), slope=F(3), lo=F(0), hi=F(1, 2))        # a wall inside
+def test_solve_wall_matches_a_fraction_reference(const, slope, lo, hi):
+    '''the root is refused at either end of the open interval'''
+    sol = solve_wall(AffineRatFn(const, slope), lo, hi)
+    assert (sol.root, sol.identically_zero) == _reference_wall(const, slope, lo, hi)
+    assert sol.root is None or type(sol.root) is F
 
 
 @given(a0=st.fractions(min_value=0, max_value=3, max_denominator=20),

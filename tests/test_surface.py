@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kwall.catalog import load_catalog
 from kwall.lattice import IntersectionLattice, pair
@@ -252,8 +252,17 @@ def centers(draw):
                                    extra_mori=[(f'new-{i}', v) for i, v in enumerate(extra)])
 
 
+SIGMA5 = load_catalog().surface('sigma5')
+
+
 @settings(max_examples=60, deadline=None)
 @given(centers())
+# kappa lam = 1 and every base generator but exc1 misses the center, so
+# those rows are passed through
+@example((SIGMA5, BlowupCenter.make(exc_name='new-e', through={'exc1': 1})))
+# kappa lam = 4: weights (1, 2) give lam = 2, a half multiplicity kappa = 2
+@example((SIGMA5, BlowupCenter.make(weights=(1, 2), exc_name='new-e',
+                                    through={'exc1': F(1, 2)})))
 def test_bordered_extension_tables_equal_the_dense_products(drawn):
     '''an extension's table, bordered from its base's, is the table the
     dense products give on the extension's own lattice and generators'''
