@@ -214,7 +214,7 @@ def _decode_valuation(pair: LogPair, doc) -> ValuationSpec:
         return ValuationSpec.on_surface(pair, doc['name'], tag=tag)
     if kind == 'class':
         cls = pair.surface.lattice.div(doc['class'])
-        return ValuationSpec(name=doc['name'], ambient=pair.surface,
+        return ValuationSpec(name=doc['name'], model=pair.surface,
                              e_class=cls, a_x=rational(doc['a_x']),
                              ord_b=rational(doc['ord_b']), tag=tag)
     if kind == 'blowup':
@@ -224,10 +224,9 @@ def _decode_valuation(pair: LogPair, doc) -> ValuationSpec:
             exc_name=cdoc.get('exc_name', 'e'),
             through=tuple((n, rational(m)) for n, m in cdoc.get('through', ())),
             extra_mori=tuple((n, cl) for n, cl in cdoc.get('extra_mori', ())))
-        ext = pair.surface.extension(center)
         a_x = rational(doc['a_x']) if 'a_x' in doc else None
         ord_b = rational(doc['ord_b']) if 'ord_b' in doc else None
-        return ValuationSpec.on_extension(pair, ext, name=name, tag=tag, a_x=a_x, ord_b=ord_b)
+        return ValuationSpec.on_extension(pair, center, name=name, tag=tag, a_x=a_x, ord_b=ord_b)
     raise CatalogError(f'unknown valuation kind {kind!r}')
 
 
@@ -268,15 +267,15 @@ def _decode_fixture(surfaces: dict, pairs: dict, doc, i: int) -> Fixture:
     # fixtures with the same surface and boundary document share one pair
     boundary = doc.get('boundary', ())
     key = name, json.dumps(boundary, sort_keys=True)
-    if key not in pairs:
-        try:
-            parts = tuple(_decode_part(model, p) for p in boundary)
-        except CatalogError as exc:
-            # the surface carries several fixtures: name the one at fault
-            raise CatalogError(f'fixture {i} {doc["id"]!r}: {exc}') from None
-        pairs[key] = LogPair.make(model, parts)
-    pair = pairs[key]
-    valuation = _decode_valuation(pair, doc['valuation'])
+    try:
+        if key not in pairs:
+            pairs[key] = LogPair.make(model, tuple(_decode_part(model, p) for p in boundary))
+        pair = pairs[key]
+        valuation = _decode_valuation(pair, doc['valuation'])
+        equivariant = tuple(_decode_valuation(pair, v) for v in doc.get('equivariant', ()))
+    except ConfigurationError as exc:
+        # the surface carries several fixtures: name the one at fault
+        raise type(exc)(f'fixture {i} {doc["id"]!r}: {exc}') from None
     display = doc.get('display')
     return Fixture(
         id=doc['id'],
@@ -285,8 +284,7 @@ def _decode_fixture(surfaces: dict, pairs: dict, doc, i: int) -> Fixture:
         expected=_decode_expected(doc['expected']),
         display=None if display is None else _decode_display(display),
         notes=_list_of(doc, 'notes', str),
-        equivariant=tuple(_decode_valuation(pair, v)
-                          for v in doc.get('equivariant', ())))
+        equivariant=equivariant)
 
 
 def _decode_wall(doc) -> WallEntry:

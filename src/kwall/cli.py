@@ -223,7 +223,7 @@ def _render_zariski(r: dict) -> list[str]:
 
 def cmd_profile(args) -> dict:
     f = load_fixture(args.fixture)
-    base = f.valuation.base_surface()
+    base = f.valuation.base
     with _naming(f):
         profile = valuation_profile(f.valuation)
     results = {'fixture': f.id, 'surface': base.name, 'valuation': f.valuation.name,

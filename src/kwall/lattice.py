@@ -422,51 +422,6 @@ def validate_lattice(lat: IntersectionLattice) -> LatticeReport:
     return LatticeReport(sig, tuple(failures))
 
 
-def bareiss(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
-            ) -> tuple[int, list[list[int]]]:
-    '''
-    fraction-free (Bareiss 1968) solve of an integer square system
-
-    ``cols`` has one row per equation and one entry per right-hand side.
-    Returns ``(det, ys)``: the solution is ys / det with det > 0 (det is the
-    last pivot, +-det(rows)).  Each pivot divides the next step exactly, and
-    back substitution stays in integers because det * x is integral
-    (Cramer's rule).  Raises SingularSystem when rows is singular.
-
-    TESTS:
-        >>> bareiss([[-2, 1], [1, -2]], [[-1], [0]])
-        (3, [[2], [1]])
-    '''
-    n = len(rows)
-    a = [[*row, *b] for row, b in zip(rows, cols)]
-    prev = 1
-    for k in range(n):
-        top = a[k]
-        if top[k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                raise SingularSystem(f'no pivot in column {k}')
-            a[k], a[piv] = a[piv], top
-            top = a[k]
-        p = top[k]
-        # columns up to k are never read again below the pivot row
-        tail = top[k + 1:]
-        for r in range(k + 1, n):
-            row = a[r]
-            f = row[k]
-            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
-        prev = p
-    # ys[i][c] = prev * x[i][c], solved from the bottom row up
-    ys: list[list[int]] = [[]] * n
-    for i in reversed(range(n)):
-        row = a[i]
-        ys[i] = [(prev * b - sum([row[j] * ys[j][c] for j in range(i + 1, n)])) // row[i]
-                 for c, b in enumerate(row[n:])]
-    if prev < 0:
-        return -prev, [[-y for y in yi] for yi in ys]
-    return prev, ys
-
-
 def pivot(a: list[list[int]], scales: list[int], rows: Iterable[int], prev: int = 1) -> int:
     '''
     fraction-free Gauss-Jordan steps (Bareiss 1968) on an integer matrix
@@ -530,7 +485,9 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs):
     matrix whose columns are several right-hand sides: its rows are then
     tuples or lists, and the rows of the solution are tuples.  Each row of
     the augmented matrix is scaled to integers, which keeps the solution,
-    and ``bareiss`` solves every column with one elimination.
+    and one fraction-free elimination (Bareiss 1968) solves every column:
+    each pivot divides the next step exactly, and back substitution stays
+    in integers because det * x is integral (Cramer's rule).
 
     TESTS:
         >>> solve_linear([[Fraction(-2), Fraction(1)], [Fraction(1), Fraction(-2)]],
@@ -543,7 +500,29 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs):
     if any(len(row) != n for row in rows) or len(rhs) != n:
         raise ValueError('system is not square')
     several = n > 0 and isinstance(rhs[0], (tuple, list))
-    aug = [integral((*row, *(b if several else (b,))))[1] for row, b in zip(rows, rhs)]
-    det, ys = bareiss([r[:n] for r in aug], [r[n:] for r in aug])
-    out = tuple([tuple([Fraction(v, det) for v in yi]) for yi in ys])
+    a = [list(integral((*row, *(b if several else (b,))))[1]) for row, b in zip(rows, rhs)]
+    prev = 1
+    for k in range(n):
+        top = a[k]
+        if top[k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if piv is None:
+                raise SingularSystem(f'no pivot in column {k}')
+            a[k], a[piv] = a[piv], top
+            top = a[k]
+        p = top[k]
+        # columns up to k are never read again below the pivot row
+        tail = top[k + 1:]
+        for r in range(k + 1, n):
+            row = a[r]
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    # ys[i][c] = prev * x[i][c], solved from the bottom row up
+    ys: list[list[int]] = [[]] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        ys[i] = [(prev * b - sum([row[j] * ys[j][c] for j in range(i + 1, n)])) // row[i]
+                 for c, b in enumerate(row[n:])]
+    out = tuple([tuple([Fraction(v, prev) for v in yi]) for yi in ys])
     return out if several else tuple([x for (x,) in out])

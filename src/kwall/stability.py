@@ -18,10 +18,10 @@ from math import gcd, lcm
 from operator import mul
 from typing import Mapping
 
-from .lattice import DivClass, Frozen, combination, pair, ratio, rational, rational_str
+from .lattice import DivClass, Frozen, combination, ratio, rational, rational_str
 from .positivity import VolumeProfile, integrate_profile, volume_profile
 from .surface import (
-    BlowupExtension,
+    BlowupCenter,
     ConfigurationError,
     SurfaceModel,
     contraction_orders,
@@ -236,9 +236,9 @@ class LogPair(Frozen):
         _, bs, kn, kd = self._boundary_pullback
         _, xs = self.surface.anticanonical_pullback.numerators
         if kn * kd < 0 or any(b * kd != kn * x for b, x in zip(bs, xs)):
-            problems.append(
-                f'boundary class {self.boundary_class.coords} is not a non-negative '
-                'multiple of the anticanonical class')
+            coords = ', '.join(map(rational_str, self.boundary_class.coords))
+            problems.append(f'boundary class ({coords}) is not a non-negative '
+                            'multiple of the anticanonical class')
         if self.surface.degree <= 0:
             problems.append('degree is not positive, the scaled polarisation cannot be ample')
         return tuple(problems)
@@ -259,32 +259,29 @@ class ValuationSpec(Frozen):
     divisorial valuation with its empty-boundary log discrepancy ``a_x``
     and the order ``ord_b`` of the boundary along it
 
-    ``ambient`` is either the resolution itself (the valuation is one of its
-    curves) or a one-step blow-up extension carrying the centre data.  The
-    tag marks torus equivariance: vertical valuations may vanish only at a
-    boundary of the stable locus, a nonzero horizontal margin can always be
-    flipped into a destabilising direction.
+    ``e_class`` is the valuation's divisor on ``model``, which is either the
+    resolution ``base`` itself (the valuation is one of its curves) or a
+    one-step blow-up extension of it (``on_extension``).  The tag marks
+    torus equivariance: vertical valuations may vanish only at a boundary
+    of the stable locus, a nonzero horizontal margin can always be flipped
+    into a destabilising direction.
     '''
 
-    def __init__(self, name: str, ambient: SurfaceModel | BlowupExtension, e_class: DivClass,
-                 a_x: Fraction, ord_b: Fraction, tag: str = 'plain'):
+    def __init__(self, name: str, model: SurfaceModel, e_class: DivClass, a_x: Fraction,
+                 ord_b: Fraction, tag: str = 'plain', base: SurfaceModel | None = None):
         if tag not in TAGS:
             raise ConfigurationError(f'unknown equivariance tag {tag!r}')
         if a_x < 0:
             raise ConfigurationError(f'{name}: log discrepancy {a_x} < 0 over the surface')
-        vars(self).update(name=name, ambient=ambient, e_class=e_class, a_x=a_x, ord_b=ord_b,
-                          tag=tag)
+        vars(self).update(name=name, model=model, base=model if base is None else base,
+                          e_class=e_class, a_x=a_x, ord_b=ord_b, tag=tag)
 
-    @property
-    def model(self) -> SurfaceModel:
-        if isinstance(self.ambient, BlowupExtension):
-            return self.ambient.model
-        return self.ambient
-
-    def base_surface(self) -> SurfaceModel:
-        if isinstance(self.ambient, BlowupExtension):
-            return self.ambient.base
-        return self.ambient
+    @cached_property
+    def origin(self) -> DivClass:
+        '''the pullback of the base's -K to the model, where the valuation's
+        ray starts'''
+        origin = self.base.anticanonical_pullback
+        return origin if self.model is self.base else self.model.pullback(origin)
 
     @classmethod
     def on_surface(cls, p: LogPair, name: str, tag: str = 'plain') -> 'ValuationSpec':
@@ -300,42 +297,43 @@ class ValuationSpec(Frozen):
         return cls(name, m, cl, a_x, p.boundary_order(name), tag)
 
     @classmethod
-    def on_extension(cls, p: LogPair, ext: BlowupExtension, name: str = '',
+    def on_extension(cls, p: LogPair, center: BlowupCenter, name: str = '',
                      tag: str = 'plain', a_x=None, ord_b=None) -> 'ValuationSpec':
-        '''the exceptional divisor of a one-step blow-up
+        '''the exceptional divisor of the pair surface's blow-up at ``center``
 
-        ``a_x`` and ``ord_b`` default to the values forced by the centre
-        data: the discrepancy over the base corrected by any contracted
-        curves through the centre, and the boundary multiplicities pushed
-        through their centre orders.
+        The centre order of a base generator is its ord in
+        ``center.through``, 0 when it is not listed.  ``a_x`` defaults to
+        the discrepancy over the base corrected by any contracted curves
+        through the centre.  ``ord_b`` defaults to the boundary
+        multiplicities pushed through their centre orders; that sum is a
+        lower bound when the boundary has a labelled component, whose order
+        the centre data does not give, and a stated ``ord_b`` below it is a
+        ConfigurationError.
         '''
-        if ext.base != p.surface:
-            raise ConfigurationError('extension is not built over the pair surface')
-        scale = -pair(ext.e_class, ext.e_class)
-
-        def centre_order(gen_name: str) -> Fraction:
-            return pair(ext.model.gen(gen_name), ext.e_class) / scale
-
+        m, ext = p.surface, p.surface.extension(center)
+        through = dict(center.through)
         if a_x is None:
-            a_x = ext.a_over_base
-            for n in ext.base.contracted:
-                a_x += ext.base.discrepancy[n] * centre_order(n)
-        if ord_b is None:
-            ord_b = Fraction(0)
-            for comp_name, _, mult in p.boundary:
-                if comp_name is None or comp_name not in ext.base.gen_names:
-                    raise ConfigurationError(
-                        f'component {comp_name!r} has no centre data on the '
-                        'extension; pass ord_b explicitly')
-                ord_b += mult * centre_order(comp_name)
-            for n in ext.base.contracted:
-                ord_b += p.boundary_order(n) * centre_order(n)
-        return cls(name or ext.e_class.lattice.names[-1], ext, ext.e_class,
-                   rational(a_x), rational(ord_b), tag)
+            a_x = ext.a_over_base + sum([m.discrepancy[n] * through.get(n, 0)
+                                         for n in m.contracted])
+        labelled = [n for n, _, _ in p.boundary if n not in m.gen_names]
+        lower = sum([mult * through.get(n, 0) for n, _, mult in p.boundary if n in m.gen_names]
+                    + [p.boundary_order(n) * through[n] for n in m.contracted if n in through],
+                    Fraction(0))
+        if ord_b is None and labelled:
+            raise ConfigurationError(
+                f'component {labelled[0]!r} has no centre data on the '
+                'extension; pass ord_b explicitly')
+        ord_b = lower if ord_b is None else rational(ord_b)
+        if ord_b < lower:
+            raise ConfigurationError(
+                f'stated ord_b {ord_b} is below {lower}, the order of the boundary '
+                'curves with centre data')
+        return cls(name or center.exc_name, ext, ext.e_class, rational(a_x), ord_b,
+                   tag, base=m)
 
 
 def _check_pairing(p: LogPair, v: ValuationSpec) -> None:
-    if v.base_surface() != p.surface:
+    if v.base != p.surface:
         raise ConfigurationError(
             f'valuation {v.name} does not live over surface {p.surface.name}')
 
@@ -348,17 +346,9 @@ def log_discrepancy(p: LogPair, v: ValuationSpec) -> AffineRatFn:
                                        -b.numerator * a.denominator)
 
 
-def _valuation_origin(v: ValuationSpec) -> DivClass:
-    '''the pullback of -K to the valuation's model, where its ray starts'''
-    origin = v.base_surface().anticanonical_pullback
-    if isinstance(v.ambient, BlowupExtension):
-        origin = v.ambient.pullback(origin)
-    return origin
-
-
 def valuation_profile(v: ValuationSpec) -> VolumeProfile:
     '''volume profile of the anticanonical class along the valuation ray'''
-    return volume_profile(v.model, _valuation_origin(v), v.e_class)
+    return volume_profile(v.model, v.origin, v.e_class)
 
 
 def s_invariant(p: LogPair, v: ValuationSpec) -> AffineRatFn:
@@ -373,11 +363,11 @@ def s_invariant(p: LogPair, v: ValuationSpec) -> AffineRatFn:
     the same model share one walk.
     '''
     _check_pairing(p, v)
-    integrals, origin = v.model.ray_integrals, _valuation_origin(v)
-    ray = origin.numerators, v.e_class.numerators
+    integrals = v.model.ray_integrals
+    ray = v.origin.numerators, v.e_class.numerators
     total = integrals.get(ray)
     if total is None:
-        total = integrals[ray] = integrate_profile(volume_profile(v.model, origin, v.e_class))
+        total = integrals[ray] = integrate_profile(volume_profile(v.model, v.origin, v.e_class))
     # s = total / degree and the slope is -k s, with k the anticanonical
     # factor
     deg, k = p.surface.degree, p.anticanonical_factor

@@ -10,7 +10,10 @@ config author's obligation and every consumer treats it as such.
 
 Two pullback mechanisms live here: the numerical pullback of a Weil divisor
 through a contraction (orthogonality against the contracted curves), and the
-lattice extension of a weight-(a, b) blow-up at a smooth point.
+lattice extension of a weight-(a, b) blow-up at a smooth point.  One
+blow-up is one ExtensionModel: a SurfaceModel on the extended lattice that
+also keeps its center, its exceptional class and the pullback from the base.
+Each base model builds it once per center and keeps it (``extension``).
 '''
 from __future__ import annotations
 
@@ -192,10 +195,8 @@ class SurfaceModel(Frozen):
 
     @cached_property
     def _extensions(self) -> dict:
-        '''BlowupCenter -> (model, e_class, a_over_base) of its extension,
-        filled as centers are first requested; a BlowupExtension refers back
-        to this model, so keeping one here would make a reference cycle,
-        which outlives the last reference to a decoded catalog'''
+        '''BlowupCenter -> its ExtensionModel, filled as centers are first
+        requested; the extension keeps no reference back to this model'''
         return {}
 
     @cached_property
@@ -205,14 +206,12 @@ class SurfaceModel(Frozen):
         integrated (``stability.s_invariant``)'''
         return {}
 
-    def extension(self, center: 'BlowupCenter') -> 'BlowupExtension':
+    def extension(self, center: 'BlowupCenter') -> 'ExtensionModel':
         '''the blow-up extension at ``center``, built once per model and center'''
-        parts = self._extensions.get(center)
-        if parts is None:
-            ext = build_blowup_extension(self, center)
-            self._extensions[center] = ext.model, ext.e_class, ext.a_over_base
-            return ext
-        return BlowupExtension(self, *parts)
+        ext = self._extensions.get(center)
+        if ext is None:
+            ext = self._extensions[center] = build_blowup_extension(self, center)
+        return ext
 
     @cached_property
     def discrepancy(self) -> Mapping[str, Fraction]:
@@ -290,20 +289,40 @@ class SurfaceModel(Frozen):
 
 class ExtensionModel(SurfaceModel):
     '''
-    a blow-up extension viewed as a SurfaceModel, whose generator table is
-    bordered from its base model's (``GeneratorTable.bordered``)
+    a one-step blow-up of a base model (``build_blowup_extension``), viewed
+    as a SurfaceModel with the base's contracted set
 
-    It keeps the base's table and lam = dE / dg, not the base model: the
-    base keeps its extensions, so that would make a reference cycle.
+    Besides the SurfaceModel fields it keeps its ``center``, the class
+    ``e_class`` of the new exceptional divisor, with e.e = -1/(a b), and the
+    base's lattice and generator table, from which its own table is
+    bordered (``GeneratorTable.bordered``).  It keeps no reference to the
+    base model: the base keeps its extensions, so that would make a
+    reference cycle, which outlives the last reference to a decoded catalog.
     '''
 
-    def __init__(self, base_table: GeneratorTable, lam: int, **fields):
+    def __init__(self, base_lattice: IntersectionLattice, base_table: GeneratorTable,
+                 center: 'BlowupCenter', e_class: DivClass, **fields):
         super().__init__(**fields)
-        vars(self).update(base_table=base_table, lam=lam)
+        vars(self).update(base_lattice=base_lattice, base_table=base_table, center=center,
+                          e_class=e_class)
+
+    @property
+    def a_over_base(self) -> Fraction:
+        '''a + b, the log discrepancy of e over the base with empty boundary'''
+        return Fraction(sum(self.center.weights))
+
+    def pullback(self, d: DivClass) -> DivClass:
+        '''isometric pullback of a base class (zero e-coefficient)'''
+        if d.lattice != self.base_lattice:
+            raise ValueError('class does not live on the base lattice')
+        dx, xs = d.numerators
+        return DivClass(self.lattice, dx, (*xs, 0))
 
     @cached_property
     def gen_table(self) -> GeneratorTable:
-        return self.base_table.bordered(self.lam, self.lattice, self.mori_gens)
+        # lam = dE / dg, the ratio of the two scaled Gram denominators
+        lam = self.lattice.scaled_gram[0] // self.base_lattice.scaled_gram[0]
+        return self.base_table.bordered(lam, self.lattice, self.mori_gens)
 
 
 def _contraction_solve(model: SurfaceModel, dx: int, xs: Sequence[int]):
@@ -417,29 +436,7 @@ class BlowupCenter(Frozen):
         )
 
 
-class BlowupExtension(Frozen):
-    '''
-    rank+1 model produced by build_blowup_extension
-
-    ``model`` is the extension viewed as a SurfaceModel (same contracted set
-    as the base); ``e_class`` is the new exceptional divisor class with
-    e.e = -1/(a b), and ``a_over_base`` = a + b is the log discrepancy of e
-    over the base surface with empty boundary.
-    '''
-
-    def __init__(self, base: SurfaceModel, model: SurfaceModel, e_class: DivClass,
-                 a_over_base: Fraction):
-        vars(self).update(base=base, model=model, e_class=e_class, a_over_base=a_over_base)
-
-    def pullback(self, d: DivClass) -> DivClass:
-        '''isometric pullback of a base class (zero e-coefficient)'''
-        if d.lattice != self.base.lattice:
-            raise ValueError('class does not live on the base lattice')
-        dx, xs = d.numerators
-        return DivClass(self.model.lattice, dx, (*xs, 0))
-
-
-def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupExtension:
+def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> ExtensionModel:
     '''
     extend a model by one weight-(a, b) blow-up at a smooth point
 
@@ -505,8 +502,8 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupEx
             raise ConfigurationError(f'extra generator {n} has wrong length')
         gens.append((n, lat.div(v)))
 
-    model = ExtensionModel(
-        table, lat.scaled_gram[0] // dg,
+    return ExtensionModel(
+        base.lattice, table, center, e,
         name=f'{base.name}^{center.exc_name}({a},{b})',
         lattice=lat,
         canonical=canonical,
@@ -514,7 +511,6 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> BlowupEx
         contracted=base.contracted,
         k_discrepancies=base.k_discrepancies,
     )
-    return BlowupExtension(base=base, model=model, e_class=e, a_over_base=Fraction(a + b))
 
 
 def surface_to_doc(model: SurfaceModel) -> dict:

@@ -201,7 +201,7 @@ def test_criterion_06_every_profile_validates_and_integrates():
     for f in load_catalog().fixtures:
         prof = valuation_profile(f.valuation)
         assert profile_failures(prof) == (), f.id
-        base = f.valuation.base_surface()
+        base = f.valuation.base
         assert prof.value(F(0)) == base.degree, f.id
         if f.id != 'P2/sanity/line':
             assert base.degree == 5, f.id

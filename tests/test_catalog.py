@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from kwall.stability import (
     s_invariant,
     solve_wall,
 )
-from kwall.surface import BlowupExtension, surface_to_doc
+from kwall.surface import surface_to_doc
 
 F = Fraction
 
@@ -242,7 +244,7 @@ def test_a_fresh_decode_starts_cold(monkeypatch):
         # an extension's generator table is bordered on its first use
         extensions = {id(v.model): v.model for f in cat.fixtures
                       for v in (f.valuation, *f.equivariant)
-                      if isinstance(v.ambient, BlowupExtension)}
+                      if v.model is not v.base}
         assert len(extensions) == 10
         assert not any('gen_table' in vars(m) for m in extensions.values())
         before = len(calls)
@@ -349,13 +351,33 @@ def test_each_extension_is_built_once_per_decode(monkeypatch):
                if v['kind'] == 'blowup'}
 
     def decode():
+        # keyed by id, and holding the models, so that no id is reused
         kwall.catalog._load_resolved.cache_clear()
         cat = load_catalog()
-        return {id(v.model) for f in cat.fixtures for v in (f.valuation, *f.equivariant)
-                if isinstance(v.ambient, BlowupExtension)}
+        return {id(v.model): v.model for f in cat.fixtures
+                for v in (f.valuation, *f.equivariant) if v.model is not v.base}
 
     first = decode()
     assert len(built) == len(first) == len(centers) == 10
     second = decode()
     assert len(built) == 2 * len(centers)
-    assert not first & second
+    assert not first.keys() & second.keys()
+
+
+def test_a_walked_catalog_is_freed_without_the_cycle_collector():
+    '''no surface or extension model is part of a reference cycle: with the
+    cycle collector off, dropping a decoded and walked catalog frees them'''
+    gc.disable()
+    try:
+        kwall.catalog._load_resolved.cache_clear()
+        cat = load_catalog()
+        for fixture in cat.fixtures:
+            beta(fixture.pair, fixture.valuation)
+        models = [*cat.surfaces, *[x for m in cat.surfaces for x in m._extensions.values()]]
+        assert len(models) == 18 + 10
+        refs = [weakref.ref(m) for m in models]
+        del cat, fixture, models
+        kwall.catalog._load_resolved.cache_clear()
+        assert [r().name for r in refs if r() is not None] == []
+    finally:
+        gc.enable()

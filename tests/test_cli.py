@@ -240,6 +240,13 @@ def _extra_mori_name(name):
     return edit
 
 
+def _stated_ord_b(fixture_id, value):
+    '''catalog edit: state another ord_b for a blow-up fixture'''
+    def edit(doc):
+        next(f for f in doc['fixtures'] if f['id'] == fixture_id)['valuation']['ord_b'] = value
+    return edit
+
+
 def _blowup(**center):
     '''the pair PAIR_DOC and a blow-up valuation with the given center'''
     return PAIR_DOC, {'kind': 'blowup', 'center': center}
@@ -265,7 +272,8 @@ def _blowup(**center):
     (_edit('fixtures', 'id', [1]), None, 'catalog error: fixture id [1] is not a string'),
     (_edit('surfaces', 'gram', ''), None,
      'configuration error: bad surface document: gram matrix is not 1 x 1'),
-    (_one_blowup_weight, None, 'configuration error: weights [1] are not two integers'),
+    (_one_blowup_weight, None, "configuration error: fixture 4 'X11/D_1_7/vertex-blowup': "
+                               'weights [1] are not two integers'),
     (None, (PAIR_DOC, {'kind': 'blowup', 'center': 5}),
      'catalog error: valuation document is malformed'),
     (lambda doc: doc.__setitem__('version', [1]), None,
@@ -302,14 +310,17 @@ def _blowup(**center):
     (lambda doc: doc['surfaces'][0]['mori'][0].__setitem__('name', 1), ('surface', 'show', 'p2'),
      'configuration error: bad surface document: generator name 1 is not a string'),
     (_extra_mori_name(7), ('profile', 'Xprime/D_13_41/E'),
-     'configuration error: extra generator name 7 is not a string'),
+     "configuration error: fixture 39 'Xprime/D_13_41/E': extra generator name 7 is not "
+     'a string'),
     (None, (PAIR_DOC, {'kind': 'class', 'name': 5, 'class': [1, 0, 0, 0, 0],
                        'a_x': '1', 'ord_b': '0'}),
      'catalog error: valuation document is malformed: valuation name 5 is not a string'),
     (_extra_mori_name('line12'), ('profile', 'Xprime/D_13_41/E'),
-     "configuration error: generator name 'line12' is used twice on the extension"),
+     "configuration error: fixture 39 'Xprime/D_13_41/E': generator name 'line12' is used "
+     'twice on the extension'),
     (_extra_mori_name('e'), ('profile', 'Xprime/D_13_41/E'),
-     "configuration error: generator name 'e' is used twice on the extension"),
+     "configuration error: fixture 39 'Xprime/D_13_41/E': generator name 'e' is used "
+     'twice on the extension'),
     (lambda doc: doc['fixtures'][2]['boundary'][2].__setitem__('label', 5), None,
      "catalog error: fixture 2 'Xn/D_2_19/node': xn: boundary label 5 is not a string"),
     (lambda doc: doc['fixtures'][2]['boundary'][0].__setitem__('gen', 'ghost'), None,
@@ -318,6 +329,11 @@ def _blowup(**center):
     (None, ({'surface': 'sigma5', 'boundary': [
         {'label': 5, 'class': [1, 0, 0, 0, 0], 'mult': '1'}]}, 'exc1'),
      'catalog error: sigma5: boundary label 5 is not a string'),
+    (lambda doc: doc['fixtures'][2]['boundary'][0].__setitem__('mult', '-1'), None,
+     "configuration error: fixture 2 'Xn/D_2_19/node': xn: component line12 has negative "
+     'multiplicity -1; boundary class ('),
+    (_stated_ord_b('X12/D_7_29/head-junction', '1'), ('beta', 'X12/D_7_29/head-junction'),
+     "configuration error: fixture 11 'X12/D_7_29/head-junction': stated ord_b 1 is below 2"),
 ], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
         'boundary-is-a-string', 'boundary-part-is-a-number',
         'expected-is-a-string', 'valuation-is-a-number', 'display-is-a-boolean',
@@ -332,7 +348,8 @@ def _blowup(**center):
         'generator-name-is-a-number', 'extra-mori-name-is-a-number',
         'valuation-name-is-a-number', 'extra-mori-name-repeats-a-generator',
         'extra-mori-name-repeats-the-exceptional-name', 'boundary-label-is-a-number',
-        'boundary-gen-is-unknown', 'pair-boundary-label-is-a-number'])
+        'boundary-gen-is-unknown', 'pair-boundary-label-is-a-number',
+        'boundary-multiplicity-is-negative', 'stated-ord-b-is-below-the-centre-data'])
 def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,
                                             monkeypatch, capsys):
     if edit is not None:

@@ -22,7 +22,7 @@ from kwall.positivity import (
 )
 from kwall.catalog import load_catalog
 from kwall.stability import valuation_profile
-from kwall.surface import BlowupExtension, ConfigurationError, GeneratorTable, SurfaceModel
+from kwall.surface import ConfigurationError, GeneratorTable, SurfaceModel
 
 F = Fraction
 
@@ -68,8 +68,8 @@ def test_xt_along_contracted_section():
 
 def test_xq_extension_along_exceptional():
     ext = builders.xq_ext_r()
-    origin = ext.pullback(ext.base.anticanonical_pullback)
-    _ray(ext.model, origin, ext.e_class,
+    origin = ext.pullback(builders.xq().anticanonical_pullback)
+    _ray(ext, origin, ext.e_class,
          [(0, 2, (5, 0, -1), ()),
           (2, F(5, 2), (25, -20, 4), {f'ray{i}' for i in range(1, 6)})],
          tau=F(5, 2), integral=F(15, 2))
@@ -97,8 +97,8 @@ def test_xprime_along_contracted_fiber():
 
 def test_xprime_extension_along_exceptional():
     ext = builders.xprime_ext_p()
-    origin = ext.pullback(ext.base.anticanonical_pullback)
-    _ray(ext.model, origin, ext.e_class,
+    origin = ext.pullback(builders.xprime().anticanonical_pullback)
+    _ray(ext, origin, ext.e_class,
          [(0, 2, (5, 0, F(-1, 2)), ()),
           (2, 3, (F(17, 3), F(-2, 3), F(-1, 3)), {'fiber-g'}),
           (3, F(7, 2), (F(98, 3), F(-56, 3), F(8, 3)),
@@ -126,8 +126,8 @@ def test_x11_extension_along_exceptional():
     # the A1 curve is dragged into the support by the exceptional over its
     # residual point, so this ray has three chambers
     ext = builders.x11_ext()
-    origin = ext.pullback(ext.base.anticanonical_pullback)
-    _ray(ext.model, origin, ext.e_class,
+    origin = ext.pullback(builders.x11().anticanonical_pullback)
+    _ray(ext, origin, ext.e_class,
          [(0, 1, (5, 0, -1), ()),
           (1, 3, (F(37, 6), F(-7, 3), F(1, 6)), {'exc-p', 'tang-p', 'a1p'}),
           (3, 4, (F(32, 3), F(-16, 3), F(2, 3)),
@@ -294,9 +294,8 @@ def test_catalog_extension_rays_match_the_subset_oracle():
     rays = {}
     for f in load_catalog().fixtures:
         for v in (f.valuation, *f.equivariant):
-            if isinstance(v.ambient, BlowupExtension):
-                origin = v.ambient.pullback(v.base_surface().anticanonical_pullback)
-                rays.setdefault(id(v.model), (v.model, set()))[1].add((origin, v.e_class))
+            if v.model is not v.base:
+                rays.setdefault(id(v.model), (v.model, set()))[1].add((v.origin, v.e_class))
     assert len(rays) == 10
     for m, model_rays in rays.values():
         oracle = ZariskiOracle(m)

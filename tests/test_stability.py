@@ -23,7 +23,7 @@ from kwall.stability import (
     vgit_slope,
 )
 from kwall.lattice import IntersectionLattice
-from kwall.surface import ConfigurationError, SurfaceModel, build_blowup_extension, BlowupCenter
+from kwall.surface import BlowupCenter, ConfigurationError, SurfaceModel
 
 F = Fraction
 
@@ -69,7 +69,7 @@ def test_pair_validation():
 
 
 def _not_a_multiple(coords) -> str:
-    text = ', '.join(f'Fraction({F(x).numerator}, {F(x).denominator})' for x in coords)
+    text = ', '.join(str(F(x)) for x in coords)
     return f'boundary class ({text}) is not a non-negative multiple of the anticanonical class'
 
 
@@ -198,15 +198,16 @@ def test_rays_are_told_apart_by_origin_and_direction(monkeypatch):
     walks = _counting_walks(monkeypatch)
     m = builders.sigma5()
     # the point where line12 meets exc1
-    ext = build_blowup_extension(m, BlowupCenter.make(exc_name='e',
-                                                      through={'line12': 1, 'exc1': 1}))
-    p, q = d_1_17(m), LogPair.make(ext.model, [])
-    over_base = ValuationSpec.on_extension(p, ext)
-    on_model = ValuationSpec('e', ext.model, ext.e_class, F(1), F(0))
+    p = d_1_17(m)
+    over_base = ValuationSpec.on_extension(
+        p, BlowupCenter.make(exc_name='e', through={'line12': 1, 'exc1': 1}))
+    ext = over_base.model
+    q = LogPair.make(ext, [])
+    on_model = ValuationSpec('e', ext, ext.e_class, F(1), F(0))
     s, t = s_invariant(p, over_base), s_invariant(q, on_model)
-    assert len(walks) == 2 and len(ext.model.ray_integrals) == 2
+    assert len(walks) == 2 and len(ext.ray_integrals) == 2
     assert s.const == integrate_profile(valuation_profile(over_base)) / m.degree
-    assert t.const == integrate_profile(valuation_profile(on_model)) / ext.model.degree
+    assert t.const == integrate_profile(valuation_profile(on_model)) / ext.degree
     assert s.const != t.const
 
 
@@ -403,9 +404,9 @@ def test_valuation_tags_and_klt_guard():
 def test_extension_valuation_defaults():
     m = builders.sigma5()
     p = d_1_17(m)
-    ext = build_blowup_extension(m, BlowupCenter.make(
-        exc_name='e', through={'line12': 1}))
-    v = ValuationSpec.on_extension(p, ext, tag='plain')
+    center = BlowupCenter.make(exc_name='e', through={'line12': 1})
+    v = ValuationSpec.on_extension(p, center, tag='plain')
+    assert v.model is m.extension(center) and v.base is m
     assert v.name == 'e'
     assert (v.a_x, v.ord_b) == (2, 4)
     assert log_discrepancy(p, v) == affine(2, -4)
@@ -413,6 +414,23 @@ def test_extension_valuation_defaults():
     assert log_discrepancy(other, v) == affine(2, -4)
     with pytest.raises(ConfigurationError, match='not live over'):
         log_discrepancy(d_nodal(builders.xn()), v)
+
+
+def test_extension_ord_b_is_bounded_below_by_the_centre_data():
+    '''a labelled component has no centre order, so ord_b must be stated;
+    the generator components through the centre bound it from below'''
+    m = builders.sigma5()
+    # d_1_17 with its quadruple line given by a label instead of a name
+    p = LogPair.make(m, [(('quad', m.gen('line12')), 4), ('line34', 2), ('exc1', 2),
+                         ('exc2', 2)])
+    center = BlowupCenter.make(exc_name='e', through={'line12': 1, 'exc1': 1})
+    with pytest.raises(ConfigurationError, match="component 'quad' has no centre data"):
+        ValuationSpec.on_extension(p, center)
+    with pytest.raises(ConfigurationError, match='stated ord_b 3/2 is below 2'):
+        ValuationSpec.on_extension(p, center, ord_b=F(3, 2))
+    assert ValuationSpec.on_extension(p, center, ord_b=2).ord_b == 2
+    # with the line named, the centre data gives its order too
+    assert ValuationSpec.on_extension(d_1_17(m), center).ord_b == 6
 
 
 def test_quotient_order_bound():
