@@ -19,12 +19,12 @@ import json
 import os
 from fractions import Fraction
 from math import gcd, lcm
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import count
 from pathlib import Path
 from typing import Optional
 
-from .lattice import Frozen, rational
+from .lattice import Frozen, cached_property, rational
 from .stability import AffineRatFn, LogPair, ValuationSpec
 from .surface import (
     BlowupCenter,

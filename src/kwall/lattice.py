@@ -13,10 +13,27 @@ module.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
+
+
+class cached_property:
+    '''functools.cached_property without the lock that CPython 3.11 takes on
+    every first access (3.12 dropped it): the engine's cached values are
+    pure functions of their object, so a value computed twice is the same'''
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.func(obj)
+        return value
 
 
 class Frozen:
@@ -186,6 +203,8 @@ class IntersectionLattice(Frozen):
                           scaled_gram=(d, tuple([tuple(row) for row in rows])))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if type(other) is not IntersectionLattice:
             return NotImplemented
         return (self.names, self.scaled_gram) == (other.names, other.scaled_gram)
@@ -436,10 +455,10 @@ def pivot(a: list[list[int]], scales: list[int], rows: Iterable[int], prev: int 
     in the rows of P and times the Schur complement a_jc - a_jP x in each
     other row j.  A step on r with last pivot ``prev`` brings row r to
     prev (x * prev // scales[r]), takes p = a[r][r], and rewrites each row
-    i with f = a[i][r] != 0 as (p * x - f * y) // scales[i] at scale p, or
-    as p * x - f * y while its scale is still 1, where the division would
-    change nothing.  A row with f = 0 keeps its value, so it is left as it
-    is: the same list.
+    i with f = a[i][r] != 0 as (p * x - f * y) // scales[i] at scale p.
+    While a row's scale is still 1 both steps skip the division, which
+    would change nothing.  A row with f = 0 keeps its value, so it is left
+    as it is: the same list.
 
     The k-th pivot is the k-th leading principal minor of S in pivot order,
     so S_PP is negative definite iff the pivots alternate in sign from a
@@ -459,7 +478,7 @@ def pivot(a: list[list[int]], scales: list[int], rows: Iterable[int], prev: int 
         top = a[r]
         if scales[r] != prev:
             d = scales[r]
-            top = a[r] = [x * prev // d for x in top]
+            top = a[r] = [x * prev for x in top] if d == 1 else [x * prev // d for x in top]
         p = top[r]
         if p == 0 or (p < 0) == (prev < 0):
             return 0

@@ -14,11 +14,21 @@ at most D1 + D2; Bauer-Kuronya-Szemberg, Crelle 2004), which holds the
 origin.  A piece on which a support coefficient turns negative, a shrinking
 support, raises EngineError.
 
+A ray walk never needs a generator with C.C >= 0.  On a lattice of
+signature (1, r - 1), which ``SurfaceModel.validate`` checks and a blow-up
+extension keeps, P(t).P(t) = vol(t) > 0 for t < tau, and P(t) moves
+continuously from the nef and big origin, so it stays in the origin's half
+of the positive cone.  A class C with C.C >= 0 and C.origin >= 0 lies in
+the closure of that half, so it meets P(t) positively (the light-cone
+lemma): it never joins the support and never ends a chamber.  A Zariski
+decomposition and a nef test still read every generator, since a class
+that is not pseudo-effective can be refused at such a row.
+
 So each walk runs on one fraction-free elimination (``lattice.pivot``) of
-the integer Gram matrix of the generators, bordered by the class or ray,
-and pivots each generator once, as it joins the support.  Each row holds
-its value times its own scale, the last pivot that changed it: a step
-rewrites only the rows that meet the joining generator, and most
+the integer Gram matrix of the generators it walks, bordered by the class
+or ray, and pivots each generator once, as it joins the support.  Each row
+holds its value times its own scale, the last pivot that changed it: a
+step rewrites only the rows that meet the joining generator, and most
 generators are disjoint.  The pivot rows then hold the support
 coefficients, the other rows the pairings of P with the generators off the
 support.  The chamber tests compare signs and ratios, so they read the sign
@@ -37,7 +47,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import Optional
 
@@ -45,6 +54,7 @@ from .lattice import (
     DivClass,
     EngineError,
     Frozen,
+    cached_property,
     pair,
     pivot,
     rational_str,
@@ -253,6 +263,12 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
     single quadratic; a chamber ends where a generator outside the support
     starts pairing negatively with P(t), and the profile ends at the big
     threshold tau where the volume reaches zero.
+
+    The origin's nef test pairs it with every declared generator, but the
+    walk reads only the generators with C.C < 0 (``GeneratorTable.negative``):
+    on a lattice of signature (1, r - 1) a generator with C.C >= 0 meets
+    P(t) positively for t < tau (see the module docstring).  On a lattice
+    of another signature, which no surface has, the profile may differ.
     '''
     if origin.lattice != model.lattice or direction.lattice != model.lattice:
         raise ValueError('classes do not live on the model lattice')
@@ -263,12 +279,12 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
     (do, no), (dv, nv) = origin.numerators, direction.numerators
     dx = math.lcm(do, dv)
     xo, xv = [x * (dx // do) for x in no], [-x * (dx // dv) for x in nv]
-    # generator pairings of the origin and v0 = -direction, over den dg dx;
-    # their squares and product, over dg dx^2, start the volume corner
-    po, pv = table.pairings(xo), table.pairings(xv)
-    names = model.gen_names
-    witness = next((n for n, x in zip(names, po) if x < 0), None)
-    if witness is not None:
+    # every generator's pairing with the origin, over den dg dx; the squares
+    # and product of origin and v0 = -direction, over dg dx^2, start the
+    # volume corner
+    po = table.pairings(xo)
+    if po and min(po) < 0:
+        witness = model.gen_names[next(i for i, x in enumerate(po) if x < 0)]
         raise ConfigurationError(
             f'{model.name}: profile origin is not nef (witness {witness})')
     go, gv = [sum(map(mul, row, xo)) for row in gram], [sum(map(mul, row, xv)) for row in gram]
@@ -279,18 +295,21 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
         raise ConfigurationError(f'{model.name}: zero profile direction')
 
     # one elimination serves the whole ray: the Gram matrix of (den C_1,
-    # ..., den C_n), times dg and bordered by the columns of (dx origin, dx
-    # v0), with each generator pivoted once as it joins the support (see
+    # ..., den C_n) over the generators with C.C < 0, the only ones that
+    # can join, times dg and bordered by the columns of (dx origin, dx v0),
+    # with each generator pivoted once as it joins the support (see
     # ``pivot``).  The two volume rows of the bordered matrix are not kept:
     # only their 2 x 2 corner is ever read, held as the Schur state (v00,
     # v01, v11) = last dg dx^2 (u.u, u.v, v.v) at the last pivot
+    walked, block = table.negative
+    names = [model.gen_names[i] for i in walked]
     n = len(names)
-    a = [[*row, x, y] for row, x, y in zip(table.pairing, po, pv)]
+    a = [[*row, po[i], sum(map(mul, table.rows[i], xv))] for i, row in zip(walked, block)]
     scales = [1] * n
     t0 = (0, 1)
     last, idx, joining, free = 1, [], [], range(n)
     pieces: list[QuadraticPiece] = []
-    # each pass grows the support, returns or raises: at most len(mori_gens) + 1
+    # each pass grows the support, returns or raises: at most n + 1
     while True:
         for r in joining:
             prev = last
@@ -304,10 +323,11 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
             v00, v01, v11 = ((last * v00 - x * x) // prev, (last * v01 - x * y) // prev,
                              (last * v11 - y * y) // prev)
         idx += joining
-        free = [j for j in free if j not in joining]
         if not last:
             raise ConfigurationError(f'{model.name}: support '
                                      f'{[names[i] for i in idx]} is not negative definite')
+        if joining:
+            free = [j for j in free if j not in joining]
         # P(t) = u + t v on this chamber, with u = origin - sum a0_s C_s and
         # v = v0 - sum a1_s C_s orthogonal to the support.  With d_i =
         # scales[i], (a0, a1) = den (a[i][n], a[i][n + 1]) / (d_i dx) on the
@@ -342,11 +362,12 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
             raise EngineError(f'{model.name}: volume never vanishes along the ray')
         support = tuple([names[i] for i in idx])
         # coefficients are affine in t, so the two ends cover the whole piece
-        if any((a[i][n] * tq + tp * a[i][n + 1]) * scales[i] < 0 for tp, tq in (t0, t_hi)
-               for i in idx):
-            raise EngineError(
-                f'{model.name}: support {list(support)} shrinks on '
-                f'[{Fraction(*t0)}, {Fraction(*t_hi)}]: a support coefficient turns negative')
+        for i in idx:
+            x, y, d = a[i][n], a[i][n + 1], scales[i]
+            if (x * q + p * y) * d < 0 or (x * t_hi[1] + t_hi[0] * y) * d < 0:
+                raise EngineError(
+                    f'{model.name}: support {list(support)} shrinks on [{Fraction(*t0)}, '
+                    f'{Fraction(*t_hi)}]: a support coefficient turns negative')
         pieces.append(QuadraticPiece(k, scale, t0, t_hi, support))
         if root is not None:
             return VolumeProfile(tuple(pieces), Fraction(*t_hi))

@@ -13,18 +13,15 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Mapping
 
-from .lattice import DivClass, Frozen, combination, ratio, rational, rational_str
+from .lattice import DivClass, Frozen, cached_property, combination, ratio, rational, rational_str
 from .positivity import VolumeProfile, integrate_profile, volume_profile
 from .surface import (
     BlowupCenter,
     ConfigurationError,
     SurfaceModel,
-    contraction_orders,
     pullback_numerators,
 )
 
@@ -165,42 +162,38 @@ class LogPair(Frozen):
                            [(mult, comp) for _, comp, mult in self.boundary])
 
     @cached_property
-    def _boundary_pullback(self) -> tuple[int, tuple[int, ...], int, int]:
+    def _boundary_pullback(self) -> tuple[int, tuple[int, ...], tuple[int, ...], int, int]:
         '''
-        (db, bs, kn, kd): the full pullback B of the boundary cycle is
-        bs / db, and k = kn da / (kd db) is the coefficient of its
-        orthogonal projection to A = pull(-K) = xs / da, or 0 when A.A = 0
+        (db, bs, os, kn, kd): the full pullback B of the boundary cycle is
+        bs / db, the contracted curve s enters it with coefficient os[s] /
+        db, and k = kn da / (kd db) is the coefficient of its orthogonal
+        projection to A = pull(-K) = xs / da, or 0 when A.A = 0
 
         With G / dg the scaled Gram matrix, B.A = bs G xs / (db da dg) and
         A.A = xs G xs / (da^2 dg), so (kn, kd) is (bs G xs, xs G xs), or
         (0, 1).  Then B = k A if and only if bs kd = kn xs.
         '''
         m = self.surface
-        db, bs = pullback_numerators(m, *self.proper_transform.numerators)
+        db, bs, os = pullback_numerators(m, *self.proper_transform.numerators)
         _, xs = m.anticanonical_pullback.numerators
         gas = [sum(map(mul, row, xs)) for row in m.lattice.scaled_gram[1]]
         kd = sum(map(mul, xs, gas))
         kn = sum(map(mul, bs, gas)) if kd else 0
-        return db, bs, kn, kd or 1
+        return db, bs, os, kn, kd or 1
 
     @cached_property
     def boundary_class(self) -> DivClass:
         '''full pullback of the boundary cycle to the resolution'''
-        db, bs, _, _ = self._boundary_pullback
+        db, bs, _, _, _ = self._boundary_pullback
         return DivClass(self.surface.lattice, db, bs)
 
     @cached_property
     def anticanonical_factor(self) -> Fraction:
         '''k with boundary class = k * anticanonical; 2 for the usual pairs,
         0 for an empty boundary'''
-        db, _, kn, kd = self._boundary_pullback
+        db, _, _, kn, kd = self._boundary_pullback
         da, _ = self.surface.anticanonical_pullback.numerators
         return Fraction(kn * da, kd * db)
-
-    @cached_property
-    def _contraction_orders(self) -> Mapping[str, Fraction]:
-        '''order of the boundary cycle along each contracted curve'''
-        return contraction_orders(self.surface, self.proper_transform)
 
     def boundary_order(self, name: str) -> Fraction:
         '''order of the boundary along a named curve of the resolution
@@ -209,7 +202,8 @@ class LogPair(Frozen):
         pullback cycle; anything else gets its summed multiplicity.
         '''
         if name in self.surface.contracted:
-            return self._contraction_orders[name]
+            db, _, os, _, _ = self._boundary_pullback
+            return Fraction(os[self.surface.contracted.index(name)], db)
         if name not in self.surface.gen_names and \
                 all(n != name for n, _, _ in self.boundary):
             raise ConfigurationError(
@@ -233,7 +227,7 @@ class LogPair(Frozen):
                 problems.append(f'component {n or "?"} has negative multiplicity {mult}')
             if n is not None and n in self.surface.contracted:
                 problems.append(f'component {n} is a contracted curve, not a curve downstairs')
-        _, bs, kn, kd = self._boundary_pullback
+        _, bs, _, kn, kd = self._boundary_pullback
         _, xs = self.surface.anticanonical_pullback.numerators
         if kn * kd < 0 or any(b * kd != kn * x for b, x in zip(bs, xs)):
             coords = ', '.join(map(rational_str, self.boundary_class.coords))
@@ -359,26 +353,41 @@ def s_invariant(p: LogPair, v: ValuationSpec) -> AffineRatFn:
     for the pairs of interest), scaling by c only rescales the polarisation
     by (1 - kc), so the integral computed once at c = 0 carries the whole
     c-dependence.  The integral depends only on the model and the ray, so
-    each model keeps it per ray, and valuations that walk the same ray of
-    the same model share one walk.
+    each model keeps it per ray, beside the ray's threshold tau, and
+    valuations that walk the same ray of the same model share one walk.
+
+    The pullback of the boundary less ord_b times the valuation's divisor
+    is effective, so ord_b <= k tau; a larger ord_b is a
+    ConfigurationError.
     '''
     _check_pairing(p, v)
     integrals = v.model.ray_integrals
     ray = v.origin.numerators, v.e_class.numerators
-    total = integrals.get(ray)
-    if total is None:
-        total = integrals[ray] = integrate_profile(volume_profile(v.model, v.origin, v.e_class))
-    # s = total / degree and the slope is -k s, with k the anticanonical
-    # factor
-    deg, k = p.surface.degree, p.anticanonical_factor
+    walked = integrals.get(ray)
+    if walked is None:
+        profile = volume_profile(v.model, v.origin, v.e_class)
+        walked = integrals[ray] = integrate_profile(profile), profile.tau
+    total, tau = walked
+    deg, k, b = p.surface.degree, p.anticanonical_factor, v.ord_b
+    if b.numerator * k.denominator * tau.denominator > k.numerator * tau.numerator * b.denominator:
+        raise ConfigurationError(
+            f'valuation {v.name}: ord_b {b} is above {k * tau}, the anticanonical factor '
+            f'{k} times the threshold {tau} of its ray')
+    # s = total / degree and the slope is -k s
     s = total.numerator * deg.denominator
     return AffineRatFn.from_numerators(total.denominator * deg.numerator * k.denominator,
                                        s * k.denominator, -s * k.numerator)
 
 
 def beta(p: LogPair, v: ValuationSpec) -> AffineRatFn:
-    '''destabilising margin: log discrepancy minus expected vanishing order'''
-    return log_discrepancy(p, v) - s_invariant(p, v)
+    '''destabilising margin: log discrepancy a_x - ord_b c minus expected
+    vanishing order (cn + sn c) / d, over d and the denominators of a_x and
+    ord_b'''
+    d, cn, sn = s_invariant(p, v).numerators
+    a, b = v.a_x, v.ord_b
+    e = a.denominator * b.denominator
+    return AffineRatFn.from_numerators(d * e, a.numerator * b.denominator * d - cn * e,
+                                       -b.numerator * a.denominator * d - sn * e)
 
 
 class WallSolve(Frozen):

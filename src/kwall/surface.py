@@ -18,7 +18,6 @@ Each base model builds it once per center and keeps it (``extension``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence
@@ -28,6 +27,7 @@ from .lattice import (
     EngineError,
     Frozen,
     IntersectionLattice,
+    cached_property,
     combination,
     pair,
     pivot,
@@ -46,7 +46,8 @@ def _numerator_rows(mori_gens) -> tuple[int, tuple[tuple[int, ...], ...]]:
     least common denominator den'''
     nums = [c.numerators for _, c in mori_gens]
     den = lcm(*[d for d, _ in nums])
-    return den, tuple([tuple([x * (den // d) for x in xs]) for d, xs in nums])
+    return den, tuple([xs if d == den else tuple([x * (den // d) for x in xs])
+                       for d, xs in nums])
 
 
 def _repeated(names: Sequence[str]) -> str | None:
@@ -116,6 +117,18 @@ class GeneratorTable(Frozen):
             rows.append((*row, mu * eps))
             pairing.append((*m, *new_cols))
         return GeneratorTable(den, cs, tuple(rows + new_rows), tuple(pairing + new_pairing))
+
+    @cached_property
+    def negative(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        '''(idx, block): the positions of the generators with C.C < 0, in
+        order, and their block of M, the only rows a chamber walk reads
+        (``positivity.volume_profile``); M itself when every generator has
+        C.C < 0'''
+        m = self.pairing
+        idx = tuple([i for i, row in enumerate(m) if row[i] < 0])
+        if len(idx) == len(m):
+            return idx, m
+        return idx, tuple([tuple([m[i][j] for j in idx]) for i in idx])
 
     def pairings(self, xs: Sequence[int]) -> list[int]:
         '''R xs: every generator paired with a class of numerators xs'''
@@ -202,8 +215,8 @@ class SurfaceModel(Frozen):
     @cached_property
     def ray_integrals(self) -> dict:
         '''(origin numerators, direction numerators) -> the exact integral
-        of the volume profile along that ray, filled as the rays are first
-        integrated (``stability.s_invariant``)'''
+        of the volume profile along that ray and the ray's threshold tau,
+        filled as the rays are first integrated (``stability.s_invariant``)'''
         return {}
 
     def extension(self, center: 'BlowupCenter') -> 'ExtensionModel':
@@ -343,31 +356,30 @@ def _contraction_solve(model: SurfaceModel, dx: int, xs: Sequence[int]):
 
 def contraction_orders(model: SurfaceModel, d: DivClass) -> Mapping[str, Fraction]:
     '''coefficient of each contracted curve in the Weil pullback of d'''
-    if not model.contracted:
-        return {}
-    dx, xs = d.numerators
-    det, ys = _contraction_solve(model, dx, xs)
-    return {n: Fraction(model.gen_table.den * y, det * dx) for n, y in zip(model.contracted, ys)}
+    pd, _, os = pullback_numerators(model, *d.numerators)
+    return {n: Fraction(o, pd) for n, o in zip(model.contracted, os)}
 
 
 def pullback_numerators(model: SurfaceModel, dx: int, xs: Sequence[int]
-                        ) -> tuple[int, tuple[int, ...]]:
+                        ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     '''
-    (d, ns): the Weil pullback of the class xs / dx as integer numerators
-    over a positive denominator d, not always the least one
+    (d, ns, os): the Weil pullback of the class xs / dx as integer
+    numerators ns over a positive denominator d, not always the least one,
+    and the coefficient os[s] / d of each contracted curve s in it, from
+    one solve
 
     The contracted curve s, with numerators C[s] / den in the generator
     table, enters with coefficient den ys[s] / (det dx), so the pullback is
     (det xs + sum_s ys[s] C[s]) / (det dx).
     '''
     if not model.contracted:
-        return dx, tuple(xs)
+        return dx, tuple(xs), ()
     det, ys = _contraction_solve(model, dx, xs)
     out = [det * x for x in xs]
-    gens = model.gen_table.gens
+    table = model.gen_table
     for y, n in zip(ys, model.contracted):
-        out = [o + y * c for o, c in zip(out, gens[model.gen_index[n]])]
-    return det * dx, tuple(out)
+        out = [o + y * c for o, c in zip(out, table.gens[model.gen_index[n]])]
+    return det * dx, tuple(out), tuple([table.den * y for y in ys])
 
 
 def pullback_weil(model: SurfaceModel, d: DivClass) -> DivClass:
@@ -388,7 +400,8 @@ def pullback_weil(model: SurfaceModel, d: DivClass) -> DivClass:
         return d
     if d.lattice is not model.lattice and d.lattice != model.lattice:
         raise ValueError('classes live on different lattices')
-    return DivClass(model.lattice, *pullback_numerators(model, *d.numerators))
+    pd, ns, _ = pullback_numerators(model, *d.numerators)
+    return DivClass(model.lattice, pd, ns)
 
 
 class BlowupCenter(Frozen):

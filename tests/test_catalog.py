@@ -21,6 +21,8 @@ from kwall.catalog import (
     printed_margin,
     valuation_from_doc,
 )
+from kwall.lattice import pair
+from kwall.positivity import volume_profile
 from kwall.stability import (
     LogPair,
     Verdict,
@@ -30,7 +32,7 @@ from kwall.stability import (
     s_invariant,
     solve_wall,
 )
-from kwall.surface import surface_to_doc
+from kwall.surface import SurfaceModel, surface_to_doc
 
 F = Fraction
 
@@ -283,14 +285,16 @@ def test_a_decode_and_walk_pass_walks_each_ray_once(monkeypatch):
         walks.clear()
 
 
-def test_a_walls_pass_rewrites_at_most_484_rows(monkeypatch):
-    '''work-count guard: one walls pass on a fresh decode, its pivots
-    stepped one row at a time, rewrites at most 484 rows (5,319 entries;
-    758 rows and 8,280 entries while the walk also eliminated the two
-    volume rows), in 37 walks of 93 chambers.  A rewritten row is a new
-    list in place of the old one, the pivot row aside'''
+def test_a_walls_pass_walks_261_rows_and_rewrites_at_most_417(monkeypatch):
+    '''work-count guard: one walls pass on a fresh decode walks 261
+    generator rows, those with C.C < 0 (314 with every declared generator),
+    and, its pivots stepped one row at a time, rewrites at most 417 rows
+    (3,938 entries; 484 rows and 5,319 entries when every generator was
+    walked, 758 and 8,280 while the walk also eliminated the two volume
+    rows), in 37 walks of 93 chambers.  A rewritten row is a new list in
+    place of the old one, the pivot row aside'''
     real, walk = kwall.positivity.pivot, kwall.stability.volume_profile
-    rewritten, pieces = [], []
+    rewritten, pieces, walked_rows = [], [], []
 
     def counted(a, scales, rows, prev=1):
         for r in rows:
@@ -301,9 +305,10 @@ def test_a_walls_pass_rewrites_at_most_484_rows(monkeypatch):
                 return 0
         return prev
 
-    def walked(*args):
-        out = walk(*args)
+    def walked(model, *args):
+        out = walk(model, *args)
         pieces.append(len(out.pieces))
+        walked_rows.append(len(model.gen_table.negative[0]))
         return out
 
     monkeypatch.setattr(kwall.positivity, 'pivot', counted)
@@ -312,8 +317,67 @@ def test_a_walls_pass_rewrites_at_most_484_rows(monkeypatch):
     cat = load_catalog()
     for f in cat.fixtures:
         solve_wall(beta(f.pair, f.valuation), f.pair.c_lo, f.pair.c_hi)
-    assert (len(pieces), sum(pieces)) == (37, 93)
-    assert len(rewritten) <= 484 and sum(rewritten) <= 5319
+    assert (len(pieces), sum(pieces), sum(walked_rows)) == (37, 93, 261)
+    assert len(rewritten) <= 417 and sum(rewritten) <= 3938
+
+
+def _catalog_rays(cat):
+    '''(model, origin, direction, valuation names) for each distinct ray
+    of the catalog's fixture and equivariant valuations'''
+    rays = {}
+    for f in cat.fixtures:
+        for v in (f.valuation, *f.equivariant):
+            key = (id(v.model), v.origin.numerators, v.e_class.numerators)
+            rays.setdefault(key, (v.model, v.origin, v.e_class, []))[3].append(v.name)
+    return list(rays.values())
+
+
+def _pieces(profile):
+    return [(p.k, p.scale, p.lo, p.hi, p.chamber_support) for p in profile.pieces]
+
+
+def test_no_generator_with_a_nonnegative_square_changes_a_walk():
+    '''a generator with C.C >= 0 never joins a support or ends a chamber
+    (the light-cone lemma, on a lattice of signature (1, r - 1)): no
+    catalog ray's support holds one, and declaring one more, the sum of the
+    first two generators whose sum has C.C >= 0, leaves every catalog ray's
+    profile as it was'''
+    extended = 0
+    for model, origin, direction, names in _catalog_rays(CATALOG):
+        squares = {n: pair(c, c) for n, c in model.mori_gens}
+        profile = volume_profile(model, origin, direction)
+        for p in profile.pieces:
+            assert all(squares[n] < 0 for n in p.chamber_support), (model.name, names)
+        gens = [c for _, c in model.mori_gens]
+        total = next((c + d for i, c in enumerate(gens) for d in gens[i + 1:]
+                      if pair(c + d, c + d) >= 0), None)
+        if total is None:
+            continue
+        more = SurfaceModel(model.name, model.lattice, model.canonical,
+                            (*model.mori_gens, ('sum', total)), model.contracted,
+                            model.k_discrepancies)
+        assert len(more.gen_table.negative[0]) == len(model.gen_table.negative[0])
+        assert _pieces(volume_profile(more, origin, direction)) == _pieces(profile), names
+        extended += 1
+    # every ray but p2's line: p2 declares one generator
+    assert extended == 67
+
+
+def test_every_catalog_ord_b_is_at_most_k_tau():
+    '''pull(B) - ord_b E is effective, so ord_b <= k tau for each of the 45
+    fixture and 34 equivariant valuations, with k the anticanonical factor
+    and tau the threshold of the valuation's ray; six sit at the bound'''
+    tight = set()
+    valuations = [(f, v) for f in CATALOG.fixtures for v in (f.valuation, *f.equivariant)]
+    for f, v in valuations:
+        bound = f.pair.anticanonical_factor * volume_profile(v.model, v.origin, v.e_class).tau
+        assert v.ord_b <= bound, (f.id, v.name)
+        if v.ord_b == bound:
+            tight.add((f.id, v.name, v.ord_b))
+    assert len(valuations) == 79
+    assert tight == {('P2/sanity/line', 'line', 0), ('Sigma5/D_1_17/L1', 'line12', 4),
+                     ('Xn/D_1_17/E', 'line12', 4), ('Xprime/D_13_41/E', 'E', 7),
+                     ('Xq/D_1_4/E', 'E', 5), ('Xt/D_11_52/Cprime', 'cprime', 3)}
 
 
 def test_each_pair_document_is_decoded_once_per_decode(monkeypatch):

@@ -334,6 +334,9 @@ def _blowup(**center):
      'multiplicity -1; boundary class ('),
     (_stated_ord_b('X12/D_7_29/head-junction', '1'), ('beta', 'X12/D_7_29/head-junction'),
      "configuration error: fixture 11 'X12/D_7_29/head-junction': stated ord_b 1 is below 2"),
+    (_stated_ord_b('Xprime/D_13_41/E', '8'), ('beta', 'Xprime/D_13_41/E'),
+     'configuration error: fixture Xprime/D_13_41/E: valuation E: ord_b 8 is above 7, the '
+     'anticanonical factor 2 times the threshold 7/2 of its ray'),
 ], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
         'boundary-is-a-string', 'boundary-part-is-a-number',
         'expected-is-a-string', 'valuation-is-a-number', 'display-is-a-boolean',
@@ -349,7 +352,8 @@ def _blowup(**center):
         'valuation-name-is-a-number', 'extra-mori-name-repeats-a-generator',
         'extra-mori-name-repeats-the-exceptional-name', 'boundary-label-is-a-number',
         'boundary-gen-is-unknown', 'pair-boundary-label-is-a-number',
-        'boundary-multiplicity-is-negative', 'stated-ord-b-is-below-the-centre-data'])
+        'boundary-multiplicity-is-negative', 'stated-ord-b-is-below-the-centre-data',
+        'stated-ord-b-is-above-k-tau'])
 def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,
                                             monkeypatch, capsys):
     if edit is not None:

@@ -353,10 +353,12 @@ def test_a_support_with_a_wrong_sign_pivot_is_refused():
         NotPseudoEffective,
         "steep: support walk left the negative definite cone at ['e', 'd']")
     lat = IntersectionLattice.diagonal(('h1', 'h2', 'e'), (1, 1, -1))
-    # a.a = -2, b.b = 7 and a.b = 2: minors -2, then -14 - 4 = -18
+    # a.a = -2, b.b = -3 and a.b = -3: minors -2, then 6 - 9 = -3.  The
+    # walk reads only rows with C.C < 0, so both must be negative; they
+    # join together at t = 2
     m = SurfaceModel('split', lat, lat.div((-3, -3, 1)),
-                     (('a', lat.div((1, 1, 2))), ('b', lat.div((2, 2, 1)))))
-    assert _refusal(volume_profile, m, lat.div((4, 3, -3)), lat.div((1, -1, -2))) == (
+                     (('a', lat.div((1, 1, 2))), ('b', lat.div((1, 0, 2)))))
+    assert _refusal(volume_profile, m, lat.div((0, 2, -1)), lat.div((1, 1, 0))) == (
         ConfigurationError, "split: support ['a', 'b'] is not negative definite")
 
 
