@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from math import gcd, lcm
 from functools import lru_cache
 from itertools import count
 from pathlib import Path
@@ -56,34 +55,6 @@ class Display(Frozen):
     def __init__(self, scale: Fraction, beta_text: Optional[str] = None,
                  curve: Optional[str] = None, weights: tuple[int, ...] = ()):
         vars(self).update(scale=scale, beta_text=beta_text, curve=curve, weights=weights)
-
-
-def printed_margin(margin: AffineRatFn, scale=1) -> str:
-    '''
-    display normal form ``g(nc-m)/d`` of a scaled margin
-
-    Keeps the integer content g outside the bracket so the root m/n stays
-    readable.  Only meant for rising margins with a positive root, which is
-    what every displayed catalog cell is.
-
-    TESTS::
-
-        >>> from .stability import affine
-        >>> printed_margin(affine('-23/30', '76/30'), 2)
-        '(76c-23)/15'
-        >>> printed_margin(affine('-4/15', '38/15'))
-        '2(19c-2)/15'
-    '''
-    c0 = rational(margin.const) * rational(scale)
-    c1 = rational(margin.slope) * rational(scale)
-    if c1 <= 0 or c0 >= 0:
-        raise CatalogError(f'margin {margin} has no display normal form')
-    d = lcm(c0.denominator, c1.denominator)
-    n, m = int(c1 * d), int(-c0 * d)
-    g = gcd(n, m)
-    lead = '' if g == 1 else str(g)
-    tail = '' if d == 1 else f'/{d}'
-    return f'{lead}({n // g}c-{m // g}){tail}'
 
 
 class Fixture(Frozen):
@@ -371,20 +342,12 @@ def load_fixture(fixture_id: str) -> Fixture:
     one validated fixture by id
 
     TESTS:
+        >>> load_catalog().ids('Sigma5')
+        ('Sigma5/D_1_17/L1',)
         >>> load_fixture('Sigma5/D_1_17/L1').expected.wall
         Fraction(1, 17)
     '''
     return load_catalog().fixture(fixture_id)
-
-
-def enumerate_fixtures(family: Optional[str] = None) -> tuple[str, ...]:
-    '''fixture ids in catalog order, optionally filtered by family prefix'''
-    return load_catalog().ids(family)
-
-
-def expected_wall_list() -> WallTable:
-    '''the full sorted wall table with per-wall metadata'''
-    return load_catalog().wall_table
 
 
 def pair_from_doc(doc, catalog: Optional[Catalog] = None) -> LogPair:

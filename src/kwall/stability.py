@@ -115,10 +115,6 @@ class AffineRatFn(Frozen):
         return f'{rational_str(self.const)} {sign} {tail}'
 
 
-def affine(const, slope) -> AffineRatFn:
-    return AffineRatFn(const, slope)
-
-
 class LogPair(Frozen):
     '''
     boundary divisor on a resolution, scaled by the symbol c
@@ -405,11 +401,11 @@ def solve_wall(b: AffineRatFn, lo=0, hi=HALF) -> WallSolve:
     a wall; a constant nonzero margin has no root.
 
     TESTS:
-        >>> solve_wall(affine(1, -4) - affine(Fraction(13, 15), Fraction(-26, 15))).root
+        >>> solve_wall(AffineRatFn(Fraction(2, 15), Fraction(-34, 15))).root
         Fraction(1, 17)
-        >>> solve_wall(affine(0, 0)).identically_zero
+        >>> solve_wall(AffineRatFn(0, 0)).identically_zero
         True
-        >>> solve_wall(affine(1, -1)).root is None
+        >>> solve_wall(AffineRatFn(1, -1)).root is None
         True
     '''
     (ln, ld), (hn, hd) = ratio(lo), ratio(hi)

@@ -32,7 +32,6 @@ from .lattice import (
     pair,
     pivot,
     rational,
-    rational_str,
     validate_lattice,
 )
 
@@ -524,20 +523,6 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> Extensio
         contracted=base.contracted,
         k_discrepancies=base.k_discrepancies,
     )
-
-
-def surface_to_doc(model: SurfaceModel) -> dict:
-    '''JSON document for a surface model (rationals as "p/q" strings)'''
-    return {
-        'name': model.name,
-        'basis': list(model.lattice.names),
-        'gram': [[rational_str(x) for x in row] for row in model.lattice.gram],
-        'canonical': [rational_str(x) for x in model.canonical.coords],
-        'mori': [{'name': n, 'class': [rational_str(x) for x in c.coords]}
-                 for n, c in model.mori_gens],
-        'contracted': list(model.contracted),
-        'k_discrepancies': {n: rational_str(x) for n, x in model.k_discrepancies},
-    }
 
 
 def _string(what: str, x) -> str:

@@ -3,11 +3,12 @@ hand-built surface models used across the test suite
 
 These are constructed independently of the shipped catalog so that tests can
 cross-check catalog data against a second derivation.  Every builder returns
-a validated model.
+a validated model; ``surface_to_doc`` writes a model back as a catalog surface
+document.
 '''
 from fractions import Fraction
 
-from kwall.lattice import IntersectionLattice
+from kwall.lattice import IntersectionLattice, rational_str
 from kwall.surface import BlowupCenter, SurfaceModel, build_blowup_extension
 
 F = Fraction
@@ -399,3 +400,17 @@ def sigma5_ext_p():
             extra_mori=(('l1-strict', (1, 0, 0, 0, 0, -2)),
                         ('c1-strict', (2, -1, -1, -1, 0, -2)),
                         ('c2-strict', (2, -1, -1, 0, -1, -2)))))
+
+
+def surface_to_doc(model: SurfaceModel) -> dict:
+    '''JSON document for a surface model (rationals as "p/q" strings)'''
+    return {
+        'name': model.name,
+        'basis': list(model.lattice.names),
+        'gram': [[rational_str(x) for x in row] for row in model.lattice.gram],
+        'canonical': [rational_str(x) for x in model.canonical.coords],
+        'mori': [{'name': n, 'class': [rational_str(x) for x in c.coords]}
+                 for n, c in model.mori_gens],
+        'contracted': list(model.contracted),
+        'k_discrepancies': {n: rational_str(x) for n, x in model.k_discrepancies},
+    }

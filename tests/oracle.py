@@ -10,10 +10,16 @@ whose candidate P clears all invariants.  All surviving subsets must share
 one P.
 
 ``profile_failures`` is the matching reference check on a volume profile,
-in plain Fraction arithmetic over its pieces.
+in plain Fraction arithmetic over its pieces, and ``printed_margin`` the
+display normal form the catalog's printed margins are checked against.
 '''
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+
+from kwall.catalog import CatalogError
+from kwall.lattice import rational
+from kwall.stability import AffineRatFn
 
 
 def reference_pair(gram, x, y):
@@ -136,3 +142,30 @@ def profile_failures(profile, degree=None):
     if degree is not None and profile.pieces[0].value(Fraction(0)) != degree:
         out.append('volume at 0 does not match the degree')
     return tuple(out)
+
+
+def printed_margin(margin: AffineRatFn, scale=1) -> str:
+    '''
+    display normal form ``g(nc-m)/d`` of a scaled margin
+
+    Keeps the integer content g outside the bracket so the root m/n stays
+    readable.  Only meant for rising margins with a positive root, which is
+    what every displayed catalog cell is.
+
+    TESTS::
+
+        >>> printed_margin(AffineRatFn('-23/30', '76/30'), 2)
+        '(76c-23)/15'
+        >>> printed_margin(AffineRatFn('-4/15', '38/15'))
+        '2(19c-2)/15'
+    '''
+    c0 = rational(margin.const) * rational(scale)
+    c1 = rational(margin.slope) * rational(scale)
+    if c1 <= 0 or c0 >= 0:
+        raise CatalogError(f'margin {margin} has no display normal form')
+    d = lcm(c0.denominator, c1.denominator)
+    n, m = int(c1 * d), int(-c0 * d)
+    g = gcd(n, m)
+    lead = '' if g == 1 else str(g)
+    tail = '' if d == 1 else f'/{d}'
+    return f'{lead}({n // g}c-{m // g}){tail}'

@@ -10,8 +10,8 @@ import time
 from fractions import Fraction as F
 
 import builders
-from oracle import ZariskiOracle, profile_failures
-from kwall.catalog import load_catalog, load_fixture, printed_margin
+from oracle import ZariskiOracle, printed_margin, profile_failures
+from kwall.catalog import load_catalog, load_fixture
 from kwall.lattice import pair
 from kwall.positivity import integrate_profile, zariski_decompose
 from kwall.stability import (

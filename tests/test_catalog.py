@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 import builders
+from builders import surface_to_doc
+from oracle import printed_margin
 import kwall.catalog
 import kwall.positivity
 import kwall.stability
@@ -13,12 +15,9 @@ import kwall.surface
 from kwall.catalog import (
     CatalogError,
     catalog_path,
-    enumerate_fixtures,
-    expected_wall_list,
     load_catalog,
     load_fixture,
     pair_from_doc,
-    printed_margin,
     valuation_from_doc,
 )
 from kwall.lattice import pair
@@ -32,7 +31,7 @@ from kwall.stability import (
     s_invariant,
     solve_wall,
 )
-from kwall.surface import SurfaceModel, surface_to_doc
+from kwall.surface import SurfaceModel
 
 F = Fraction
 
@@ -63,7 +62,7 @@ def test_fixture_inventory():
     for kept in ('Sigma5/D_1_17/L1', 'Xt/D_11_52/Cprime',
                  'Xprime/D_13_41/E', 'Xq/D_1_4/E', 'P2/sanity/line'):
         assert kept in ids
-    assert list(enumerate_fixtures()) == ids
+    assert list(load_catalog().ids()) == ids
 
 
 @pytest.mark.parametrize('fid', [f.id for f in CATALOG.fixtures])
@@ -91,7 +90,7 @@ def test_display_margin_text_is_the_scaled_margin(fid):
 
 
 def test_wall_table_is_sorted_and_complete():
-    walls = expected_wall_list().walls
+    walls = load_catalog().wall_table.walls
     assert len(walls) == 24
     assert list(walls) == sorted(walls)
     assert walls[0] == F(1, 17) and walls[-1] == F(11, 28)
@@ -194,9 +193,14 @@ def test_env_override_points_at_a_different_catalog(tmp_path, monkeypatch):
     alt.write_text(json.dumps(doc))
     monkeypatch.setenv('KWALL_CATALOG', str(alt))
     assert catalog_path() == alt
-    assert expected_wall_list().walls[0] == F(1, 16)
+    assert load_catalog().wall_table.walls[0] == F(1, 16)
     monkeypatch.delenv('KWALL_CATALOG')
-    assert expected_wall_list().walls[0] == F(1, 17)
+    assert load_catalog().wall_table.walls[0] == F(1, 17)
+
+
+def test_a_missing_catalog_file_is_refused(tmp_path):
+    with pytest.raises(CatalogError, match='does not exist'):
+        load_catalog(tmp_path / 'missing.json')
 
 
 def test_standalone_documents_decode_to_the_fixture_pair():

@@ -203,6 +203,20 @@ def test_catalog_without_a_section_is_a_usage_error(tmp_path, monkeypatch, capsy
         assert f"has no '{section}' section" in err
 
 
+@pytest.mark.parametrize('text, message', [
+    ('{"surfaces": [', 'is not JSON: '),
+    (None, 'is not readable: '),
+], ids=['catalog-is-not-json', 'catalog-is-missing'])
+def test_unreadable_catalogs_are_usage_errors(text, message, tmp_path, monkeypatch, capsys):
+    path = tmp_path / 'catalog.json'
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setenv('KWALL_CATALOG', str(path))
+    code, out, err = run(capsys, 'fixtures', 'list')
+    assert (code, out) == (2, '')
+    assert err.startswith('catalog error: catalog ') and message in err
+
+
 SHIPPED = json.loads(DATA_PATH.read_text())
 
 
@@ -337,6 +351,11 @@ def _blowup(**center):
     (_stated_ord_b('Xprime/D_13_41/E', '8'), ('beta', 'Xprime/D_13_41/E'),
      'configuration error: fixture Xprime/D_13_41/E: valuation E: ord_b 8 is above 7, the '
      'anticanonical factor 2 times the threshold 7/2 of its ray'),
+    (lambda doc: doc['fixtures'][1].__setitem__('id', doc['fixtures'][0]['id']), None,
+     "catalog error: duplicate fixture id 'Sigma5/D_1_17/L1'"),
+    (lambda doc: doc['walls'].reverse(), None, 'catalog error: wall table is not sorted'),
+    (None, ([], 'exc1'), 'catalog error: pair document must be a json object'),
+    (None, (PAIR_DOC, []), 'catalog error: valuation document must be a json object'),
 ], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
         'boundary-is-a-string', 'boundary-part-is-a-number',
         'expected-is-a-string', 'valuation-is-a-number', 'display-is-a-boolean',
@@ -353,7 +372,8 @@ def _blowup(**center):
         'extra-mori-name-repeats-the-exceptional-name', 'boundary-label-is-a-number',
         'boundary-gen-is-unknown', 'pair-boundary-label-is-a-number',
         'boundary-multiplicity-is-negative', 'stated-ord-b-is-below-the-centre-data',
-        'stated-ord-b-is-above-k-tau'])
+        'stated-ord-b-is-above-k-tau', 'fixture-id-repeats', 'walls-are-unsorted',
+        'pair-document-is-a-list', 'valuation-document-is-a-list'])
 def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,
                                             monkeypatch, capsys):
     if edit is not None:
@@ -367,7 +387,7 @@ def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,
         pair_doc, valuation = inputs
         bad = tmp_path / 'pair.json'
         bad.write_text(json.dumps(pair_doc))
-        if isinstance(valuation, dict):
+        if not isinstance(valuation, str):
             (tmp_path / 'val.json').write_text(json.dumps(valuation))
             valuation = str(tmp_path / 'val.json')
         argv = ('beta', str(bad), valuation)

@@ -11,7 +11,6 @@ from kwall.stability import (
     LogPair,
     ValuationSpec,
     Verdict,
-    affine,
     beta,
     index_feasibility,
     log_discrepancy,
@@ -39,13 +38,13 @@ def d_nodal(m):
 
 
 def test_affine_algebra():
-    f = affine(1, -4)
+    f = AffineRatFn(1, -4)
     assert f.value(F(1, 17)) == F(13, 17)
-    g = f - affine(F(13, 15), F(-26, 15))
+    g = f - AffineRatFn(F(13, 15), F(-26, 15))
     assert (g.const, g.slope) == (F(2, 15), F(-34, 15))
     assert str(g) == '2/15 - 34/15 c'
-    assert str(affine(0, 2)) == '2 c'
-    assert str(affine(F(1, 2), 0)) == '1/2'
+    assert str(AffineRatFn(0, 2)) == '2 c'
+    assert str(AffineRatFn(F(1, 2), 0)) == '1/2'
     assert (-g + g).is_zero
     assert not f.is_zero
 
@@ -136,7 +135,7 @@ def test_boundary_order_through_singular_point():
     v = ValuationSpec.on_surface(generic, 'q3-line')
     assert (v.a_x, v.ord_b) == (1, 2)
     node = ValuationSpec.on_surface(generic, 'node')
-    assert log_discrepancy(generic, node) == affine(1, -4)
+    assert log_discrepancy(generic, node) == AffineRatFn(1, -4)
 
 
 def test_tangent_boundary_on_quartic_cone_degeneration():
@@ -160,7 +159,7 @@ def test_log_discrepancy_line():
     a = log_discrepancy(p, v)
     assert (a.const, a.slope) == (1, -4)
     untouched = ValuationSpec.on_surface(p, 'line13')
-    assert log_discrepancy(p, untouched) == affine(1, 0)
+    assert log_discrepancy(p, untouched) == AffineRatFn(1, 0)
 
 
 def test_s_invariant_line():
@@ -185,7 +184,7 @@ def test_each_ray_of_a_model_is_integrated_once(monkeypatch):
     p, other = d_1_17(m), LogPair.make(m, [])
     first = s_invariant(p, ValuationSpec.on_surface(p, 'line12'))
     assert s_invariant(p, ValuationSpec.on_surface(p, 'line12')) == first
-    assert s_invariant(other, ValuationSpec.on_surface(other, 'line12')) == affine(
+    assert s_invariant(other, ValuationSpec.on_surface(other, 'line12')) == AffineRatFn(
         first.const, 0)
     assert len(walks) == 1
     s_invariant(p, ValuationSpec.on_surface(p, 'line34'))
@@ -248,11 +247,11 @@ def test_empty_boundary_sanity():
 
 
 def test_solve_wall_edges():
-    assert solve_wall(affine(1, 0)).root is None
-    assert solve_wall(affine(1, -1)).root is None          # root 1 outside
-    assert solve_wall(affine(-1, 4)).root == F(1, 4)
-    assert solve_wall(affine(-1, 4), F(1, 4), F(1, 2)).root is None
-    assert not solve_wall(affine(1, -4)).identically_zero
+    assert solve_wall(AffineRatFn(1, 0)).root is None
+    assert solve_wall(AffineRatFn(1, -1)).root is None  # root 1 outside
+    assert solve_wall(AffineRatFn(-1, 4)).root == F(1, 4)
+    assert solve_wall(AffineRatFn(-1, 4), F(1, 4), F(1, 2)).root is None
+    assert not solve_wall(AffineRatFn(1, -4)).identically_zero
 
 
 # small numerators and denominators, so that sums cancel and roots land on
@@ -274,7 +273,7 @@ def _built_every_way(const, slope):
     '''the function const + slope c from each constructor'''
     d = const.denominator * slope.denominator
     cn, sn = const.numerator * slope.denominator, slope.numerator * const.denominator
-    out = [AffineRatFn(const, slope), affine(str(const), str(slope)),
+    out = [AffineRatFn(const, slope), AffineRatFn(str(const), str(slope)),
            AffineRatFn.from_numerators(-3 * d, -3 * cn, -3 * sn)]
     if const.denominator == slope.denominator == 1:
         out.append(AffineRatFn(int(const), int(slope)))
@@ -333,7 +332,7 @@ def test_solve_wall_matches_a_fraction_reference(const, slope, lo, hi):
        m=st.fractions(min_value=0, max_value=8, max_denominator=20),
        s=st.fractions(min_value=F(1, 10), max_value=4, max_denominator=30))
 def test_wall_algebra(a0, m, s):
-    b = affine(a0, -m) - AffineRatFn(s, -2 * s)
+    b = AffineRatFn(a0, -m) - AffineRatFn(s, -2 * s)
     res = solve_wall(b)
     if 2 * s == m:
         assert res.root is None
@@ -409,9 +408,9 @@ def test_extension_valuation_defaults():
     assert v.model is m.extension(center) and v.base is m
     assert v.name == 'e'
     assert (v.a_x, v.ord_b) == (2, 4)
-    assert log_discrepancy(p, v) == affine(2, -4)
+    assert log_discrepancy(p, v) == AffineRatFn(2, -4)
     other = d_1_17(builders.sigma5())
-    assert log_discrepancy(other, v) == affine(2, -4)
+    assert log_discrepancy(other, v) == AffineRatFn(2, -4)
     with pytest.raises(ConfigurationError, match='not live over'):
         log_discrepancy(d_nodal(builders.xn()), v)
 

@@ -5,6 +5,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from builders import surface_to_doc
 from kwall.catalog import load_catalog
 from kwall.lattice import IntersectionLattice, pair
 from kwall.surface import (
@@ -16,7 +17,6 @@ from kwall.surface import (
     contraction_orders,
     pullback_weil,
     surface_from_doc,
-    surface_to_doc,
 )
 
 F = Fraction
@@ -339,13 +339,15 @@ REFUSED_MODELS = [
      ('xq: contracted curves are not negative definite',
       'xq: pull(K) not orthogonal to contracted curve exc1',
       'xq: pull(K) not orthogonal to contracted curve ray2')),
+    (lambda: _extended(make_xq(), 'xq', k_discrepancies=(('exc1', F(1)),)),
+     ('xq: discrepancy given for a non-contracted curve',)),
 ]
 
 
 @pytest.mark.parametrize('build, failures', REFUSED_MODELS,
                          ids=['pullback-not-orthogonal', 'neither-negative', 'adjunction',
                               'degree-not-positive', 'generator-name-twice',
-                              'contraction-not-definite'])
+                              'contraction-not-definite', 'discrepancy-off-the-contraction'])
 def test_model_refusals_name_the_failed_check(build, failures):
     m = build()
     assert m.failures() == failures
