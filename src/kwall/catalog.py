@@ -168,7 +168,6 @@ def _decode_part(model: SurfaceModel, doc):
         return doc['gen'], mult
     cls = model.lattice.div(doc['class'])
     if 'label' in doc:
-        # LogPair.make would read a (number, class) pair as coordinates
         if not isinstance(doc['label'], str):
             raise CatalogError(f'{model.name}: boundary label {doc["label"]!r} is not a string')
         return (doc['label'], cls), mult
@@ -225,7 +224,7 @@ def _decode_display(doc) -> Display:
         weights=_list_of(doc, 'weights', int))
 
 
-def _decode_fixture(surfaces: dict, pairs: dict, doc, i: int) -> Fixture:
+def _decode_fixture(surfaces: dict, doc, i: int) -> Fixture:
     '''decode fixture number i of the catalog'''
     if not isinstance(doc['id'], str):
         raise CatalogError(f'fixture id {doc["id"]!r} is not a string')
@@ -235,13 +234,8 @@ def _decode_fixture(surfaces: dict, pairs: dict, doc, i: int) -> Fixture:
     except KeyError:
         raise CatalogError(
             f'fixture {doc["id"]!r} names unknown surface {name!r}') from None
-    # fixtures with the same surface and boundary document share one pair
-    boundary = doc.get('boundary', ())
-    key = name, json.dumps(boundary, sort_keys=True)
     try:
-        if key not in pairs:
-            pairs[key] = LogPair.make(model, tuple(_decode_part(model, p) for p in boundary))
-        pair = pairs[key]
+        pair = LogPair.make(model, [_decode_part(model, p) for p in doc.get('boundary', ())])
         valuation = _decode_valuation(pair, doc['valuation'])
         equivariant = tuple(_decode_valuation(pair, v) for v in doc.get('equivariant', ()))
     except ConfigurationError as exc:
@@ -312,11 +306,10 @@ def _load_resolved(path_str: str) -> Catalog:
         raise CatalogError(f'catalog version {doc["version"]!r} is not an integer')
     surfaces = _decode_each('surface', doc['surfaces'], surface_from_doc)
     index = {m.name: m for m in surfaces}
-    pairs: dict = {}
     # decode is called once per fixture in turn, so this counts their places
     position = count()
     fixtures = _decode_each('fixture', doc['fixtures'],
-                            lambda d: _decode_fixture(index, pairs, d, next(position)))
+                            lambda d: _decode_fixture(index, d, next(position)))
     seen = set()
     for f in fixtures:
         if f.id in seen:
@@ -350,7 +343,7 @@ def load_fixture(fixture_id: str) -> Fixture:
     return load_catalog().fixture(fixture_id)
 
 
-def pair_from_doc(doc, catalog: Optional[Catalog] = None) -> LogPair:
+def pair_from_doc(doc) -> LogPair:
     '''
     validated pair from a standalone document
 
@@ -362,8 +355,7 @@ def pair_from_doc(doc, catalog: Optional[Catalog] = None) -> LogPair:
         raise CatalogError('pair document must be a json object')
     if 'surface' not in doc:
         raise CatalogError("pair document has no 'surface' field")
-    cat = catalog if catalog is not None else load_catalog()
-    model = cat.surface(doc['surface'])
+    model = load_catalog().surface(doc['surface'])
     parts = _decode_each('boundary part', doc.get('boundary', ()),
                          lambda p: _decode_part(model, p))
     return LogPair.make(model, parts)

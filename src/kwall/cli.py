@@ -31,7 +31,7 @@ from .catalog import (
     pair_from_doc,
     valuation_from_doc,
 )
-from .lattice import DivClass, EngineError, pair, rational, rational_str
+from .lattice import DivClass, EngineError, pair, rational
 from .positivity import (
     NotPseudoEffective,
     integrate_profile,
@@ -59,11 +59,11 @@ EXIT_MISMATCH = 4
 
 
 def _coords(d: DivClass) -> list[str]:
-    return [rational_str(x) for x in d.coords]
+    return [str(x) for x in d.coords]
 
 
 def _opt(x: Fraction | None) -> str | None:
-    return None if x is None else rational_str(x)
+    return None if x is None else str(x)
 
 
 def _tuple_text(xs: list[str]) -> str:
@@ -73,7 +73,7 @@ def _tuple_text(xs: list[str]) -> str:
 def _affine_text(f) -> str:
     '''prefactor form when the function is a multiple of (1 - 2c)'''
     if f.slope == -2 * f.const != 0:
-        return f'({rational_str(f.const)})(1 - 2c)'
+        return f'({f.const})(1 - 2c)'
     return str(f)
 
 
@@ -98,9 +98,9 @@ def _quad_text(coeffs) -> str:
         if sym and mag == 1:
             body = sym
         elif sym:
-            body = f'{rational_str(mag)} {sym}'
+            body = f'{mag} {sym}'
         else:
-            body = rational_str(mag)
+            body = str(mag)
         if not parts:
             parts.append(body if c > 0 else f'-{body}')
         else:
@@ -136,7 +136,7 @@ def parse_divisor(model: SurfaceModel, text: str) -> DivClass:
 
 def _profile_results(profile) -> dict:
     '''tau, pieces and integral of a volume profile'''
-    return {**profile_to_doc(profile), 'integral': rational_str(integrate_profile(profile))}
+    return {**profile_to_doc(profile), 'integral': str(integrate_profile(profile))}
 
 
 def _profile_lines(head: str, r: dict) -> list[str]:
@@ -173,14 +173,14 @@ def cmd_surface_show(args) -> dict:
         'name': model.name,
         'rank': lat.rank,
         'basis': list(lat.names),
-        'degree': rational_str(model.degree),
+        'degree': str(model.degree),
         'canonical': _coords(model.canonical),
         'anticanonical_pullback': _coords(model.anticanonical_pullback),
         'mori': [{'name': n, 'class': _coords(c),
-                  'self_intersection': rational_str(pair(c, c)),
-                  'canonical_degree': rational_str(pair(model.canonical, c))}
+                  'self_intersection': str(pair(c, c)),
+                  'canonical_degree': str(pair(model.canonical, c))}
                  for n, c in model.mori_gens],
-        'contracted': [{'name': n, 'discrepancy': rational_str(model.discrepancy[n])}
+        'contracted': [{'name': n, 'discrepancy': str(model.discrepancy[n])}
                        for n in model.contracted],
     }
 
@@ -203,7 +203,7 @@ def cmd_zariski(args) -> dict:
     if args.ray is None:
         z = zariski_decompose(model, d)
         return {'surface': model.name, 'divisor': _coords(d), 'positive': _coords(z.positive),
-                'negative': [{'name': n, 'mult': rational_str(m)}
+                'negative': [{'name': n, 'mult': str(m)}
                              for n, m in z.negative_support]}
     ray = parse_divisor(model, args.ray)
     return {'surface': model.name, 'origin': _coords(d), 'ray': _coords(ray),
@@ -229,7 +229,7 @@ def cmd_profile(args) -> dict:
     results = {'fixture': f.id, 'surface': base.name, 'valuation': f.valuation.name,
                **_profile_results(profile)}
     s0 = rational(results['integral']) / base.degree
-    return {**results, 'vanishing_order_at_zero': rational_str(s0)}
+    return {**results, 'vanishing_order_at_zero': str(s0)}
 
 
 def _render_profile(r: dict) -> list[str]:
@@ -272,11 +272,11 @@ def cmd_beta(args) -> dict:
     results = {
         'surface': p.surface.name,
         'valuation': {'name': v.name, 'tag': v.tag,
-                      'a_x': rational_str(v.a_x), 'ord_b': rational_str(v.ord_b)},
+                      'a_x': str(v.a_x), 'ord_b': str(v.ord_b)},
         'log_discrepancy': str(a),
         'expected_vanishing': _affine_text(s),
         'beta': 'identically zero' if sol.identically_zero else str(b),
-        'margin': {'const': rational_str(b.const), 'slope': rational_str(b.slope)},
+        'margin': {'const': str(b.const), 'slope': str(b.slope)},
         'wall': _opt(sol.root),
     }
     if f is None:
@@ -285,20 +285,18 @@ def cmd_beta(args) -> dict:
         results.update(fixture=f.id, stored_wall=_opt(f.expected.wall),
                        match=sol.root == f.expected.wall)
         if f.display is not None and f.display.beta_text:
-            results['printed'] = {'scale': rational_str(f.display.scale),
+            results['printed'] = {'scale': str(f.display.scale),
                                   'beta': f.display.beta_text}
     if args.c is not None:
         c = rational(args.c)
         if not p.c_lo <= c <= p.c_hi:
-            raise ConfigurationError(
-                f'coefficient {rational_str(c)} outside '
-                f'[{rational_str(p.c_lo)}, {rational_str(p.c_hi)}]')
+            raise ConfigurationError(f'coefficient {c} outside [{p.c_lo}, {p.c_hi}]')
         bc = b.value(c)
         results['at'] = {
-            'c': rational_str(c),
-            'log_discrepancy': rational_str(a.value(c)),
-            'expected_vanishing': rational_str(s.value(c)),
-            'beta': rational_str(bc),
+            'c': str(c),
+            'log_discrepancy': str(a.value(c)),
+            'expected_vanishing': str(s.value(c)),
+            'beta': str(bc),
             'sign': 'zero' if bc == 0 else ('positive' if bc > 0 else 'negative'),
         }
     return results
@@ -340,7 +338,7 @@ def cmd_walls(args) -> dict:
         'count': len(rows),
         'fixtures': [{'id': fid, 'wall': _opt(root), 'stored': _opt(stored),
                       'match': root == stored} for fid, root, stored in rows],
-        'walls': [rational_str(w) for w in sorted(found)],
+        'walls': [str(w) for w in sorted(found)],
         'mismatches': [{'id': fid, 'computed': _opt(root), 'stored': _opt(stored)}
                        for fid, root, stored in rows if root != stored],
     }
@@ -349,11 +347,11 @@ def cmd_walls(args) -> dict:
                    or any(fam.startswith(args.family) for fam in e.families)]
         stored = {e.value for e in entries}
         results['diff'] = {
-            'stored': [rational_str(e.value) for e in entries],
+            'stored': [str(e.value) for e in entries],
             'matched': len(stored & found),
-            'missing': [rational_str(w) for w in sorted(stored - found)],
-            'extra': [rational_str(w) for w in sorted(found - stored)],
-            'divisorial': [rational_str(e.value) for e in entries if e.divisorial],
+            'missing': [str(w) for w in sorted(stored - found)],
+            'extra': [str(w) for w in sorted(found - stored)],
+            'divisorial': [str(e.value) for e in entries if e.divisorial],
         }
     return results
 
@@ -387,7 +385,7 @@ def cmd_bounds(args) -> dict:
     if c is not None:
         if not 0 < c < HALF:
             raise ConfigurationError(
-                f'coefficient {rational_str(c)} outside the open interval (0, 1/2)')
+                f'coefficient {c} outside the open interval (0, 1/2)')
         degree = 5 * (1 - 2 * c) ** 2
     else:
         degree = rational(args.degree)
@@ -398,10 +396,10 @@ def cmd_bounds(args) -> dict:
         note = 'at most A1 singular points'
     else:
         note = f'quotient singularities of order up to {int(bound)}'
-    results = {'pair_degree': rational_str(degree), 'quotient_order_bound': rational_str(bound),
+    results = {'pair_degree': str(degree), 'quotient_order_bound': str(bound),
                'note': note}
     if c is not None:
-        results['c'] = rational_str(c)
+        results['c'] = str(c)
     index = (args.d, args.n, args.ord_lower)
     if any(x is not None for x in index):
         if any(x is None for x in index):
@@ -409,10 +407,10 @@ def cmd_bounds(args) -> dict:
         if c is None:
             raise ConfigurationError('the index test needs --c')
         ord_lower = rational(args.ord_lower)
-        results['index'] = {'d': args.d, 'n': args.n, 'ord_lower': rational_str(ord_lower),
+        results['index'] = {'d': args.d, 'n': args.n, 'ord_lower': str(ord_lower),
                             'feasible': index_feasibility(args.d, args.n, c, ord_lower)}
     if c is not None and Fraction(1, 4) <= c < HALF:
-        results['vgit_slope'] = rational_str(vgit_slope(c))
+        results['vgit_slope'] = str(vgit_slope(c))
     return results
 
 

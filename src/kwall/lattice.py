@@ -132,11 +132,6 @@ def rational(x: int | str | Fraction) -> Fraction:
     return _fraction(*ratio(x))
 
 
-def rational_str(x: Fraction) -> str:
-    '''render a rational as "p/q", or "n" when the denominator is 1'''
-    return str(x)
-
-
 def integral(xs: Iterable[int | str | Fraction]) -> tuple[int, tuple[int, ...]]:
     '''
     (d, ns) with xs = ns / d: integer numerators over the least common
@@ -312,7 +307,7 @@ class DivClass(Frozen):
         return not any(self.numerators[1])
 
     def __repr__(self) -> str:
-        terms = [f'{rational_str(c)}*{n}' for c, n in zip(self.coords, self.lattice.names) if c != 0]
+        terms = [f'{c}*{n}' for c, n in zip(self.coords, self.lattice.names) if c != 0]
         return ' + '.join(terms) if terms else '0'
 
 
@@ -355,17 +350,6 @@ def pair(a: DivClass, b: DivClass) -> Fraction:
     db, xb = b.numerators
     total = sum(x * sum(map(mul, row, xb)) for x, row in zip(xa, rows) if x)
     return Fraction(total, dg * da * db)
-
-
-class LatticeReport(Frozen):
-    '''outcome of validate_lattice; empty ``failures`` means the lattice passed'''
-
-    def __init__(self, signature: tuple[int, int, int], failures: tuple[str, ...]):
-        vars(self).update(signature=signature, failures=failures)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def signature(rows: Sequence[Sequence[int | Fraction]]) -> tuple[int, int, int]:
@@ -422,23 +406,22 @@ def signature(rows: Sequence[Sequence[int | Fraction]]) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
-def validate_lattice(lat: IntersectionLattice) -> LatticeReport:
+def validate_lattice(lat: IntersectionLattice) -> tuple[str, ...]:
     '''
-    check symmetry and hyperbolic signature (1, rank-1)
+    the failures of the symmetry and hyperbolic signature (1, rank-1)
+    checks, empty when the lattice passes
 
     A projective surface lattice must carry one positive direction and
     rank-1 negative ones; anything else is a miscoded Gram matrix.
     '''
-    failures: list[str] = []
     # the scaled Gram matrix is a positive multiple: same symmetry, same inertia
     rows = lat.scaled_gram[1]
     if any(rows[i][j] != rows[j][i] for i in range(lat.rank) for j in range(i)):
-        failures.append('gram matrix is not symmetric')
-        return LatticeReport((0, 0, 0), tuple(failures))
+        return ('gram matrix is not symmetric',)
     sig = signature(rows)
     if sig != (1, lat.rank - 1, 0):
-        failures.append(f'signature {sig} is not (1, {lat.rank - 1}, 0)')
-    return LatticeReport(sig, tuple(failures))
+        return (f'signature {sig} is not (1, {lat.rank - 1}, 0)',)
+    return ()
 
 
 def pivot(a: list[list[int]], scales: list[int], rows: Iterable[int], prev: int = 1) -> int:

@@ -57,7 +57,6 @@ from .lattice import (
     cached_property,
     pair,
     pivot,
-    rational_str,
 )
 from .surface import ConfigurationError, SurfaceModel
 
@@ -402,11 +401,11 @@ def integrate_profile(profile: VolumeProfile) -> Fraction:
 def profile_to_doc(profile: VolumeProfile) -> dict:
     '''JSON document for a profile (rationals as "p/q" strings)'''
     return {
-        'tau': rational_str(profile.tau),
+        'tau': str(profile.tau),
         'pieces': [{
-            't_lo': rational_str(p.t_lo),
-            't_hi': rational_str(p.t_hi),
-            'coeffs': [rational_str(x) for x in p.coeffs],
+            't_lo': str(p.t_lo),
+            't_hi': str(p.t_hi),
+            'coeffs': [str(x) for x in p.coeffs],
             'support': list(p.chamber_support),
         } for p in profile.pieces],
     }

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .lattice import DivClass, Frozen, cached_property, combination, ratio, rational, rational_str
+from .lattice import DivClass, Frozen, cached_property, combination, ratio, rational
 from .positivity import VolumeProfile, integrate_profile, volume_profile
 from .surface import (
     BlowupCenter,
@@ -107,12 +107,12 @@ class AffineRatFn(Frozen):
 
     def __str__(self) -> str:
         if self.slope == 0:
-            return rational_str(self.const)
-        tail = f'{rational_str(abs(self.slope))} c'
+            return str(self.const)
+        tail = f'{abs(self.slope)} c'
         if self.const == 0:
             return tail if self.slope > 0 else f'-{tail}'
         sign = '+' if self.slope > 0 else '-'
-        return f'{rational_str(self.const)} {sign} {tail}'
+        return f'{self.const} {sign} {tail}'
 
 
 class LogPair(Frozen):
@@ -125,31 +125,30 @@ class LogPair(Frozen):
     curve comes from the pullback solve, never from raw coordinates.
     '''
 
+    # every pair's coefficient range: -(K + cC) = (1 - 2c)(-K) is ample there
+    c_lo, c_hi = Fraction(0), HALF
+
     def __init__(self, surface: SurfaceModel,
-                 boundary: tuple[tuple[str | None, DivClass, Fraction], ...],
-                 c_lo: Fraction = Fraction(0), c_hi: Fraction = HALF):
-        vars(self).update(surface=surface, boundary=boundary, c_lo=c_lo, c_hi=c_hi)
+                 boundary: tuple[tuple[str | None, DivClass, Fraction], ...]):
+        vars(self).update(surface=surface, boundary=boundary)
 
     @classmethod
-    def make(cls, surface: SurfaceModel, parts, c_range=(0, HALF)) -> 'LogPair':
+    def make(cls, surface: SurfaceModel, parts) -> 'LogPair':
         '''parts: iterable of (component, mult); a component is a generator
-        name, a DivClass or coordinate tuple, or a (label, class) pair for a
+        name, a DivClass, or a (label, class or coordinates) pair for a
         curve that is not a declared generator'''
         rows = []
         for comp, mult in parts:
             if isinstance(comp, str):
-                rows.append((comp, surface.gen(comp), rational(mult)))
+                label, cl = comp, surface.gen(comp)
             elif isinstance(comp, DivClass):
-                rows.append((None, comp, rational(mult)))
-            elif len(comp) == 2 and isinstance(comp[0], str):
+                label, cl = None, comp
+            else:
                 label, cl = comp
                 if not isinstance(cl, DivClass):
                     cl = surface.lattice.div(cl)
-                rows.append((label, cl, rational(mult)))
-            else:
-                rows.append((None, surface.lattice.div(comp), rational(mult)))
-        return cls(surface, tuple(rows),
-                   rational(c_range[0]), rational(c_range[1])).validate()
+            rows.append((label, cl, rational(mult)))
+        return cls(surface, tuple(rows)).validate()
 
     @cached_property
     def proper_transform(self) -> DivClass:
@@ -176,12 +175,6 @@ class LogPair(Frozen):
         kd = sum(map(mul, xs, gas))
         kn = sum(map(mul, bs, gas)) if kd else 0
         return db, bs, os, kn, kd or 1
-
-    @cached_property
-    def boundary_class(self) -> DivClass:
-        '''full pullback of the boundary cycle to the resolution'''
-        db, bs, _, _, _ = self._boundary_pullback
-        return DivClass(self.surface.lattice, db, bs)
 
     @cached_property
     def anticanonical_factor(self) -> Fraction:
@@ -216,17 +209,15 @@ class LogPair(Frozen):
 
     def failures(self) -> tuple[str, ...]:
         problems = []
-        if not (0 <= self.c_lo < self.c_hi <= HALF):
-            problems.append(f'coefficient range ({self.c_lo}, {self.c_hi}) is not inside (0, 1/2)')
         for n, _, mult in self.boundary:
             if mult < 0:
                 problems.append(f'component {n or "?"} has negative multiplicity {mult}')
             if n is not None and n in self.surface.contracted:
                 problems.append(f'component {n} is a contracted curve, not a curve downstairs')
-        _, bs, _, kn, kd = self._boundary_pullback
+        db, bs, _, kn, kd = self._boundary_pullback
         _, xs = self.surface.anticanonical_pullback.numerators
         if kn * kd < 0 or any(b * kd != kn * x for b, x in zip(bs, xs)):
-            coords = ', '.join(map(rational_str, self.boundary_class.coords))
+            coords = ', '.join(map(str, DivClass(self.surface.lattice, db, bs).coords))
             problems.append(f'boundary class ({coords}) is not a non-negative '
                             'multiple of the anticanonical class')
         if self.surface.degree <= 0:
@@ -239,9 +230,6 @@ class LogPair(Frozen):
             raise ConfigurationError(
                 f'{self.surface.name}: ' + '; '.join(problems))
         return self
-
-    def contains(self, c) -> bool:
-        return self.c_lo < rational(c) < self.c_hi
 
 
 class ValuationSpec(Frozen):
@@ -450,7 +438,7 @@ def polystability_check(p: LogPair, vs, c) -> StabilityReport:
     if not vs:
         raise ConfigurationError('polystability needs the equivariant valuation list')
     c = rational(c)
-    if not p.contains(c):
+    if not p.c_lo < c < p.c_hi:
         raise ConfigurationError(
             f'coefficient {c} outside the admissible range ({p.c_lo}, {p.c_hi})')
     values = [(v, beta(p, v).value(c)) for v in vs]

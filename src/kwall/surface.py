@@ -251,8 +251,7 @@ class SurfaceModel(Frozen):
     def failures(self) -> tuple[str, ...]:
         '''all validation failures, empty when the model is consistent'''
         out: list[str] = []
-        rep = validate_lattice(self.lattice)
-        out.extend(f'{self.name}: {f}' for f in rep.failures)
+        out.extend(f'{self.name}: {f}' for f in validate_lattice(self.lattice))
         known = set(self.gen_names)
         twice = _repeated(self.gen_names)
         if twice is not None:

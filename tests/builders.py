@@ -8,7 +8,7 @@ document.
 '''
 from fractions import Fraction
 
-from kwall.lattice import IntersectionLattice, rational_str
+from kwall.lattice import IntersectionLattice
 from kwall.surface import BlowupCenter, SurfaceModel, build_blowup_extension
 
 F = Fraction
@@ -407,10 +407,10 @@ def surface_to_doc(model: SurfaceModel) -> dict:
     return {
         'name': model.name,
         'basis': list(model.lattice.names),
-        'gram': [[rational_str(x) for x in row] for row in model.lattice.gram],
-        'canonical': [rational_str(x) for x in model.canonical.coords],
-        'mori': [{'name': n, 'class': [rational_str(x) for x in c.coords]}
+        'gram': [[str(x) for x in row] for row in model.lattice.gram],
+        'canonical': [str(x) for x in model.canonical.coords],
+        'mori': [{'name': n, 'class': [str(x) for x in c.coords]}
                  for n, c in model.mori_gens],
         'contracted': list(model.contracted),
-        'k_discrepancies': {n: rational_str(x) for n, x in model.k_discrepancies},
+        'k_discrepancies': {n: str(x) for n, x in model.k_discrepancies},
     }

@@ -384,25 +384,21 @@ def test_every_catalog_ord_b_is_at_most_k_tau():
                      ('Xq/D_1_4/E', 'E', 5), ('Xt/D_11_52/Cprime', 'cprime', 3)}
 
 
-def test_each_pair_document_is_decoded_once_per_decode(monkeypatch):
-    '''fixtures with the same surface and boundary document share one
-    validated pair, and a fresh decode builds its own'''
+def test_each_fixture_validates_its_own_pair(monkeypatch):
+    '''each of the 45 fixtures builds and validates its own pair, and a
+    fresh decode builds its own'''
     validated = []
     real = LogPair.validate
     monkeypatch.setattr(LogPair, 'validate', lambda p: validated.append(p) or real(p))
-    doc = json.loads(catalog_path().read_text())
-    documents = {(f['surface'], json.dumps(f.get('boundary', []), sort_keys=True))
-                 for f in doc['fixtures']}
 
     def decode():
         kwall.catalog._load_resolved.cache_clear()
         return [f.pair for f in load_catalog().fixtures]
 
     first = decode()
-    assert len(validated) == len({id(p) for p in first}) == len(documents)
-    assert len(documents) < len(first)
+    assert len(validated) == len({id(p) for p in first}) == len(first) == 45
     second = decode()
-    assert len(validated) == 2 * len(documents)
+    assert len(validated) == 2 * 45
     assert not {id(p) for p in first} & {id(p) for p in second}
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import kwall
 
-SPANS = Path(__file__).resolve().parents[1] / 'perfbench' / 'spans.py'
+PERFBENCH = Path(__file__).resolve().parents[1] / 'perfbench'
+SPANS = PERFBENCH / 'spans.py'
 
 
 def _traced() -> dict:
@@ -32,3 +33,14 @@ def test_every_traced_name_is_an_engine_function():
             assert fn.__module__ == mod_name, f'{mod_name}.{name}'
             where = Path(fn.__code__.co_filename).resolve().parent
             assert where == package, f'{mod_name}.{name}'
+
+
+def test_the_benchmarks_walls_pass_runs_clean(monkeypatch):
+    '''perfbench/run.py reads each fixture's pair range, its expected values
+    and the wall table by name, so a rename that every other test misses
+    would fail each of its ops'''
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module('run')
+    tally = run.Tally()
+    run.walls_pass(tally)
+    assert (tally.attempted, tally.failed) == (45, 0)

@@ -58,9 +58,7 @@ def test_pair_validation():
         LogPair.make(m, [('line12', 3), ('line34', 2), ('exc1', 2), ('exc2', 2)])
     with pytest.raises(ConfigurationError, match='negative multiplicity'):
         LogPair.make(m, [('line12', -4), ('line34', 2)])
-    with pytest.raises(ConfigurationError, match='not inside'):
-        LogPair.make(m, [('line12', 4), ('line34', 2), ('exc1', 2), ('exc2', 2)],
-                     c_range=(F(1, 3), F(2, 3)))
+    assert (LogPair.c_lo, LogPair.c_hi) == (0, F(1, 2))
     xn = builders.xn()
     with pytest.raises(ConfigurationError, match='contracted curve'):
         LogPair.make(xn, [('node', 2), ('line12', 4), ('line34', 2),

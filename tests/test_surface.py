@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from builders import surface_to_doc
 from kwall.catalog import load_catalog
-from kwall.lattice import IntersectionLattice, pair
+from kwall.lattice import IntersectionLattice, combination, pair
+from kwall.positivity import volume_profile, zariski_decompose
 from kwall.surface import (
     BlowupCenter,
     ConfigurationError,
@@ -354,3 +355,38 @@ def test_model_refusals_name_the_failed_check(build, failures):
     with pytest.raises(ConfigurationError) as err:
         m.validate()
     assert str(err.value) == '; '.join(failures)
+
+
+def _elsewhere():
+    '''a class of the plane's lattice, foreign to every other model'''
+    return make_p2().lattice.basis('h')
+
+
+REFUSED_INPUTS = [
+    (lambda: combination(make_sigma5().lattice, [(1, _elsewhere())]),
+     ValueError, 'classes live on different lattices'),
+    (lambda: zariski_decompose(make_sigma5(), _elsewhere()),
+     ValueError, 'class does not live on the model lattice'),
+    (lambda: volume_profile(make_sigma5(), _elsewhere(), make_sigma5().lattice.basis('e1')),
+     ValueError, 'classes do not live on the model lattice'),
+    (lambda: build_blowup_extension(make_sigma5(), BlowupCenter.make(exc_name='w'))
+     .pullback(_elsewhere()),
+     ValueError, 'class does not live on the base lattice'),
+    (lambda: pullback_weil(make_xq(), _elsewhere()),
+     ValueError, 'classes live on different lattices'),
+    (lambda: IntersectionLattice.diagonal(('h', 'h'), (1, -1)),
+     ValueError, 'duplicate basis names'),
+    (lambda: make_sigma5().lattice.index('e5'),
+     KeyError, "no basis vector 'e5'"),
+]
+
+
+@pytest.mark.parametrize('call, error, message', REFUSED_INPUTS,
+                         ids=['combination', 'zariski-decompose', 'volume-profile',
+                              'extension-pullback', 'pullback-weil', 'duplicate-basis-names',
+                              'unknown-basis-name'])
+def test_lattice_mismatches_are_refused(call, error, message):
+    '''without its check, each of the first five calls would zip-truncate
+    the foreign class into a wrong answer'''
+    with pytest.raises(error, match=message):
+        call()
