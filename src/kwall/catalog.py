@@ -92,17 +92,13 @@ class WallTable(Frozen):
     def walls(self) -> tuple[Fraction, ...]:
         return tuple(e.value for e in self.entries)
 
-    @property
-    def divisorial_walls(self) -> tuple[Fraction, ...]:
-        return tuple(e.value for e in self.entries if e.divisorial)
-
 
 class Catalog(Frozen):
     '''a decoded catalog resource'''
 
-    def __init__(self, version: int, path: str, surfaces: tuple[SurfaceModel, ...],
+    def __init__(self, path: str, surfaces: tuple[SurfaceModel, ...],
                  fixtures: tuple[Fixture, ...], wall_table: WallTable):
-        vars(self).update(version=version, path=path, surfaces=surfaces, fixtures=fixtures,
+        vars(self).update(path=path, surfaces=surfaces, fixtures=fixtures,
                           wall_table=wall_table)
 
     @cached_property
@@ -192,8 +188,8 @@ def _decode_valuation(pair: LogPair, doc) -> ValuationSpec:
         center = BlowupCenter.make(
             weights=cdoc.get('weights', (1, 1)),
             exc_name=cdoc.get('exc_name', 'e'),
-            through=tuple((n, rational(m)) for n, m in cdoc.get('through', ())),
-            extra_mori=tuple((n, cl) for n, cl in cdoc.get('extra_mori', ())))
+            through=cdoc.get('through', ()),
+            extra_mori=cdoc.get('extra_mori', ()))
         a_x = rational(doc['a_x']) if 'a_x' in doc else None
         ord_b = rational(doc['ord_b']) if 'ord_b' in doc else None
         return ValuationSpec.on_extension(pair, center, name=name, tag=tag, a_x=a_x, ord_b=ord_b)
@@ -319,8 +315,7 @@ def _load_resolved(path_str: str) -> Catalog:
     values = [e.value for e in entries]
     if values != sorted(values):
         raise CatalogError('wall table is not sorted')
-    return Catalog(version=doc.get('version', 0), path=path_str,
-                   surfaces=surfaces, fixtures=fixtures,
+    return Catalog(path=path_str, surfaces=surfaces, fixtures=fixtures,
                    wall_table=WallTable(entries))
 
 

@@ -111,11 +111,6 @@ def _digits(s: str) -> int:
     return int(s)
 
 
-def _fraction(n: int, d: int) -> Fraction:
-    '''the Fraction n / d, for d > 0'''
-    return Fraction(n) if d == 1 else Fraction(n, d)
-
-
 def rational(x: int | str | Fraction) -> Fraction:
     '''
     parse a rational from an int, a Fraction or a string (see ``ratio``)
@@ -129,7 +124,7 @@ def rational(x: int | str | Fraction) -> Fraction:
     # a Fraction is immutable: hand it back rather than copy it
     if type(x) is Fraction:
         return x
-    return _fraction(*ratio(x))
+    return Fraction(*ratio(x))
 
 
 def integral(xs: Iterable[int | str | Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -211,7 +206,7 @@ class IntersectionLattice(Frozen):
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
         '''the Gram matrix as Fractions'''
         d, rows = self.scaled_gram
-        return tuple([tuple([_fraction(x, d) for x in row]) for row in rows])
+        return tuple([tuple([Fraction(x, d) for x in row]) for row in rows])
 
     @classmethod
     def from_rows(cls, names: Sequence[str],
@@ -281,7 +276,7 @@ class DivClass(Frozen):
     @cached_property
     def coords(self) -> tuple[Fraction, ...]:
         d, ns = self.numerators
-        return tuple([_fraction(n, d) for n in ns])
+        return tuple([Fraction(n, d) for n in ns])
 
     def _check_mate(self, other: 'DivClass') -> None:
         if self.lattice is not other.lattice and self.lattice != other.lattice:

@@ -135,8 +135,8 @@ class LogPair(Frozen):
     @classmethod
     def make(cls, surface: SurfaceModel, parts) -> 'LogPair':
         '''parts: iterable of (component, mult); a component is a generator
-        name, a DivClass, or a (label, class or coordinates) pair for a
-        curve that is not a declared generator'''
+        name, a DivClass, or a (label, DivClass) pair for a curve that is
+        not a declared generator'''
         rows = []
         for comp, mult in parts:
             if isinstance(comp, str):
@@ -145,8 +145,6 @@ class LogPair(Frozen):
                 label, cl = None, comp
             else:
                 label, cl = comp
-                if not isinstance(cl, DivClass):
-                    cl = surface.lattice.div(cl)
             rows.append((label, cl, rational(mult)))
         return cls(surface, tuple(rows)).validate()
 
@@ -349,7 +347,7 @@ def s_invariant(p: LogPair, v: ValuationSpec) -> AffineRatFn:
     ray = v.origin.numerators, v.e_class.numerators
     walked = integrals.get(ray)
     if walked is None:
-        profile = volume_profile(v.model, v.origin, v.e_class)
+        profile = valuation_profile(v)
         walked = integrals[ray] = integrate_profile(profile), profile.tau
     total, tau = walked
     deg, k, b = p.surface.degree, p.anticanonical_factor, v.ord_b
@@ -364,14 +362,9 @@ def s_invariant(p: LogPair, v: ValuationSpec) -> AffineRatFn:
 
 
 def beta(p: LogPair, v: ValuationSpec) -> AffineRatFn:
-    '''destabilising margin: log discrepancy a_x - ord_b c minus expected
-    vanishing order (cn + sn c) / d, over d and the denominators of a_x and
-    ord_b'''
-    d, cn, sn = s_invariant(p, v).numerators
-    a, b = v.a_x, v.ord_b
-    e = a.denominator * b.denominator
-    return AffineRatFn.from_numerators(d * e, a.numerator * b.denominator * d - cn * e,
-                                       -b.numerator * a.denominator * d - sn * e)
+    '''destabilising margin A - S: log discrepancy minus expected vanishing
+    order'''
+    return log_discrepancy(p, v) - s_invariant(p, v)
 
 
 class WallSolve(Frozen):
@@ -413,17 +406,12 @@ class Verdict(str, Enum):
     UNSTABLE = 'unstable'
 
 
-FUTAKI_NOTE = ('vanishing of the horizontal margins stands in for the full '
-               'vector-field character; a nonzero value flips to a '
-               'destabilising direction under the torus')
-
-
 class StabilityReport(Frozen):
     '''outcome of polystability_check'''
 
     def __init__(self, verdict: Verdict, c: Fraction, margins: tuple[tuple[str, Fraction], ...],
-                 witnesses: tuple[tuple[str, Fraction], ...], note: str = FUTAKI_NOTE):
-        vars(self).update(verdict=verdict, c=c, margins=margins, witnesses=witnesses, note=note)
+                 witnesses: tuple[tuple[str, Fraction], ...]):
+        vars(self).update(verdict=verdict, c=c, margins=margins, witnesses=witnesses)
 
 
 def polystability_check(p: LogPair, vs, c) -> StabilityReport:
@@ -433,7 +421,9 @@ def polystability_check(p: LogPair, vs, c) -> StabilityReport:
     Polystable iff every vertical margin is positive and every horizontal
     margin vanishes; any negative margin, or a nonzero horizontal one, is
     destabilising, and a vanishing vertical margin signals the boundary of
-    the stable region.
+    the stable region.  Vanishing of the horizontal margins stands in for
+    the full vector-field character; a nonzero value flips to a
+    destabilising direction under the torus.
     '''
     if not vs:
         raise ConfigurationError('polystability needs the equivariant valuation list')

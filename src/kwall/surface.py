@@ -439,12 +439,7 @@ class BlowupCenter(Frozen):
         for n, _ in extra:
             if not isinstance(n, str):
                 raise ConfigurationError(f'extra generator name {n!r} is not a string')
-        return cls(
-            tuple(weights),
-            exc_name,
-            tuple((n, rational(m)) for n, m in (through.items() if isinstance(through, dict) else through)),
-            extra,
-        )
+        return cls(tuple(weights), exc_name, tuple((n, rational(m)) for n, m in through), extra)
 
 
 def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> ExtensionModel:

@@ -371,14 +371,14 @@ def xprime() -> SurfaceModel:
 def x11_ext():
     '''x11 blown up in the point where exc-p meets tang-p'''
     return build_blowup_extension(
-        x11(), BlowupCenter.make(exc_name='e', through={'exc-p': 1, 'tang-p': 1}))
+        x11(), BlowupCenter.make(exc_name='e', through=(('exc-p', 1), ('tang-p', 1))))
 
 
 def xq_ext_r():
     '''xq blown up in the common point of the five moving rays'''
     return build_blowup_extension(
         xq(), BlowupCenter.make(exc_name='e',
-                                through={f'ray{i}': 1 for i in range(1, 6)}))
+                                through=tuple((f'ray{i}', 1) for i in range(1, 6))))
 
 
 def xprime_ext_p():
@@ -386,8 +386,8 @@ def xprime_ext_p():
     three conics touch it'''
     return build_blowup_extension(
         xprime(), BlowupCenter.make(weights=(1, 2), exc_name='e',
-                                    through={'fiber-g': 1, 'conic1': 2,
-                                             'conic2': 2, 'conic3': 2}))
+                                    through=(('fiber-g', 1), ('conic1', 2),
+                                             ('conic2', 2), ('conic3', 2))))
 
 
 def sigma5_ext_p():
@@ -396,7 +396,7 @@ def sigma5_ext_p():
     second-order contact at the point come in as extra generators'''
     return build_blowup_extension(
         sigma5(), BlowupCenter.make(
-            weights=(1, 2), exc_name='e', through={'line34': 1},
+            weights=(1, 2), exc_name='e', through=(('line34', 1),),
             extra_mori=(('l1-strict', (1, 0, 0, 0, 0, -2)),
                         ('c1-strict', (2, -1, -1, -1, 0, -2)),
                         ('c2-strict', (2, -1, -1, 0, -1, -2)))))

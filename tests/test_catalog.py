@@ -94,7 +94,7 @@ def test_wall_table_is_sorted_and_complete():
     assert len(walls) == 24
     assert list(walls) == sorted(walls)
     assert walls[0] == F(1, 17) and walls[-1] == F(11, 28)
-    assert set(CATALOG.wall_table.divisorial_walls) == {
+    assert {e.value for e in CATALOG.wall_table.entries if e.divisorial} == {
         F(1, 17), F(11, 52), F(1, 4)}
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,15 @@ def test_zariski_on_a_nef_class_has_no_negative_part(capsys):
     code, out, _ = run(capsys, 'zariski', 'sigma5', 'ac')
     assert code == 0
     assert 'N = 0' in out
+
+
+def test_zariski_reads_the_doubled_anticanonical_class(capsys):
+    _, once = run_json(capsys, 'zariski', 'xq', 'ac')
+    code, twice = run_json(capsys, 'zariski', 'xq', '2ac')
+    assert code == 0
+    for key in ('divisor', 'positive'):
+        assert twice['results'][key] == [str(2 * Fraction(x)) for x in once['results'][key]]
+    assert twice['results']['negative'] == []
 
 
 def test_zariski_ray_walks_two_chambers(capsys):

@@ -22,7 +22,13 @@ from kwall.positivity import (
 )
 from kwall.catalog import load_catalog
 from kwall.stability import valuation_profile
-from kwall.surface import ConfigurationError, GeneratorTable, SurfaceModel
+from kwall.surface import (
+    BlowupCenter,
+    ConfigurationError,
+    GeneratorTable,
+    SurfaceModel,
+    build_blowup_extension,
+)
 
 F = Fraction
 
@@ -338,6 +344,16 @@ def test_a_singular_support_is_refused():
     assert _refusal(zariski_decompose, m, lat.div((-1, 0))) == (
         NotPseudoEffective,
         "fibre: support walk left the negative definite cone at ['f']")
+
+
+def test_a_missing_generator_shows_as_an_irrational_threshold():
+    '''sigma5 blown up at a general point lacks the new (-1)-curves
+    h - e_i - e, which would end a chamber at t = 1 on the extension's own
+    -K walked along e; without them the last volume quadratic has
+    discriminant 20'''
+    ext = build_blowup_extension(load_catalog().surface('sigma5'), BlowupCenter.make(exc_name='g'))
+    assert _refusal(volume_profile, ext, ext.anticanonical_pullback, ext.e_class) == (
+        EngineError, 'irrational volume threshold (disc 20)')
 
 
 def test_a_support_with_a_wrong_sign_pivot_is_refused():

@@ -106,6 +106,9 @@ DEGREE_NOT_POSITIVE = 'degree is not positive, the scaled polarisation cannot be
         'fractional-orders', 'meets-the-axis', 'degree-zero', 'degree-zero-empty'])
 def test_pair_refusals_are_pinned(surface, parts, message):
     m = surface()
+    # a labelled part gives its class by coordinates on m
+    parts = [((comp[0], m.lattice.div(comp[1])) if isinstance(comp, tuple) else comp, mult)
+             for comp, mult in parts]
     with pytest.raises(ConfigurationError) as err:
         LogPair.make(m, parts)
     assert str(err.value) == f'{m.name}: {message}'
@@ -125,7 +128,7 @@ def test_boundary_order_through_singular_point():
     # a line through the blown-up cluster meets the contracted curve, so the
     # cycle-level order is forced by the pullback solve, not a coordinate
     xn = builders.xn()
-    generic = LogPair.make(xn, [(('q3-line', (1, 0, 0, -1, 0)), 2),
+    generic = LogPair.make(xn, [(('q3-line', xn.lattice.div((1, 0, 0, -1, 0))), 2),
                                 ('line13', 2), ('line23', 2), ('exc4', 2)])
     assert generic.failures() == ()
     assert generic.boundary_order('node') == 4
@@ -140,7 +143,7 @@ def test_tangent_boundary_on_quartic_cone_degeneration():
     # boundary of the cone-like model: triple section plus the four
     # exceptional marks; it misses the contracted curve entirely
     xt = builders.xt()
-    p = LogPair.make(xt, [(('Cprime', (1, 4, -1, -1, -1, -1)), 3),
+    p = LogPair.make(xt, [(('Cprime', xt.lattice.div((1, 4, -1, -1, -1, -1))), 3),
                           ('exc1', 1), ('exc2', 1), ('exc3', 1), ('exc4', 1)])
     assert p.failures() == ()
     assert p.boundary_order('sigma') == 0
@@ -197,7 +200,7 @@ def test_rays_are_told_apart_by_origin_and_direction(monkeypatch):
     # the point where line12 meets exc1
     p = d_1_17(m)
     over_base = ValuationSpec.on_extension(
-        p, BlowupCenter.make(exc_name='e', through={'line12': 1, 'exc1': 1}))
+        p, BlowupCenter.make(exc_name='e', through=(('line12', 1), ('exc1', 1))))
     ext = over_base.model
     q = LogPair.make(ext, [])
     on_model = ValuationSpec('e', ext, ext.e_class, F(1), F(0))
@@ -401,7 +404,7 @@ def test_valuation_tags_and_klt_guard():
 def test_extension_valuation_defaults():
     m = builders.sigma5()
     p = d_1_17(m)
-    center = BlowupCenter.make(exc_name='e', through={'line12': 1})
+    center = BlowupCenter.make(exc_name='e', through=(('line12', 1),))
     v = ValuationSpec.on_extension(p, center, tag='plain')
     assert v.model is m.extension(center) and v.base is m
     assert v.name == 'e'
@@ -420,7 +423,7 @@ def test_extension_ord_b_is_bounded_below_by_the_centre_data():
     # d_1_17 with its quadruple line given by a label instead of a name
     p = LogPair.make(m, [(('quad', m.gen('line12')), 4), ('line34', 2), ('exc1', 2),
                          ('exc2', 2)])
-    center = BlowupCenter.make(exc_name='e', through={'line12': 1, 'exc1': 1})
+    center = BlowupCenter.make(exc_name='e', through=(('line12', 1), ('exc1', 1)))
     with pytest.raises(ConfigurationError, match="component 'quad' has no centre data"):
         ValuationSpec.on_extension(p, center)
     with pytest.raises(ConfigurationError, match='stated ord_b 3/2 is below 2'):

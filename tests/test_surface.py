@@ -152,7 +152,7 @@ def test_weighted_blowup_extension():
     ext = build_blowup_extension(
         base,
         BlowupCenter.make(weights=(1, 2), exc_name='w',
-                          through={'line12': 2, 'line34': 1}),
+                          through=(('line12', 2), ('line34', 1))),
     )
     assert pair(ext.e_class, ext.e_class) == F(-1, 2)
     assert ext.a_over_base == 3
@@ -185,13 +185,13 @@ def test_extension_rejects_bad_input():
             (BlowupCenter.make(weights=(2, 4)), 'weights (2, 4) are not coprime positive integers'),
             (BlowupCenter.make(weights=(0, 1)), 'weights (0, 1) are not coprime positive integers'),
             (BlowupCenter.make(exc_name='h'), "name 'h' already used in the base lattice"),
-            (BlowupCenter.make(through={'nope': 1}),
+            (BlowupCenter.make(through=(('nope', 1),)),
              "through-curves ['nope'] are not declared generators"),
-            (BlowupCenter.make(through={'line12': -1}), 'negative multiplicity in center data'),
+            (BlowupCenter.make(through=(('line12', -1),)), 'negative multiplicity in center data'),
             (BlowupCenter.make(through=(('line12', 1), ('line12', F(1, 2)))),
              "through-curve 'line12' is listed twice"),
             # a (-1)-curve cannot have a triple point
-            (BlowupCenter.make(through={'line12': 3}),
+            (BlowupCenter.make(through=(('line12', 3),)),
              'ord 3 along exc is inconsistent for curve line12'),
             (BlowupCenter.make(extra_mori=(('x', (1, 0)),)), 'extra generator x has wrong length'),
             # a generator's name is its row in the generator table
@@ -248,7 +248,7 @@ def centers(draw):
     coord = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
     extra = draw(st.lists(st.lists(coord, min_size=r, max_size=r), max_size=2))
     return base, BlowupCenter.make(weights=draw(st.sampled_from(WEIGHTS)), exc_name='new-e',
-                                   through=through,
+                                   through=tuple(through.items()),
                                    extra_mori=[(f'new-{i}', v) for i, v in enumerate(extra)])
 
 
@@ -259,10 +259,10 @@ SIGMA5 = load_catalog().surface('sigma5')
 @given(centers())
 # kappa lam = 1 and every base generator but exc1 misses the center, so
 # those rows are passed through
-@example((SIGMA5, BlowupCenter.make(exc_name='new-e', through={'exc1': 1})))
+@example((SIGMA5, BlowupCenter.make(exc_name='new-e', through=(('exc1', 1),))))
 # kappa lam = 4: weights (1, 2) give lam = 2, a half multiplicity kappa = 2
 @example((SIGMA5, BlowupCenter.make(weights=(1, 2), exc_name='new-e',
-                                    through={'exc1': F(1, 2)})))
+                                    through=(('exc1', F(1, 2)),))))
 def test_bordered_extension_tables_equal_the_dense_products(drawn):
     '''an extension's table, bordered from its base's, is the table the
     dense products give on the extension's own lattice and generators'''
@@ -280,7 +280,7 @@ def test_extension_center_on_contracted_curve():
     # blowing up a point of the contracted axis is allowed; the valuation
     # layer owns the discrepancy correction for such centers
     xq = make_xq()
-    ext = build_blowup_extension(xq, BlowupCenter.make(through={'axis': 1}, exc_name='e'))
+    ext = build_blowup_extension(xq, BlowupCenter.make(through=(('axis', 1),), exc_name='e'))
     assert pair(ext.gen('axis'), ext.e_class) == 1
     assert ext.a_over_base == 2
 
@@ -374,6 +374,10 @@ REFUSED_INPUTS = [
      ValueError, 'class does not live on the base lattice'),
     (lambda: pullback_weil(make_xq(), _elsewhere()),
      ValueError, 'classes live on different lattices'),
+    # built without validate(): the plane's line is not contractible
+    (lambda: pullback_weil(_extended(make_p2(), 'p2', contracted=('line',)),
+                           make_p2().lattice.basis('h')),
+     ConfigurationError, r"p2: support \['line'\] is not negative definite"),
     (lambda: IntersectionLattice.diagonal(('h', 'h'), (1, -1)),
      ValueError, 'duplicate basis names'),
     (lambda: make_sigma5().lattice.index('e5'),
@@ -383,8 +387,8 @@ REFUSED_INPUTS = [
 
 @pytest.mark.parametrize('call, error, message', REFUSED_INPUTS,
                          ids=['combination', 'zariski-decompose', 'volume-profile',
-                              'extension-pullback', 'pullback-weil', 'duplicate-basis-names',
-                              'unknown-basis-name'])
+                              'extension-pullback', 'pullback-weil', 'contraction-not-definite',
+                              'duplicate-basis-names', 'unknown-basis-name'])
 def test_lattice_mismatches_are_refused(call, error, message):
     '''without its check, each of the first five calls would zip-truncate
     the foreign class into a wrong answer'''
