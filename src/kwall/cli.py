@@ -16,7 +16,7 @@ disagreed with the stored catalog.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import gc
 import json
 import sys
 from contextlib import contextmanager, nullcontext
@@ -51,6 +51,13 @@ from .stability import (
     vgit_slope,
 )
 from .surface import ConfigurationError, SurfaceModel
+
+try:
+    # CPython's built-in hash, as random takes it, since importing hashlib
+    # loads OpenSSL; CPython 3.12 renamed the module _sha2
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,7 +118,7 @@ def _quad_text(coeffs) -> str:
 def _catalog_input() -> dict:
     p = catalog_path()
     try:
-        digest = hashlib.sha256(p.read_bytes()).hexdigest()
+        digest = sha256(p.read_bytes()).hexdigest()
     except OSError as exc:
         raise CatalogError(f'catalog {p} is not readable: {exc}') from None
     return {'catalog': str(p), 'sha256': digest}
@@ -441,15 +448,7 @@ def _render_fixtures_list(r: dict) -> list[str]:
               for f in r['fixtures'])]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument('--json', action='store_true', default=argparse.SUPPRESS,
-                        help='emit the report as json')
-    parser = argparse.ArgumentParser(
-        prog='kwall', parents=[common],
-        description='exact wall arithmetic for boundary-scaled del Pezzo pairs')
-    sub = parser.add_subparsers(dest='command', required=True)
-
+def _add_surface(sub, common):
     p = sub.add_parser('surface', help='inspect a surface model',
                        parents=[common])
     ssub = p.add_subparsers(dest='action', required=True)
@@ -458,6 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument('name')
     q.set_defaults(handler=cmd_surface_show, render=_render_surface_show)
 
+
+def _add_zariski(sub, common):
     p = sub.add_parser('zariski', parents=[common],
                        help='zariski decomposition, or a volume profile along a ray')
     p.add_argument('surface')
@@ -465,11 +466,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--ray', help='walk the profile of divisor - t ray')
     p.set_defaults(handler=cmd_zariski, render=_render_zariski)
 
+
+def _add_profile(sub, common):
     p = sub.add_parser('profile', parents=[common],
                        help='volume profile of a catalog valuation')
     p.add_argument('fixture')
     p.set_defaults(handler=cmd_profile, render=_render_profile)
 
+
+def _add_beta(sub, common):
     p = sub.add_parser('beta', parents=[common],
                        help='margin invariants of a fixture or a pair file')
     p.add_argument('target', metavar='fixture-or-pair-file',
@@ -479,6 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--c', help='also evaluate the invariants at this coefficient')
     p.set_defaults(handler=cmd_beta, render=_render_beta)
 
+
+def _add_walls(sub, common):
     p = sub.add_parser('walls', parents=[common],
                        help='recompute every wall from first principles')
     p.add_argument('--family', help='restrict to fixture ids with this family prefix')
@@ -486,6 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='compare the wall set against the stored table')
     p.set_defaults(handler=cmd_walls, render=_render_walls)
 
+
+def _add_bounds(sub, common):
     p = sub.add_parser('bounds', parents=[common],
                        help='singularity bounds at a boundary coefficient')
     p.add_argument('--c', help='boundary coefficient in (0, 1/2)')
@@ -496,12 +505,44 @@ def build_parser() -> argparse.ArgumentParser:
                    help='lower bound for the boundary order at the point')
     p.set_defaults(handler=cmd_bounds, render=_render_bounds)
 
+
+def _add_fixtures(sub, common):
     p = sub.add_parser('fixtures', help='catalog inventory', parents=[common])
     fsub = p.add_subparsers(dest='action', required=True)
     q = fsub.add_parser('list', help='list fixture ids', parents=[common])
     q.add_argument('--family')
     q.set_defaults(handler=cmd_fixtures_list, render=_render_fixtures_list)
 
+
+# each command's parser, in the order --help lists them
+COMMANDS = {'surface': _add_surface, 'zariski': _add_zariski, 'profile': _add_profile,
+            'beta': _add_beta, 'walls': _add_walls, 'bounds': _add_bounds,
+            'fixtures': _add_fixtures}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    '''
+    the kwall parser; when command names a subcommand, the only one built
+
+    An argv that starts with a command name parses the same under either
+    tree, since argparse hands everything after the name to that command's
+    parser.  Any other argv (--help, a leading option, no argument or an
+    unknown command) needs the full tree.
+    '''
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument('--json', action='store_true', default=argparse.SUPPRESS,
+                        help='emit the report as json')
+    parser = argparse.ArgumentParser(
+        prog='kwall', parents=[common],
+        description='exact wall arithmetic for boundary-scaled del Pezzo pairs')
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # a one-command tree names all seven in its usage line, as the full tree
+    # does; the full tree keeps argparse's default, since its error for a
+    # missing command names the metavar when one is set
+    metavar = '{' + ','.join(COMMANDS) + '}' if len(names) == 1 else None
+    sub = parser.add_subparsers(dest='command', required=True, metavar=metavar)
+    for name in names:
+        COMMANDS[name](sub, common)
     return parser
 
 
@@ -517,7 +558,7 @@ def _status(results: dict) -> tuple[str, int]:
 
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
-    parser = build_parser()
+    parser = build_parser(raw[0] if raw else None)
     try:
         args = parser.parse_args(raw)
         # argparse turns an option value of '--' (as in --family=--) into []
@@ -558,5 +599,20 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run():
+    '''
+    process entry of the kwall command: exit with main()'s code
+
+    gc.freeze() moves every live object out of the collector's reach, so
+    the collection at interpreter shutdown does not walk the decoded
+    catalog.  Unlike os._exit, the exit still flushes stdout and runs atexit
+    handlers.  main() itself has no process-wide effect, so that tests can
+    call it in process.
+    '''
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == '__main__':
-    raise SystemExit(main())
+    run()

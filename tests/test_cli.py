@@ -5,6 +5,9 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +19,7 @@ import kwall.catalog
 import kwall.cli
 import kwall.stability
 from kwall.catalog import DATA_PATH, load_catalog
-from kwall.cli import main
+from kwall.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -312,6 +315,8 @@ def _blowup(**center):
     (_edit('walls', 'description', ['x']), None,
      "catalog error: wall 0 is malformed: 'description' is not a string"),
     (_edit('fixtures', 'surface'), None, "catalog error: fixture 0 is missing field 'surface'"),
+    (_edit('fixtures', 'surface', 'nowhere'), None,
+     "catalog error: fixture 'Sigma5/D_1_17/L1' names unknown surface 'nowhere'"),
     (lambda doc: doc['walls'][0].__setitem__('value', '1e3'), None,
      "catalog error: wall 0 is malformed: not a rational: '1e3'"),
     (lambda doc: doc['fixtures'][0]['boundary'][0].__setitem__('mult', '1e3'), None,
@@ -373,6 +378,7 @@ def _blowup(**center):
         'one-blowup-weight', 'blowup-center-is-a-number', 'version-is-a-list',
         'notes-is-a-string', 'notes-holds-a-number', 'families-is-a-string',
         'trust-is-a-number', 'description-is-a-list', 'fixture-without-surface',
+        'fixture-names-an-unknown-surface',
         'wall-value-has-an-exponent', 'multiplicity-has-an-exponent',
         'gram-entry-has-an-exponent', 'pair-multiplicity-has-an-exponent',
         'blowup-weight-is-a-float', 'blowup-weights-are-strings', 'blowup-weight-is-a-boolean',
@@ -769,6 +775,38 @@ def test_json_report_carries_the_catalog_digest(capsys):
     assert report['status'] == 'ok'
 
 
+@pytest.mark.parametrize('argv, code', [
+    (['fixtures', 'list'], 0), (['walls', '--diff', '--json'], 0),
+    (['zariski', 'xprime_deg', 'l3'], 3), (['beta', 'nosuch'], 2)])
+def test_a_cold_process_prints_what_main_prints(argv, code, monkeypatch, capsys):
+    '''python -m kwall.cli, the process entry, against main() in process'''
+    monkeypatch.delenv('KWALL_CATALOG', raising=False)
+    src = str(Path(kwall.cli.__file__).parents[1])
+    env = {**os.environ,
+           'PYTHONPATH': os.pathsep.join(filter(None, [src, os.environ.get('PYTHONPATH')]))}
+    proc = subprocess.run([sys.executable, '-m', 'kwall.cli', *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    assert proc.returncode == code
+
+
+def _parse(parser, argv):
+    '''the namespace, or the exit code, with what parsing printed'''
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_a_one_command_parser_knows_only_its_command():
+    code, _, err = _parse(build_parser('beta'), ['walls'])
+    assert code == 2
+    assert "invalid choice: 'walls' (choose from 'beta')" in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(['bogus']) == 2
     assert main([]) == 2
@@ -922,6 +960,18 @@ def command_lines(draw):
         options.append(flag if flag in ('--json', '--diff')
                        else f'{flag}={draw(values[flag])}')
     return [*head, *options, *(['--'] if positional else []), *positional]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+@example(argv=['--help'])
+@example(argv=['beta', '--help'])
+@example(argv=['surface', 'show', '--help'])
+@example(argv=['walls', '--bogus'])
+@example(argv=['surface', 'show'])
+@example(argv=['bogus'])
+def test_the_named_command_parses_as_the_full_tree(argv):
+    assert _parse(build_parser(argv[0]), argv) == _parse(build_parser(), argv)
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from builders import surface_to_doc
 from kwall.catalog import load_catalog
 from kwall.lattice import IntersectionLattice, combination, pair
-from kwall.positivity import volume_profile, zariski_decompose
+from kwall.positivity import QuadraticPiece, volume_profile, zariski_decompose
 from kwall.surface import (
     BlowupCenter,
     ConfigurationError,
@@ -37,6 +37,26 @@ def make_sigma5() -> SurfaceModel:
         coords[i] = coords[j] = -1
         gens.append((f'line{i}{j}', lat.div(coords)))
     return SurfaceModel('sigma5', lat, lat.div((-3, 1, 1, 1, 1)), tuple(gens))
+
+
+def test_engine_values_are_immutable():
+    '''assigning or deleting an attribute of a class, a model or a volume
+    piece raises, and a cached value still fills on first read'''
+    model = make_sigma5()
+    values = [(model.lattice.div((-3, 1, 1, 1, 1)), 'numerators', 'coords'),
+              (model, 'name', 'degree'),
+              (QuadraticPiece((8, -8, 2), 2, (0, 1), (4, 2), ('e',)), 'k', 't_hi')]
+    for obj, field, cached in values:
+        assert cached not in vars(obj)
+        value = getattr(obj, cached)
+        assert vars(obj)[cached] is value
+        before = dict(vars(obj))
+        for name in (field, cached):
+            with pytest.raises(AttributeError, match='is immutable'):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError, match='is immutable'):
+                delattr(obj, name)
+        assert vars(obj) == before
 
 
 def make_index3() -> SurfaceModel:
