@@ -29,6 +29,7 @@ from .surface import (
     BlowupCenter,
     ConfigurationError,
     SurfaceModel,
+    _repeated,
     surface_from_doc,
 )
 
@@ -96,10 +97,9 @@ class WallTable(Frozen):
 class Catalog(Frozen):
     '''a decoded catalog resource'''
 
-    def __init__(self, path: str, surfaces: tuple[SurfaceModel, ...],
-                 fixtures: tuple[Fixture, ...], wall_table: WallTable):
-        vars(self).update(path=path, surfaces=surfaces, fixtures=fixtures,
-                          wall_table=wall_table)
+    def __init__(self, surfaces: tuple[SurfaceModel, ...], fixtures: tuple[Fixture, ...],
+                 wall_table: WallTable):
+        vars(self).update(surfaces=surfaces, fixtures=fixtures, wall_table=wall_table)
 
     @cached_property
     def _surface_index(self) -> dict:
@@ -251,7 +251,7 @@ def _decode_fixture(surfaces: dict, doc, i: int) -> Fixture:
 def _decode_wall(doc) -> WallEntry:
     kind = doc['kind']
     if kind not in ('divisorial', 'flip'):
-        raise CatalogError(f'unknown wall kind {kind!r}')
+        raise ValueError(f'unknown wall kind {kind!r}')
     return WallEntry(value=rational(doc['value']), kind=kind,
                      families=_list_of(doc, 'families', str),
                      description=_string(doc, 'description', ''))
@@ -292,7 +292,7 @@ def _load_resolved(path_str: str) -> Catalog:
         raise CatalogError(f'catalog resource {path_str} does not exist')
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CatalogError(f'catalog resource {path_str} is not JSON: {exc}')
     missing = [k for k in ('surfaces', 'fixtures', 'walls')
                if not isinstance(doc, dict) or k not in doc]
@@ -306,17 +306,14 @@ def _load_resolved(path_str: str) -> Catalog:
     position = count()
     fixtures = _decode_each('fixture', doc['fixtures'],
                             lambda d: _decode_fixture(index, d, next(position)))
-    seen = set()
-    for f in fixtures:
-        if f.id in seen:
-            raise CatalogError(f'duplicate fixture id {f.id!r}')
-        seen.add(f.id)
+    twice = _repeated([f.id for f in fixtures])
+    if twice is not None:
+        raise CatalogError(f'duplicate fixture id {twice!r}')
     entries = _decode_each('wall', doc['walls'], _decode_wall)
     values = [e.value for e in entries]
     if values != sorted(values):
         raise CatalogError('wall table is not sorted')
-    return Catalog(path=path_str, surfaces=surfaces, fixtures=fixtures,
-                   wall_table=WallTable(entries))
+    return Catalog(surfaces=surfaces, fixtures=fixtures, wall_table=WallTable(entries))
 
 
 def load_catalog(path=None) -> Catalog:

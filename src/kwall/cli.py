@@ -250,7 +250,7 @@ def _load_doc(path: Path):
         return json.loads(path.read_text())
     except OSError as exc:
         raise CatalogError(f'{path}: not readable: {exc}') from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CatalogError(f'{path}: invalid json: {exc}') from None
 
 

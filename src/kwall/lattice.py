@@ -38,11 +38,10 @@ class cached_property:
 
 class Frozen:
     '''
-    base of the engine's value objects: __init__ sets the attributes once,
-    and assigning or deleting one afterwards raises AttributeError
+    base of the engine's objects: __init__ sets the attributes once, and
+    assigning or deleting one afterwards raises AttributeError
 
-    Objects compare by identity unless their class defines __eq__ and
-    __hash__ over the attributes that make its value.
+    Objects compare by identity unless their class derives from Value.
     '''
 
     def __setattr__(self, name, value):
@@ -50,6 +49,25 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f'cannot delete {name!r}: {type(self).__name__} is immutable')
+
+
+class Value(Frozen):
+    '''
+    a Frozen object that compares and hashes by value: ``_value`` names the
+    attributes that make it up, and an object equals another of its own
+    class (or a subclass) whose listed attributes are equal
+    '''
+    _value: tuple[str, ...]
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self._value)
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, a) for a in self._value]))
 
 
 class EngineError(Exception):
@@ -159,7 +177,7 @@ def _divisor(d: int, ns: Sequence[int]) -> int:
     return -g if d < 0 else g
 
 
-class IntersectionLattice(Frozen):
+class IntersectionLattice(Value):
     '''
     rank-r lattice with a Q-valued symmetric pairing and named basis vectors
 
@@ -179,6 +197,7 @@ class IntersectionLattice(Frozen):
         >>> pair(lat.basis("h"), lat.basis("h"))
         Fraction(1, 1)
     '''
+    _value = ('names', 'scaled_gram')
 
     def __init__(self, names: Sequence[str], d: int, rows: Sequence[Sequence[int]]):
         r = len(names)
@@ -191,16 +210,6 @@ class IntersectionLattice(Frozen):
             d, rows = d // g, [[x // g for x in row] for row in rows]
         vars(self).update(names=tuple(names),
                           scaled_gram=(d, tuple([tuple(row) for row in rows])))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not IntersectionLattice:
-            return NotImplemented
-        return (self.names, self.scaled_gram) == (other.names, other.scaled_gram)
-
-    def __hash__(self):
-        return hash((self.names, self.scaled_gram))
 
     @cached_property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -244,7 +253,7 @@ class IntersectionLattice(Frozen):
         return self.div((0,) * self.rank)
 
 
-class DivClass(Frozen):
+class DivClass(Value):
     '''
     divisor class: a coordinate vector over an owning lattice
 
@@ -258,20 +267,13 @@ class DivClass(Frozen):
         >>> c.numerators, c.coords
         ((2, (-1, 0)), (Fraction(-1, 2), Fraction(0, 1)))
     '''
+    _value = ('lattice', 'numerators')
 
     def __init__(self, lattice: IntersectionLattice, d: int, ns: Sequence[int]):
         g = _divisor(d, ns)
         if g != 1:
             d, ns = d // g, [n // g for n in ns]
         vars(self).update(lattice=lattice, numerators=(d, tuple(ns)))
-
-    def __eq__(self, other):
-        if type(other) is not DivClass:
-            return NotImplemented
-        return (self.lattice, self.numerators) == (other.lattice, other.numerators)
-
-    def __hash__(self):
-        return hash((self.lattice, self.numerators))
 
     @cached_property
     def coords(self) -> tuple[Fraction, ...]:

@@ -13,10 +13,19 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
-from .lattice import DivClass, Frozen, cached_property, combination, ratio, rational
+from .lattice import (
+    DivClass,
+    Frozen,
+    Value,
+    _divisor,
+    cached_property,
+    combination,
+    ratio,
+    rational,
+)
 from .positivity import VolumeProfile, integrate_profile, volume_profile
 from .surface import (
     BlowupCenter,
@@ -30,7 +39,7 @@ HALF = Fraction(1, 2)
 TAGS = frozenset({'plain', 'vertical', 'horizontal'})
 
 
-class AffineRatFn(Frozen):
+class AffineRatFn(Value):
     '''exact affine function const + slope * c of the boundary coefficient
 
     Held in integers: ``numerators`` is (d, cn, sn) with const = cn / d and
@@ -48,6 +57,7 @@ class AffineRatFn(Frozen):
         >>> str(g), g.numerators
         ('2/15 - 34/15 c', (15, 2, -34))
     '''
+    _value = ('numerators',)
 
     def __init__(self, const, slope):
         (cn, cd), (sn, sd) = ratio(const), ratio(slope)
@@ -59,20 +69,10 @@ class AffineRatFn(Frozen):
     @classmethod
     def from_numerators(cls, d: int, cn: int, sn: int) -> 'AffineRatFn':
         '''the function (cn + sn c) / d, for integers with d != 0'''
-        g = gcd(d, cn, sn)
-        if d < 0:
-            g = -g
+        g = _divisor(d, (cn, sn))
         f = cls.__new__(cls)
         vars(f).update(numerators=(d // g, cn // g, sn // g))
         return f
-
-    def __eq__(self, other):
-        if type(other) is not AffineRatFn:
-            return NotImplemented
-        return self.numerators == other.numerators
-
-    def __hash__(self):
-        return hash(self.numerators)
 
     @cached_property
     def const(self) -> Fraction:

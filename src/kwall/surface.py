@@ -27,6 +27,7 @@ from .lattice import (
     EngineError,
     Frozen,
     IntersectionLattice,
+    Value,
     cached_property,
     combination,
     pair,
@@ -140,7 +141,7 @@ class GeneratorTable(Frozen):
         return self.pairing[i][i] * dk + kc * self.den, self.den * self.den * dg * dk
 
 
-class SurfaceModel(Frozen):
+class SurfaceModel(Value):
     '''
     resolution-side model of a (possibly singular) projective surface
 
@@ -153,26 +154,13 @@ class SurfaceModel(Frozen):
         - ``k_discrepancies`` -- (name, a) pairs with
           K_res = pull(K_target) + sum a_j C_j over the contracted curves
     '''
+    _value = ('name', 'lattice', 'canonical', 'mori_gens', 'contracted', 'k_discrepancies')
 
     def __init__(self, name: str, lattice: IntersectionLattice, canonical: DivClass,
                  mori_gens: tuple[tuple[str, DivClass], ...], contracted: tuple[str, ...] = (),
                  k_discrepancies: tuple[tuple[str, Fraction], ...] = ()):
         vars(self).update(name=name, lattice=lattice, canonical=canonical, mori_gens=mori_gens,
                           contracted=contracted, k_discrepancies=k_discrepancies)
-
-    def _key(self) -> tuple:
-        return (self.name, self.lattice, self.canonical, self.mori_gens, self.contracted,
-                self.k_discrepancies)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, SurfaceModel):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @cached_property
     def gen_names(self) -> tuple[str, ...]:
@@ -402,7 +390,7 @@ def pullback_weil(model: SurfaceModel, d: DivClass) -> DivClass:
     return DivClass(model.lattice, pd, ns)
 
 
-class BlowupCenter(Frozen):
+class BlowupCenter(Value):
     '''
     description of a weight-(a, b) blow-up at a smooth point of a model
 
@@ -411,23 +399,13 @@ class BlowupCenter(Frozen):
     ``extra_mori`` declares curves that only become extremal on the
     extension, with coordinates on the extended basis.
     '''
+    _value = ('weights', 'exc_name', 'through', 'extra_mori')
 
     def __init__(self, weights: tuple[int, int] = (1, 1), exc_name: str = 'exc',
                  through: tuple[tuple[str, Fraction], ...] = (),
                  extra_mori: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()):
         vars(self).update(weights=weights, exc_name=exc_name, through=through,
                           extra_mori=extra_mori)
-
-    def _key(self) -> tuple:
-        return self.weights, self.exc_name, self.through, self.extra_mori
-
-    def __eq__(self, other):
-        if type(other) is not BlowupCenter:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @classmethod
     def make(cls, weights=(1, 1), exc_name='exc', through=(), extra_mori=()) -> 'BlowupCenter':

@@ -445,3 +445,37 @@ def test_a_walked_catalog_is_freed_without_the_cycle_collector():
         assert [r().name for r in refs if r() is not None] == []
     finally:
         gc.enable()
+
+
+def test_two_decodes_hold_equal_values():
+    '''lattices, classes, models, blow-up centres and affine margins compare
+    and hash by value, so two decodes of one catalog hold equal ones; every
+    other engine object, a volume piece say, equals only itself'''
+    kwall.catalog._load_resolved.cache_clear()
+    first = load_catalog()
+    kwall.catalog._load_resolved.cache_clear()
+    second = load_catalog()
+    same = []
+    for a, b in zip(first.surfaces, second.surfaces):
+        same += [(a, b), (a.lattice, b.lattice), (a.canonical, b.canonical),
+                 *zip(dict(a.mori_gens).values(), dict(b.mori_gens).values())]
+    extensions = []
+    for fa, fb in zip(first.fixtures, second.fixtures):
+        va, vb = fa.valuation, fb.valuation
+        same += [(va.model, vb.model), (fa.expected.log_discrepancy, fb.expected.log_discrepancy),
+                 (log_discrepancy(fa.pair, va), log_discrepancy(fb.pair, vb))]
+        if va.model is not va.base:
+            same.append((va.model.center, vb.model.center))
+            extensions.append(va)
+    assert len(extensions) == 12
+    for a, b in same:
+        assert a is not b and a == b and hash(a) == hash(b), a
+    for v in extensions:
+        assert v.model != v.base and v.base != v.model
+    m, v, margin = first.surfaces[0], extensions[0], first.fixtures[0].expected.log_discrepancy
+    for x in (m.lattice, m.canonical, m, v.model.center, margin):
+        assert type(x).__eq__(x, None) is NotImplemented
+        assert not x == None and not x == 0 and x != 0  # noqa: E711
+    piece = volume_profile(v.model, v.origin, v.e_class).pieces[0]
+    assert piece == piece
+    assert piece != type(piece)(piece.k, piece.scale, piece.lo, piece.hi, piece.chamber_support)

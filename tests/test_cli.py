@@ -170,6 +170,35 @@ def test_beta_pair_file_usage_errors(tmp_path, capsys):
     assert run(capsys, 'beta', str(notjson), 'line12')[0] == 2
 
 
+@pytest.mark.parametrize('unreadable', [False, True], ids=['not-utf-8', 'not-readable'])
+@pytest.mark.parametrize('which', ['pair', 'val'])
+def test_pair_and_valuation_files_that_cannot_be_read_are_usage_errors(
+        which, unreadable, tmp_path, monkeypatch, capsys):
+    '''a file that is not UTF-8 text, or that cannot be read, is refused
+    under its own name; the read fails by a patched PermissionError, since a
+    test run as root can read any file'''
+    pair, val = tmp_path / 'pair.json', tmp_path / 'val.json'
+    pair.write_text(json.dumps(PAIR_DOC))
+    val.write_text(json.dumps({'kind': 'surface', 'name': 'line12'}))
+    path = tmp_path / f'{which}.json'
+    if unreadable:
+        real = Path.read_text
+
+        def read_text(self, *args, **kwargs):
+            if self == path:
+                raise PermissionError(13, 'Permission denied', str(self))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, 'read_text', read_text)
+        message = 'not readable: '
+    else:
+        path.write_bytes(b'\xff' + path.read_bytes())
+        message = "invalid json: 'utf-8' codec can't decode byte 0xff"
+    code, out, err = run(capsys, 'beta', str(pair), str(val))
+    assert (code, out) == (2, '')
+    assert err.startswith(f'catalog error: {path}: {message}')
+
+
 def test_beta_pair_file_naming_an_unknown_generator_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / 'pair.json'
     bad.write_text(json.dumps({'surface': 'sigma5',
@@ -217,13 +246,14 @@ def test_catalog_without_a_section_is_a_usage_error(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize('text, message', [
-    ('{"surfaces": [', 'is not JSON: '),
+    (b'{"surfaces": [', 'is not JSON: '),
+    (b'\xff{}', "is not JSON: 'utf-8' codec can't decode byte 0xff"),
     (None, 'is not readable: '),
-], ids=['catalog-is-not-json', 'catalog-is-missing'])
+], ids=['catalog-is-not-json', 'catalog-is-not-utf-8', 'catalog-is-missing'])
 def test_unreadable_catalogs_are_usage_errors(text, message, tmp_path, monkeypatch, capsys):
     path = tmp_path / 'catalog.json'
     if text is not None:
-        path.write_text(text)
+        path.write_bytes(text)
     monkeypatch.setenv('KWALL_CATALOG', str(path))
     code, out, err = run(capsys, 'fixtures', 'list')
     assert (code, out) == (2, '')
@@ -369,6 +399,8 @@ def _blowup(**center):
     (lambda doc: doc['fixtures'][1].__setitem__('id', doc['fixtures'][0]['id']), None,
      "catalog error: duplicate fixture id 'Sigma5/D_1_17/L1'"),
     (lambda doc: doc['walls'].reverse(), None, 'catalog error: wall table is not sorted'),
+    (lambda doc: doc['walls'][3].__setitem__('kind', 'ridge'), None,
+     "catalog error: wall 3 is malformed: unknown wall kind 'ridge'"),
     (None, ([], 'exc1'), 'catalog error: pair document must be a json object'),
     (None, (PAIR_DOC, []), 'catalog error: valuation document must be a json object'),
 ], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
@@ -389,6 +421,7 @@ def _blowup(**center):
         'boundary-gen-is-unknown', 'pair-boundary-label-is-a-number',
         'boundary-multiplicity-is-negative', 'stated-ord-b-is-below-the-centre-data',
         'stated-ord-b-is-above-k-tau', 'fixture-id-repeats', 'walls-are-unsorted',
+        'wall-kind-is-unknown',
         'pair-document-is-a-list', 'valuation-document-is-a-list'])
 def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,
                                             monkeypatch, capsys):

@@ -100,6 +100,12 @@ def test_solve_linear_singular():
         solve_linear([[F(0)]], [F(1)])
 
 
+def test_solve_linear_refuses_a_system_that_is_not_square():
+    for rows, rhs in (([[F(1), F(0)]], [F(1)]), ([[F(1)]], [F(1), F(2)])):
+        with pytest.raises(ValueError, match='system is not square'):
+            solve_linear(rows, rhs)
+
+
 def test_rational_parse_render_roundtrip():
     assert rational('5/3') == F(5, 3)
     with pytest.raises(ValueError):
