@@ -30,6 +30,7 @@ from .surface import (
     ConfigurationError,
     SurfaceModel,
     _repeated,
+    _string,
     surface_from_doc,
 )
 
@@ -133,13 +134,6 @@ class Catalog(Frozen):
                      if f.family.startswith(family))
 
 
-def _string(doc, key: str, default: str) -> str:
-    x = doc.get(key, default)
-    if not isinstance(x, str):
-        raise TypeError(f'{key!r} is not a string')
-    return x
-
-
 def _list_of(doc, key: str, kind: type) -> tuple:
     '''doc[key] (default []) as a tuple, when it is a list of values of
     exactly the type ``kind``: str, or int (which no bool passes for)'''
@@ -164,18 +158,14 @@ def _decode_part(model: SurfaceModel, doc):
         return doc['gen'], mult
     cls = model.lattice.div(doc['class'])
     if 'label' in doc:
-        if not isinstance(doc['label'], str):
-            raise CatalogError(f'{model.name}: boundary label {doc["label"]!r} is not a string')
-        return (doc['label'], cls), mult
+        return (_string('boundary label', doc['label']), cls), mult
     return cls, mult
 
 
 def _decode_valuation(pair: LogPair, doc) -> ValuationSpec:
     kind = doc.get('kind')
     tag = doc.get('tag', 'plain')
-    name = doc.get('name', '')
-    if not isinstance(name, str):
-        raise TypeError(f'valuation name {name!r} is not a string')
+    name = _string('valuation name', doc.get('name', ''))
     if kind == 'surface':
         return ValuationSpec.on_surface(pair, doc['name'], tag=tag)
     if kind == 'class':
@@ -209,7 +199,7 @@ def _decode_expected(doc) -> Expected:
         vanishing_order=affine_or_none('S'),
         margin=affine_or_none('beta'),
         wall=None if wall is None else rational(wall),
-        trust=_string(doc, 'trust', 'frozen'))
+        trust=_string('trust', doc.get('trust', 'frozen')))
 
 
 def _decode_display(doc) -> Display:
@@ -222,24 +212,23 @@ def _decode_display(doc) -> Display:
 
 def _decode_fixture(surfaces: dict, doc, i: int) -> Fixture:
     '''decode fixture number i of the catalog'''
-    if not isinstance(doc['id'], str):
-        raise CatalogError(f'fixture id {doc["id"]!r} is not a string')
+    fid = _string('fixture id', doc['id'])
     name = doc['surface']
     try:
         model = surfaces[name]
     except KeyError:
         raise CatalogError(
-            f'fixture {doc["id"]!r} names unknown surface {name!r}') from None
+            f'fixture {fid!r} names unknown surface {name!r}') from None
     try:
         pair = LogPair.make(model, [_decode_part(model, p) for p in doc.get('boundary', ())])
         valuation = _decode_valuation(pair, doc['valuation'])
         equivariant = tuple(_decode_valuation(pair, v) for v in doc.get('equivariant', ()))
     except ConfigurationError as exc:
         # the surface carries several fixtures: name the one at fault
-        raise type(exc)(f'fixture {i} {doc["id"]!r}: {exc}') from None
+        raise type(exc)(f'fixture {i} {fid!r}: {exc}') from None
     display = doc.get('display')
     return Fixture(
-        id=doc['id'],
+        id=fid,
         pair=pair,
         valuation=valuation,
         expected=_decode_expected(doc['expected']),
@@ -254,7 +243,7 @@ def _decode_wall(doc) -> WallEntry:
         raise ValueError(f'unknown wall kind {kind!r}')
     return WallEntry(value=rational(doc['value']), kind=kind,
                      families=_list_of(doc, 'families', str),
-                     description=_string(doc, 'description', ''))
+                     description=_string('description', doc.get('description', '')))
 
 
 # what decoding raises on a missing field, a wrong-typed JSON value or a
@@ -285,15 +274,22 @@ def catalog_path() -> Path:
     return Path(override) if override else DATA_PATH
 
 
+def read_document(path: Path, what: str):
+    '''the JSON document in the UTF-8 file at ``path``, refused under
+    ``what`` and the path when it cannot be read or parsed'''
+    try:
+        return json.loads(path.read_text(encoding='utf-8'))
+    except OSError as exc:
+        raise CatalogError(f'{what} {path} is not readable: {exc}') from None
+    except ValueError as exc:
+        # a JSONDecodeError, a UnicodeDecodeError or an integer literal
+        # beyond CPython's limit on its digits
+        raise CatalogError(f'{what} {path} is not JSON: {exc}') from None
+
+
 @lru_cache(maxsize=None)
 def _load_resolved(path_str: str) -> Catalog:
-    path = Path(path_str)
-    if not path.is_file():
-        raise CatalogError(f'catalog resource {path_str} does not exist')
-    try:
-        doc = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CatalogError(f'catalog resource {path_str} is not JSON: {exc}')
+    doc = read_document(Path(path_str), 'catalog resource')
     missing = [k for k in ('surfaces', 'fixtures', 'walls')
                if not isinstance(doc, dict) or k not in doc]
     if missing:

@@ -29,6 +29,7 @@ from .catalog import (
     load_catalog,
     load_fixture,
     pair_from_doc,
+    read_document,
     valuation_from_doc,
 )
 from .lattice import DivClass, EngineError, pair, rational
@@ -120,7 +121,7 @@ def _catalog_input() -> dict:
     try:
         digest = sha256(p.read_bytes()).hexdigest()
     except OSError as exc:
-        raise CatalogError(f'catalog {p} is not readable: {exc}') from None
+        raise CatalogError(f'catalog resource {p} is not readable: {exc}') from None
     return {'catalog': str(p), 'sha256': digest}
 
 
@@ -245,24 +246,15 @@ def _render_profile(r: dict) -> list[str]:
             f'expected vanishing order at c = 0: {r["vanishing_order_at_zero"]}']
 
 
-def _load_doc(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise CatalogError(f'{path}: not readable: {exc}') from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CatalogError(f'{path}: invalid json: {exc}') from None
-
-
 def cmd_beta(args) -> dict:
     target = Path(args.target)
     if target.is_file():
         if args.valuation is None:
             raise ConfigurationError(
                 'pair file input needs a valuation file or generator name')
-        p = pair_from_doc(_load_doc(target))
+        p = pair_from_doc(read_document(target, 'pair file'))
         vpath = Path(args.valuation)
-        vdoc = (_load_doc(vpath) if vpath.is_file()
+        vdoc = (read_document(vpath, 'valuation file') if vpath.is_file()
                 else {'kind': 'surface', 'name': args.valuation})
         v = valuation_from_doc(p, vdoc)
         f = None

@@ -12,6 +12,7 @@ module.
 '''
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -97,6 +98,10 @@ def ratio(x: int | str | Fraction) -> tuple[int, int]:
         Traceback (most recent call last):
         ...
         ValueError: not a rational: '1e3'
+        >>> ratio("1" * 5001)
+        Traceback (most recent call last):
+        ...
+        ValueError: '11111111111111111111'... exceeds CPython's integer digit limit (4300 digits)
     '''
     if type(x) is int:
         return x, 1
@@ -111,8 +116,13 @@ def ratio(x: int | str | Fraction) -> tuple[int, int]:
                 return int(num), 1
             signed = num[:1] in ('+', '-')
             n, d = _digits(num[signed:]), _digits(den)
-        except ValueError:
-            raise ValueError(f'not a rational: {x!r}') from None
+        except ValueError as exc:
+            # a refused literal may be of any length: echo only its start
+            shown = repr(x) if len(x) <= 20 else f'{x[:20]!r}...'
+            if str(exc).startswith('Exceeds the limit'):
+                raise ValueError(f"{shown} exceeds CPython's integer digit limit "
+                                 f'({sys.get_int_max_str_digits()} digits)') from None
+            raise ValueError(f'not a rational: {shown}') from None
         if d == 0:
             raise ValueError(f'zero denominator in {x!r}')
         g = gcd(n, d)

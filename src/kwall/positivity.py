@@ -206,7 +206,8 @@ class VolumeProfile(Frozen):
     def value(self, t) -> Fraction:
         if t < 0 or t > self.tau:
             raise ValueError(f'{t} outside [0, {self.tau}]')
-        for p in self.pieces:
+        # the last piece ends at tau, so it takes every t the others do not
+        for p in self.pieces[:-1]:
             if t <= p.t_hi:
                 return p.value(t)
         return self.pieces[-1].value(t)

@@ -55,6 +55,13 @@ def _repeated(names: Sequence[str]) -> str | None:
     return next((n for i, n in enumerate(names) if n in names[:i]), None)
 
 
+def _string(what: str, x) -> str:
+    '''x, when it is a string; the TypeError names what x is'''
+    if not isinstance(x, str):
+        raise TypeError(f'{what} {x!r} is not a string')
+    return x
+
+
 def _products(cs, cols) -> list[tuple[int, ...]]:
     '''each row of cs paired with each of cols'''
     return [tuple([sum(map(mul, c, col)) for col in cols]) for c in cs]
@@ -411,12 +418,9 @@ class BlowupCenter(Value):
     def make(cls, weights=(1, 1), exc_name='exc', through=(), extra_mori=()) -> 'BlowupCenter':
         if len(weights) != 2 or any(type(w) is not int for w in weights):
             raise ConfigurationError(f'weights {list(weights)} are not two integers')
-        if not isinstance(exc_name, str):
-            raise ConfigurationError(f'exceptional divisor name {exc_name!r} is not a string')
-        extra = tuple((n, tuple([rational(x) for x in v])) for n, v in extra_mori)
-        for n, _ in extra:
-            if not isinstance(n, str):
-                raise ConfigurationError(f'extra generator name {n!r} is not a string')
+        exc_name = _string('exceptional divisor name', exc_name)
+        extra = tuple((_string('extra generator name', n), tuple([rational(x) for x in v]))
+                      for n, v in extra_mori)
         return cls(tuple(weights), exc_name, tuple((n, rational(m)) for n, m in through), extra)
 
 
@@ -497,27 +501,18 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> Extensio
     )
 
 
-def _string(what: str, x) -> str:
-    if not isinstance(x, str):
-        raise TypeError(f'{what} {x!r} is not a string')
-    return x
-
-
 def surface_from_doc(doc: Mapping) -> SurfaceModel:
-    '''parse and validate a surface document'''
-    try:
-        lat = IntersectionLattice.from_rows([_string('basis entry', x) for x in doc['basis']],
-                                            doc['gram'])
-        model = SurfaceModel(
-            name=_string('name', doc.get('name', 'surface')),
-            lattice=lat,
-            canonical=lat.div(doc['canonical']),
-            mori_gens=tuple((_string('generator name', g['name']), lat.div(g['class']))
-                            for g in doc['mori']),
-            contracted=tuple(_string('contracted curve', n) for n in doc.get('contracted', ())),
-            k_discrepancies=tuple((n, rational(x))
-                                  for n, x in doc.get('k_discrepancies', {}).items()),
-        )
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ConfigurationError(f'bad surface document: {exc}') from exc
-    return model.validate()
+    '''parse and validate a surface document; a malformed one raises KeyError,
+    TypeError, AttributeError or ValueError, and the catalog names the entry'''
+    lat = IntersectionLattice.from_rows([_string('basis entry', x) for x in doc['basis']],
+                                        doc['gram'])
+    return SurfaceModel(
+        name=_string('name', doc.get('name', 'surface')),
+        lattice=lat,
+        canonical=lat.div(doc['canonical']),
+        mori_gens=tuple((_string('generator name', g['name']), lat.div(g['class']))
+                        for g in doc['mori']),
+        contracted=tuple(_string('contracted curve', n) for n in doc.get('contracted', ())),
+        k_discrepancies=tuple((n, rational(x))
+                              for n, x in doc.get('k_discrepancies', {}).items()),
+    ).validate()

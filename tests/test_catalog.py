@@ -199,7 +199,7 @@ def test_env_override_points_at_a_different_catalog(tmp_path, monkeypatch):
 
 
 def test_a_missing_catalog_file_is_refused(tmp_path):
-    with pytest.raises(CatalogError, match='does not exist'):
+    with pytest.raises(CatalogError, match='missing.json is not readable: '):
         load_catalog(tmp_path / 'missing.json')
 
 

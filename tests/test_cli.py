@@ -168,6 +168,13 @@ def test_beta_pair_file_usage_errors(tmp_path, capsys):
     notjson = tmp_path / 'notjson.json'
     notjson.write_text('nope')
     assert run(capsys, 'beta', str(notjson), 'line12')[0] == 2
+    # json.loads refuses an integer literal beyond CPython's digit limit
+    huge = tmp_path / 'huge.json'
+    huge.write_text('{"surface": "sigma5", "boundary": [{"gen": "line12", "mult": %s}]}'
+                    % ('1' * 5001))
+    code, out, err = run(capsys, 'beta', str(huge), 'line12')
+    assert (code, out) == (2, '')
+    assert err.startswith(f'catalog error: pair file {huge} is not JSON: Exceeds the limit')
 
 
 @pytest.mark.parametrize('unreadable', [False, True], ids=['not-utf-8', 'not-readable'])
@@ -190,13 +197,14 @@ def test_pair_and_valuation_files_that_cannot_be_read_are_usage_errors(
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(Path, 'read_text', read_text)
-        message = 'not readable: '
+        message = 'is not readable: '
     else:
         path.write_bytes(b'\xff' + path.read_bytes())
-        message = "invalid json: 'utf-8' codec can't decode byte 0xff"
+        message = "is not JSON: 'utf-8' codec can't decode byte 0xff"
+    noun = {'pair': 'pair file', 'val': 'valuation file'}[which]
     code, out, err = run(capsys, 'beta', str(pair), str(val))
     assert (code, out) == (2, '')
-    assert err.startswith(f'catalog error: {path}: {message}')
+    assert err.startswith(f'catalog error: {noun} {path} {message}')
 
 
 def test_beta_pair_file_naming_an_unknown_generator_is_a_usage_error(tmp_path, capsys):
@@ -249,7 +257,9 @@ def test_catalog_without_a_section_is_a_usage_error(tmp_path, monkeypatch, capsy
     (b'{"surfaces": [', 'is not JSON: '),
     (b'\xff{}', "is not JSON: 'utf-8' codec can't decode byte 0xff"),
     (None, 'is not readable: '),
-], ids=['catalog-is-not-json', 'catalog-is-not-utf-8', 'catalog-is-missing'])
+    (b'{"version": %s}' % (b'1' * 5001), 'is not JSON: Exceeds the limit (4300 digits)'),
+], ids=['catalog-is-not-json', 'catalog-is-not-utf-8', 'catalog-is-missing',
+        'catalog-version-exceeds-the-digit-limit'])
 def test_unreadable_catalogs_are_usage_errors(text, message, tmp_path, monkeypatch, capsys):
     path = tmp_path / 'catalog.json'
     if text is not None:
@@ -257,7 +267,7 @@ def test_unreadable_catalogs_are_usage_errors(text, message, tmp_path, monkeypat
     monkeypatch.setenv('KWALL_CATALOG', str(path))
     code, out, err = run(capsys, 'fixtures', 'list')
     assert (code, out) == (2, '')
-    assert err.startswith('catalog error: catalog ') and message in err
+    assert err.startswith(f'catalog error: catalog resource {path} {message}')
 
 
 SHIPPED = json.loads(DATA_PATH.read_text())
@@ -325,10 +335,11 @@ def _blowup(**center):
     (_edit('fixtures', 'valuation', 2), None, 'catalog error: fixture 0 is malformed'),
     (_edit('fixtures', 'display', True), None, 'catalog error: fixture 0 is malformed'),
     (_edit('surfaces', 'k_discrepancies', 2), None,
-     "configuration error: bad surface document: 'int' object has no attribute 'items'"),
-    (_edit('fixtures', 'id', [1]), None, 'catalog error: fixture id [1] is not a string'),
+     "catalog error: surface 0 is malformed: 'int' object has no attribute 'items'"),
+    (_edit('fixtures', 'id', [1]), None,
+     'catalog error: fixture 0 is malformed: fixture id [1] is not a string'),
     (_edit('surfaces', 'gram', ''), None,
-     'configuration error: bad surface document: gram matrix is not 1 x 1'),
+     'catalog error: surface 0 is malformed: gram matrix is not 1 x 1'),
     (_one_blowup_weight, None, "configuration error: fixture 4 'X11/D_1_7/vertex-blowup': "
                                'weights [1] are not two integers'),
     (None, (PAIR_DOC, {'kind': 'blowup', 'center': 5}),
@@ -341,9 +352,9 @@ def _blowup(**center):
      "catalog error: fixture 0 is malformed: 'notes' is not a list of strings"),
     (_edit('walls', 'families', 'Xn'), None,
      "catalog error: wall 0 is malformed: 'families' is not a list of strings"),
-    (_trust_is_a_number, None, "catalog error: fixture 0 is malformed: 'trust' is not a string"),
+    (_trust_is_a_number, None, 'catalog error: fixture 0 is malformed: trust 5 is not a string'),
     (_edit('walls', 'description', ['x']), None,
-     "catalog error: wall 0 is malformed: 'description' is not a string"),
+     "catalog error: wall 0 is malformed: description ['x'] is not a string"),
     (_edit('fixtures', 'surface'), None, "catalog error: fixture 0 is missing field 'surface'"),
     (_edit('fixtures', 'surface', 'nowhere'), None,
      "catalog error: fixture 'Sigma5/D_1_17/L1' names unknown surface 'nowhere'"),
@@ -352,25 +363,30 @@ def _blowup(**center):
     (lambda doc: doc['fixtures'][0]['boundary'][0].__setitem__('mult', '1e3'), None,
      "catalog error: fixture 0 is malformed: not a rational: '1e3'"),
     (lambda doc: doc['surfaces'][0]['gram'][0].__setitem__(0, '1e3'), None,
-     "configuration error: bad surface document: not a rational: '1e3'"),
+     "catalog error: surface 0 is malformed: not a rational: '1e3'"),
     (None, ({'surface': 'sigma5', 'boundary': [{'gen': 'line12', 'mult': '4e0'}]}, 'exc1'),
      "catalog error: boundary part 0 is malformed: not a rational: '4e0'"),
+    (lambda doc: doc['fixtures'][0]['boundary'][0].__setitem__('mult', '1' * 5001), None,
+     "catalog error: fixture 0 is malformed: '11111111111111111111'... exceeds CPython's "
+     'integer digit limit (4300 digits)\n'),
+    (lambda doc: doc['surfaces'][3].pop('canonical'), None,
+     "catalog error: surface 3 is missing field 'canonical'\n"),
     (None, _blowup(weights=[1.9, 1]),
      'configuration error: weights [1.9, 1] are not two integers'),
     (None, _blowup(weights=['1', '1']),
      "configuration error: weights ['1', '1'] are not two integers"),
     (None, _blowup(weights=[True, 1]),
      'configuration error: weights [True, 1] are not two integers'),
-    (None, _blowup(exc_name=5), 'configuration error: exceptional divisor name 5 is not a string'),
+    (None, _blowup(exc_name=5),
+     'catalog error: valuation document is malformed: exceptional divisor name 5 is not a string'),
     (_display_weight_is_a_string, None,
      "catalog error: fixture 3 is malformed: 'weights' is not a list of integers"),
     (_edit('surfaces', 'basis', [0]), ('surface', 'show', 'p2'),
-     'configuration error: bad surface document: basis entry 0 is not a string'),
+     'catalog error: surface 0 is malformed: basis entry 0 is not a string'),
     (lambda doc: doc['surfaces'][0]['mori'][0].__setitem__('name', 1), ('surface', 'show', 'p2'),
-     'configuration error: bad surface document: generator name 1 is not a string'),
+     'catalog error: surface 0 is malformed: generator name 1 is not a string'),
     (_extra_mori_name(7), ('profile', 'Xprime/D_13_41/E'),
-     "configuration error: fixture 39 'Xprime/D_13_41/E': extra generator name 7 is not "
-     'a string'),
+     'catalog error: fixture 39 is malformed: extra generator name 7 is not a string'),
     (None, (PAIR_DOC, {'kind': 'class', 'name': 5, 'class': [1, 0, 0, 0, 0],
                        'a_x': '1', 'ord_b': '0'}),
      'catalog error: valuation document is malformed: valuation name 5 is not a string'),
@@ -381,13 +397,13 @@ def _blowup(**center):
      "configuration error: fixture 39 'Xprime/D_13_41/E': generator name 'e' is used "
      'twice on the extension'),
     (lambda doc: doc['fixtures'][2]['boundary'][2].__setitem__('label', 5), None,
-     "catalog error: fixture 2 'Xn/D_2_19/node': xn: boundary label 5 is not a string"),
+     'catalog error: fixture 2 is malformed: boundary label 5 is not a string'),
     (lambda doc: doc['fixtures'][2]['boundary'][0].__setitem__('gen', 'ghost'), None,
      "catalog error: fixture 2 'Xn/D_2_19/node': xn: boundary part names unknown generator "
      "'ghost'; have ["),
     (None, ({'surface': 'sigma5', 'boundary': [
         {'label': 5, 'class': [1, 0, 0, 0, 0], 'mult': '1'}]}, 'exc1'),
-     'catalog error: sigma5: boundary label 5 is not a string'),
+     'catalog error: boundary part 0 is malformed: boundary label 5 is not a string'),
     (lambda doc: doc['fixtures'][2]['boundary'][0].__setitem__('mult', '-1'), None,
      "configuration error: fixture 2 'Xn/D_2_19/node': xn: component line12 has negative "
      'multiplicity -1; boundary class ('),
@@ -413,6 +429,7 @@ def _blowup(**center):
         'fixture-names-an-unknown-surface',
         'wall-value-has-an-exponent', 'multiplicity-has-an-exponent',
         'gram-entry-has-an-exponent', 'pair-multiplicity-has-an-exponent',
+        'multiplicity-exceeds-the-digit-limit', 'surface-without-canonical',
         'blowup-weight-is-a-float', 'blowup-weights-are-strings', 'blowup-weight-is-a-boolean',
         'blowup-exc-name-is-a-number', 'display-weight-is-a-string', 'basis-holds-a-number',
         'generator-name-is-a-number', 'extra-mori-name-is-a-number',
@@ -808,19 +825,48 @@ def test_json_report_carries_the_catalog_digest(capsys):
     assert report['status'] == 'ok'
 
 
+def _cold_process(*args):
+    '''a fresh python process that imports this kwall, with these arguments'''
+    src = str(Path(kwall.cli.__file__).parents[1])
+    env = {**os.environ,
+           'PYTHONPATH': os.pathsep.join(filter(None, [src, os.environ.get('PYTHONPATH')]))}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize('argv, code', [
     (['fixtures', 'list'], 0), (['walls', '--diff', '--json'], 0),
     (['zariski', 'xprime_deg', 'l3'], 3), (['beta', 'nosuch'], 2)])
 def test_a_cold_process_prints_what_main_prints(argv, code, monkeypatch, capsys):
     '''python -m kwall.cli, the process entry, against main() in process'''
     monkeypatch.delenv('KWALL_CATALOG', raising=False)
-    src = str(Path(kwall.cli.__file__).parents[1])
-    env = {**os.environ,
-           'PYTHONPATH': os.pathsep.join(filter(None, [src, os.environ.get('PYTHONPATH')]))}
-    proc = subprocess.run([sys.executable, '-m', 'kwall.cli', *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _cold_process('-m', 'kwall.cli', *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
     assert proc.returncode == code
+
+
+def test_documents_are_read_as_utf_8_whatever_the_locale(tmp_path, monkeypatch, capsys):
+    '''no read of a catalog, pair or valuation file falls back on the
+    locale's encoding, which EncodingWarning reports'''
+    monkeypatch.delenv('KWALL_CATALOG', raising=False)
+    pair, val = tmp_path / 'pair.json', tmp_path / 'val.json'
+    pair.write_text(json.dumps(PAIR_DOC))
+    val.write_text(json.dumps({'kind': 'surface', 'name': 'line12'}))
+    for argv in (['fixtures', 'list'], ['beta', str(pair), str(val)]):
+        proc = _cold_process('-X', 'warn_default_encoding', '-W', 'error::EncodingWarning',
+                             '-m', 'kwall.cli', *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+        assert proc.returncode == 0
+
+
+def test_the_hashlib_digest_prints_what_main_prints(monkeypatch, capsys):
+    '''without the built-in _sha256 (CPython 3.12 renamed it) the catalog
+    digest comes from hashlib'''
+    monkeypatch.delenv('KWALL_CATALOG', raising=False)
+    proc = _cold_process('-c', "import sys; sys.modules['_sha256'] = None; import runpy; "
+                               "sys.argv = ['kwall', 'fixtures', 'list']; "
+                               "runpy.run_module('kwall.cli', run_name='__main__')")
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, 'fixtures', 'list')
 
 
 def _parse(parser, argv):

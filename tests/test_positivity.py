@@ -14,6 +14,7 @@ from kwall.positivity import (
     NotPseudoEffective,
     QuadraticPiece,
     VolumeProfile,
+    _min_root_after,
     integrate_profile,
     is_nef,
     profile_to_doc,
@@ -200,11 +201,18 @@ def test_junk_input_rejected():
         volume_profile(m, -1 * m.canonical, m.lattice.zero())
 
 
+def test_a_volume_that_never_vanishes_has_no_root():
+    '''vol = 2 - 2 t + t^2 has a negative discriminant'''
+    assert _min_root_after((2, -2, 1), 1, (0, 1), None) is None
+
+
 def test_profile_value_and_doc():
     m = builders.sigma5()
     prof = volume_profile(m, -1 * m.canonical, m.gen('line12'))
     assert prof.value(F(1, 2)) == F(15, 4)
-    assert prof.value(2) == 0
+    # the end of the first chamber, and tau = 2 on the last piece
+    assert prof.value(1) == 2
+    assert prof.value(prof.tau) == 0
     with pytest.raises(ValueError):
         prof.value(3)
     doc = profile_to_doc(prof)
