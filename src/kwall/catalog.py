@@ -19,11 +19,10 @@ import json
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from pathlib import Path
 from typing import Optional
 
-from .lattice import Frozen, cached_property, rational
+from .lattice import EngineError, Frozen, cached_property, rational
 from .stability import AffineRatFn, LogPair, ValuationSpec
 from .surface import (
     BlowupCenter,
@@ -152,9 +151,8 @@ def _decode_part(model: SurfaceModel, doc):
     mult = rational(doc['mult'])
     if 'gen' in doc:
         if doc['gen'] not in model.gen_names:
-            raise CatalogError(
-                f'{model.name}: boundary part names unknown generator '
-                f'{doc["gen"]!r}; have {list(model.gen_names)}')
+            raise ValueError(f'unknown generator {doc["gen"]!r} on {model.name}; '
+                             f'have {list(model.gen_names)}')
         return doc['gen'], mult
     cls = model.lattice.div(doc['class'])
     if 'label' in doc:
@@ -174,16 +172,12 @@ def _decode_valuation(pair: LogPair, doc) -> ValuationSpec:
                              e_class=cls, a_x=rational(doc['a_x']),
                              ord_b=rational(doc['ord_b']), tag=tag)
     if kind == 'blowup':
-        cdoc = doc['center']
-        center = BlowupCenter.make(
-            weights=cdoc.get('weights', (1, 1)),
-            exc_name=cdoc.get('exc_name', 'e'),
-            through=cdoc.get('through', ()),
-            extra_mori=cdoc.get('extra_mori', ()))
-        a_x = rational(doc['a_x']) if 'a_x' in doc else None
+        if 'a_x' in doc:
+            raise ValueError("a blow-up derives 'a_x' from its centre; remove the key")
+        center = BlowupCenter.make(**doc['center'])
         ord_b = rational(doc['ord_b']) if 'ord_b' in doc else None
-        return ValuationSpec.on_extension(pair, center, name=name, tag=tag, a_x=a_x, ord_b=ord_b)
-    raise CatalogError(f'unknown valuation kind {kind!r}')
+        return ValuationSpec.on_extension(pair, center, name=name, tag=tag, ord_b=ord_b)
+    raise ValueError(f'unknown valuation kind {kind!r}')
 
 
 def _decode_expected(doc) -> Expected:
@@ -205,27 +199,22 @@ def _decode_expected(doc) -> Expected:
 def _decode_display(doc) -> Display:
     return Display(
         scale=rational(doc.get('scale', 1)),
-        beta_text=doc.get('beta'),
-        curve=doc.get('curve'),
+        beta_text=_string('display beta', doc['beta']) if 'beta' in doc else None,
+        curve=_string('display curve', doc['curve']) if 'curve' in doc else None,
         weights=_list_of(doc, 'weights', int))
 
 
-def _decode_fixture(surfaces: dict, doc, i: int) -> Fixture:
-    '''decode fixture number i of the catalog'''
+def _decode_fixture(surfaces: dict, doc) -> Fixture:
     fid = _string('fixture id', doc['id'])
     name = doc['surface']
-    try:
-        model = surfaces[name]
-    except KeyError:
-        raise CatalogError(
-            f'fixture {fid!r} names unknown surface {name!r}') from None
-    try:
-        pair = LogPair.make(model, [_decode_part(model, p) for p in doc.get('boundary', ())])
-        valuation = _decode_valuation(pair, doc['valuation'])
-        equivariant = tuple(_decode_valuation(pair, v) for v in doc.get('equivariant', ()))
-    except ConfigurationError as exc:
-        # the surface carries several fixtures: name the one at fault
-        raise type(exc)(f'fixture {i} {fid!r}: {exc}') from None
+    if name not in surfaces:
+        raise ValueError(f'unknown surface {name!r}')
+    model = surfaces[name]
+    pair = LogPair.make(model, _decode_each('boundary part', doc.get('boundary', ()),
+                                            lambda p: _decode_part(model, p)))
+    valuation = _decode_valuation(pair, doc['valuation'])
+    equivariant = _decode_each('equivariant valuation', doc.get('equivariant', ()),
+                               lambda v: _decode_valuation(pair, v))
     display = doc.get('display')
     return Fixture(
         id=fid,
@@ -247,24 +236,29 @@ def _decode_wall(doc) -> WallEntry:
 
 
 # what decoding raises on a missing field, a wrong-typed JSON value or a
-# string that is not a number
-_MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
+# string that is not a number, and the engine's refusals of what it decoded
+_REFUSED = (KeyError, TypeError, AttributeError, ValueError, EngineError)
 
 
-def _malformed(what: str, exc: Exception) -> CatalogError:
+def named(what: str, exc: Exception) -> EngineError:
+    '''the refusal exc named after ``what`` it came from: a missing field
+    or a malformed value becomes a CatalogError, and an engine refusal keeps
+    its type with ``what`` in front, so that nested names read outside in'''
+    if isinstance(exc, EngineError):
+        return type(exc)(f'{what}: {exc}')
     if isinstance(exc, KeyError):
         return CatalogError(f'{what} is missing field {exc.args[0]!r}')
     return CatalogError(f'{what} is malformed: {exc}')
 
 
 def _decode_each(what: str, docs, decode) -> tuple:
-    '''decode a list of JSON objects, naming the one that is malformed'''
+    '''decode a list of JSON objects, naming the one refused by its place'''
     out = []
     try:
         for doc in docs:
             out.append(decode(doc))
-    except _MALFORMED as exc:
-        raise _malformed(f'{what} {len(out)}', exc) from None
+    except _REFUSED as exc:
+        raise named(f'{what} {len(out)}', exc) from None
     return tuple(out)
 
 
@@ -298,10 +292,7 @@ def _load_resolved(path_str: str) -> Catalog:
         raise CatalogError(f'catalog version {doc["version"]!r} is not an integer')
     surfaces = _decode_each('surface', doc['surfaces'], surface_from_doc)
     index = {m.name: m for m in surfaces}
-    # decode is called once per fixture in turn, so this counts their places
-    position = count()
-    fixtures = _decode_each('fixture', doc['fixtures'],
-                            lambda d: _decode_fixture(index, d, next(position)))
+    fixtures = _decode_each('fixture', doc['fixtures'], lambda d: _decode_fixture(index, d))
     twice = _repeated([f.id for f in fixtures])
     if twice is not None:
         raise CatalogError(f'duplicate fixture id {twice!r}')
@@ -361,5 +352,5 @@ def valuation_from_doc(pair: LogPair, doc) -> ValuationSpec:
         raise CatalogError('valuation document must be a json object')
     try:
         return _decode_valuation(pair, doc)
-    except _MALFORMED as exc:
-        raise _malformed('valuation document', exc) from None
+    except _REFUSED as exc:
+        raise named('valuation document', exc) from None

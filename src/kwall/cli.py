@@ -28,6 +28,7 @@ from .catalog import (
     catalog_path,
     load_catalog,
     load_fixture,
+    named,
     pair_from_doc,
     read_document,
     valuation_from_doc,
@@ -159,12 +160,12 @@ def _profile_lines(head: str, r: dict) -> list[str]:
 
 @contextmanager
 def _naming(f):
-    '''re-raise an engine or configuration refusal naming the fixture f as
-    well as the surface'''
+    '''re-raise an engine or configuration refusal naming the fixture f by
+    its id as well as the surface'''
     try:
         yield
     except EngineError as exc:
-        raise type(exc)(f'fixture {f.id}: {exc}') from exc
+        raise named(f'fixture {f.id}', exc) from exc
 
 
 def _family_ids(cat, family: str | None) -> tuple[str, ...]:

@@ -290,10 +290,6 @@ class DivClass(Value):
         d, ns = self.numerators
         return tuple([Fraction(n, d) for n in ns])
 
-    def _check_mate(self, other: 'DivClass') -> None:
-        if self.lattice is not other.lattice and self.lattice != other.lattice:
-            raise ValueError('classes live on different lattices')
-
     def __add__(self, other: 'DivClass') -> 'DivClass':
         return combination(self.lattice, [(1, self), (1, other)])
 
@@ -318,6 +314,15 @@ class DivClass(Value):
         return ' + '.join(terms) if terms else '0'
 
 
+def check_on(lattice: IntersectionLattice, *classes: DivClass) -> None:
+    '''refuse (ValueError) a class of another lattice, whose coordinates
+    would zip against the wrong basis and truncate into a wrong answer'''
+    for c in classes:
+        if c.lattice is not lattice and c.lattice != lattice:
+            raise ValueError(f'class {c!r} does not live on the lattice with basis '
+                             f'{", ".join(lattice.names)}')
+
+
 def combination(lattice: IntersectionLattice, terms) -> DivClass:
     '''
     the class sum k c over the (k, c) terms, with rational k, summed in
@@ -330,8 +335,7 @@ def combination(lattice: IntersectionLattice, terms) -> DivClass:
     '''
     parts = []
     for k, c in terms:
-        if c.lattice is not lattice and c.lattice != lattice:
-            raise ValueError('classes live on different lattices')
+        check_on(lattice, c)
         parts.append((ratio(k), c.numerators))
     d = lcm(*[q * dc for (_, q), (dc, _) in parts])
     total = [0] * lattice.rank
@@ -351,7 +355,7 @@ def pair(a: DivClass, b: DivClass) -> Fraction:
         >>> pair(k, k)
         Fraction(7, 1)
     '''
-    a._check_mate(b)
+    check_on(a.lattice, b)
     dg, rows = a.lattice.scaled_gram
     da, xa = a.numerators
     db, xb = b.numerators

@@ -55,6 +55,7 @@ from .lattice import (
     EngineError,
     Frozen,
     cached_property,
+    check_on,
     pair,
     pivot,
 )
@@ -114,8 +115,7 @@ def zariski_decompose(model: SurfaceModel, d: DivClass) -> ZariskiResult:
     certified in integers; a failed certificate is an engine fault or a
     generator list that is not a set of curves, and raises EngineError.
     '''
-    if d.lattice != model.lattice:
-        raise ValueError('class does not live on the model lattice')
+    check_on(model.lattice, d)
     dx, xs = d.numerators
     table = model.gen_table
     n = len(table.pairing)
@@ -270,8 +270,7 @@ def volume_profile(model: SurfaceModel, origin: DivClass,
     P(t) positively for t < tau (see the module docstring).  On a lattice
     of another signature, which no surface has, the profile may differ.
     '''
-    if origin.lattice != model.lattice or direction.lattice != model.lattice:
-        raise ValueError('classes do not live on the model lattice')
+    check_on(model.lattice, origin, direction)
     # the walk runs in generator coordinates and in integers.  Origin and
     # direction are xo / dx and -xv / dx.
     table = model.gen_table

@@ -274,12 +274,12 @@ class ValuationSpec(Frozen):
 
     @classmethod
     def on_extension(cls, p: LogPair, center: BlowupCenter, name: str = '',
-                     tag: str = 'plain', a_x=None, ord_b=None) -> 'ValuationSpec':
+                     tag: str = 'plain', ord_b=None) -> 'ValuationSpec':
         '''the exceptional divisor of the pair surface's blow-up at ``center``
 
         The centre order of a base generator is its ord in
-        ``center.through``, 0 when it is not listed.  ``a_x`` defaults to
-        the discrepancy over the base corrected by any contracted curves
+        ``center.through``, 0 when it is not listed.  ``a_x`` is the
+        discrepancy over the base corrected by any contracted curves
         through the centre.  ``ord_b`` defaults to the boundary
         multiplicities pushed through their centre orders; that sum is a
         lower bound when the boundary has a labelled component, whose order
@@ -288,9 +288,8 @@ class ValuationSpec(Frozen):
         '''
         m, ext = p.surface, p.surface.extension(center)
         through = dict(center.through)
-        if a_x is None:
-            a_x = ext.a_over_base + sum([m.discrepancy[n] * through.get(n, 0)
-                                         for n in m.contracted])
+        a_x = ext.a_over_base + sum([m.discrepancy[n] * through.get(n, 0)
+                                     for n in m.contracted])
         labelled = [n for n, _, _ in p.boundary if n not in m.gen_names]
         lower = sum([mult * through.get(n, 0) for n, _, mult in p.boundary if n in m.gen_names]
                     + [p.boundary_order(n) * through[n] for n in m.contracted if n in through],
@@ -304,7 +303,7 @@ class ValuationSpec(Frozen):
             raise ConfigurationError(
                 f'stated ord_b {ord_b} is below {lower}, the order of the boundary '
                 'curves with centre data')
-        return cls(name or center.exc_name, ext, ext.e_class, rational(a_x), ord_b,
+        return cls(name or center.exc_name, ext, ext.e_class, a_x, ord_b,
                    tag, base=m)
 
 

@@ -29,6 +29,7 @@ from .lattice import (
     IntersectionLattice,
     Value,
     cached_property,
+    check_on,
     combination,
     pair,
     pivot,
@@ -319,8 +320,7 @@ class ExtensionModel(SurfaceModel):
 
     def pullback(self, d: DivClass) -> DivClass:
         '''isometric pullback of a base class (zero e-coefficient)'''
-        if d.lattice != self.base_lattice:
-            raise ValueError('class does not live on the base lattice')
+        check_on(self.base_lattice, d)
         dx, xs = d.numerators
         return DivClass(self.lattice, dx, (*xs, 0))
 
@@ -391,8 +391,7 @@ def pullback_weil(model: SurfaceModel, d: DivClass) -> DivClass:
     '''
     if not model.contracted:
         return d
-    if d.lattice is not model.lattice and d.lattice != model.lattice:
-        raise ValueError('classes live on different lattices')
+    check_on(model.lattice, d)
     pd, ns, _ = pullback_numerators(model, *d.numerators)
     return DivClass(model.lattice, pd, ns)
 
@@ -408,14 +407,14 @@ class BlowupCenter(Value):
     '''
     _value = ('weights', 'exc_name', 'through', 'extra_mori')
 
-    def __init__(self, weights: tuple[int, int] = (1, 1), exc_name: str = 'exc',
+    def __init__(self, weights: tuple[int, int] = (1, 1), exc_name: str = 'e',
                  through: tuple[tuple[str, Fraction], ...] = (),
                  extra_mori: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()):
         vars(self).update(weights=weights, exc_name=exc_name, through=through,
                           extra_mori=extra_mori)
 
     @classmethod
-    def make(cls, weights=(1, 1), exc_name='exc', through=(), extra_mori=()) -> 'BlowupCenter':
+    def make(cls, weights=(1, 1), exc_name='e', through=(), extra_mori=()) -> 'BlowupCenter':
         if len(weights) != 2 or any(type(w) is not int for w in weights):
             raise ConfigurationError(f'weights {list(weights)} are not two integers')
         exc_name = _string('exceptional divisor name', exc_name)

@@ -214,7 +214,8 @@ def test_beta_pair_file_naming_an_unknown_generator_is_a_usage_error(tmp_path, c
     code, out, err = run(capsys, 'beta', str(bad), 'exc1')
     assert code == 2
     assert out == ''
-    assert "catalog error: sigma5: boundary part names unknown generator 'nosuch'" in err
+    assert err.startswith("catalog error: boundary part 0 is malformed: unknown generator "
+                          "'nosuch' on sigma5; have ['exc1', ")
 
 
 def test_zero_denominators_are_usage_errors(capsys):
@@ -299,6 +300,13 @@ def _display_weight_is_a_string(doc):
     d['weights'][0] = str(d['weights'][0])
 
 
+def _display(key, value):
+    '''catalog edit: give a display field of X11/D_2_19/line-pq the value'''
+    def edit(doc):
+        next(f for f in doc['fixtures'] if f['id'] == 'X11/D_2_19/line-pq')['display'][key] = value
+    return edit
+
+
 def _extra_mori_name(name):
     '''catalog edit: rename the first extra curve of Xprime/D_13_41/E'''
     def edit(doc):
@@ -340,8 +348,7 @@ def _blowup(**center):
      'catalog error: fixture 0 is malformed: fixture id [1] is not a string'),
     (_edit('surfaces', 'gram', ''), None,
      'catalog error: surface 0 is malformed: gram matrix is not 1 x 1'),
-    (_one_blowup_weight, None, "configuration error: fixture 4 'X11/D_1_7/vertex-blowup': "
-                               'weights [1] are not two integers'),
+    (_one_blowup_weight, None, 'configuration error: fixture 4: weights [1] are not two integers'),
     (None, (PAIR_DOC, {'kind': 'blowup', 'center': 5}),
      'catalog error: valuation document is malformed'),
     (lambda doc: doc.__setitem__('version', [1]), None,
@@ -357,26 +364,27 @@ def _blowup(**center):
      "catalog error: wall 0 is malformed: description ['x'] is not a string"),
     (_edit('fixtures', 'surface'), None, "catalog error: fixture 0 is missing field 'surface'"),
     (_edit('fixtures', 'surface', 'nowhere'), None,
-     "catalog error: fixture 'Sigma5/D_1_17/L1' names unknown surface 'nowhere'"),
+     "catalog error: fixture 0 is malformed: unknown surface 'nowhere'\n"),
     (lambda doc: doc['walls'][0].__setitem__('value', '1e3'), None,
      "catalog error: wall 0 is malformed: not a rational: '1e3'"),
     (lambda doc: doc['fixtures'][0]['boundary'][0].__setitem__('mult', '1e3'), None,
-     "catalog error: fixture 0 is malformed: not a rational: '1e3'"),
+     "catalog error: fixture 0: boundary part 0 is malformed: not a rational: '1e3'\n"),
     (lambda doc: doc['surfaces'][0]['gram'][0].__setitem__(0, '1e3'), None,
      "catalog error: surface 0 is malformed: not a rational: '1e3'"),
     (None, ({'surface': 'sigma5', 'boundary': [{'gen': 'line12', 'mult': '4e0'}]}, 'exc1'),
      "catalog error: boundary part 0 is malformed: not a rational: '4e0'"),
     (lambda doc: doc['fixtures'][0]['boundary'][0].__setitem__('mult', '1' * 5001), None,
-     "catalog error: fixture 0 is malformed: '11111111111111111111'... exceeds CPython's "
+     "catalog error: fixture 0: boundary part 0 is malformed: '11111111111111111111'... "
+     "exceeds CPython's "
      'integer digit limit (4300 digits)\n'),
     (lambda doc: doc['surfaces'][3].pop('canonical'), None,
      "catalog error: surface 3 is missing field 'canonical'\n"),
     (None, _blowup(weights=[1.9, 1]),
-     'configuration error: weights [1.9, 1] are not two integers'),
+     'configuration error: valuation document: weights [1.9, 1] are not two integers\n'),
     (None, _blowup(weights=['1', '1']),
-     "configuration error: weights ['1', '1'] are not two integers"),
+     "configuration error: valuation document: weights ['1', '1'] are not two integers\n"),
     (None, _blowup(weights=[True, 1]),
-     'configuration error: weights [True, 1] are not two integers'),
+     'configuration error: valuation document: weights [True, 1] are not two integers\n'),
     (None, _blowup(exc_name=5),
      'catalog error: valuation document is malformed: exceptional divisor name 5 is not a string'),
     (_display_weight_is_a_string, None,
@@ -391,24 +399,25 @@ def _blowup(**center):
                        'a_x': '1', 'ord_b': '0'}),
      'catalog error: valuation document is malformed: valuation name 5 is not a string'),
     (_extra_mori_name('line12'), ('profile', 'Xprime/D_13_41/E'),
-     "configuration error: fixture 39 'Xprime/D_13_41/E': generator name 'line12' is used "
-     'twice on the extension'),
+     "configuration error: fixture 39: generator name 'line12' is used twice on the "
+     'extension\n'),
     (_extra_mori_name('e'), ('profile', 'Xprime/D_13_41/E'),
-     "configuration error: fixture 39 'Xprime/D_13_41/E': generator name 'e' is used "
-     'twice on the extension'),
+     "configuration error: fixture 39: generator name 'e' is used twice on the extension\n"),
     (lambda doc: doc['fixtures'][2]['boundary'][2].__setitem__('label', 5), None,
-     'catalog error: fixture 2 is malformed: boundary label 5 is not a string'),
+     'catalog error: fixture 2: boundary part 2 is malformed: boundary label 5 is not a '
+     'string\n'),
     (lambda doc: doc['fixtures'][2]['boundary'][0].__setitem__('gen', 'ghost'), None,
-     "catalog error: fixture 2 'Xn/D_2_19/node': xn: boundary part names unknown generator "
-     "'ghost'; have ["),
+     "catalog error: fixture 2: boundary part 0 is malformed: unknown generator 'ghost' on xn; "
+     "have ['exc1', "),
     (None, ({'surface': 'sigma5', 'boundary': [
         {'label': 5, 'class': [1, 0, 0, 0, 0], 'mult': '1'}]}, 'exc1'),
      'catalog error: boundary part 0 is malformed: boundary label 5 is not a string'),
     (lambda doc: doc['fixtures'][2]['boundary'][0].__setitem__('mult', '-1'), None,
-     "configuration error: fixture 2 'Xn/D_2_19/node': xn: component line12 has negative "
-     'multiplicity -1; boundary class ('),
+     'configuration error: fixture 2: xn: component line12 has negative multiplicity -1; '
+     'boundary class ('),
     (_stated_ord_b('X12/D_7_29/head-junction', '1'), ('beta', 'X12/D_7_29/head-junction'),
-     "configuration error: fixture 11 'X12/D_7_29/head-junction': stated ord_b 1 is below 2"),
+     'configuration error: fixture 11: stated ord_b 1 is below 2, the order of the boundary '
+     'curves with centre data\n'),
     (_stated_ord_b('Xprime/D_13_41/E', '8'), ('beta', 'Xprime/D_13_41/E'),
      'configuration error: fixture Xprime/D_13_41/E: valuation E: ord_b 8 is above 7, the '
      'anticanonical factor 2 times the threshold 7/2 of its ray'),
@@ -417,6 +426,16 @@ def _blowup(**center):
     (lambda doc: doc['walls'].reverse(), None, 'catalog error: wall table is not sorted'),
     (lambda doc: doc['walls'][3].__setitem__('kind', 'ridge'), None,
      "catalog error: wall 3 is malformed: unknown wall kind 'ridge'"),
+    (_display('beta', 5), ('beta', 'X11/D_2_19/line-pq'),
+     'catalog error: fixture 3 is malformed: display beta 5 is not a string\n'),
+    (_display('curve', [1]), None,
+     'catalog error: fixture 3 is malformed: display curve [1] is not a string\n'),
+    (None, (PAIR_DOC, {'kind': 'blowup', 'center': {}, 'a_x': '2'}),
+     "catalog error: valuation document is malformed: a blow-up derives 'a_x' from its "
+     'centre; remove the key\n'),
+    (None, _blowup(exc_nme='w'),
+     'catalog error: valuation document is malformed: BlowupCenter.make() got an unexpected '
+     "keyword argument 'exc_nme'\n"),
     (None, ([], 'exc1'), 'catalog error: pair document must be a json object'),
     (None, (PAIR_DOC, []), 'catalog error: valuation document must be a json object'),
 ], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
@@ -438,7 +457,8 @@ def _blowup(**center):
         'boundary-gen-is-unknown', 'pair-boundary-label-is-a-number',
         'boundary-multiplicity-is-negative', 'stated-ord-b-is-below-the-centre-data',
         'stated-ord-b-is-above-k-tau', 'fixture-id-repeats', 'walls-are-unsorted',
-        'wall-kind-is-unknown',
+        'wall-kind-is-unknown', 'display-beta-is-a-number', 'display-curve-is-a-list',
+        'blowup-states-a-x', 'blowup-center-has-an-unknown-key',
         'pair-document-is-a-list', 'valuation-document-is-a-list'])
 def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,
                                             monkeypatch, capsys):

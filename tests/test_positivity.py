@@ -206,6 +206,14 @@ def test_a_volume_that_never_vanishes_has_no_root():
     assert _min_root_after((2, -2, 1), 1, (0, 1), None) is None
 
 
+def test_a_volume_can_vanish_inside_a_chamber_whose_end_is_positive():
+    '''vol = 2 - 3 t + t^2 on the chamber (0, 3]: positive at both ends,
+    with roots 1 and 2 inside, so the first root ends the walk.  No
+    effective direction reaches this, since the volume then never grows
+    again; ``kwall zariski --ray`` takes any direction'''
+    assert _min_root_after((2, -3, 1), 1, (0, 1), (3, 1)) == (2, 2)
+
+
 def test_profile_value_and_doc():
     m = builders.sigma5()
     prof = volume_profile(m, -1 * m.canonical, m.gen('line12'))
