@@ -33,6 +33,13 @@ from .surface import (
     surface_from_doc,
 )
 
+try:
+    # CPython's built-in hash, as random takes it, since importing hashlib
+    # loads OpenSSL; CPython 3.12 renamed the module _sha2
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 DATA_PATH = Path(__file__).resolve().parent / 'data' / 'catalog.json'
 ENV_VAR = 'KWALL_CATALOG'
 
@@ -53,9 +60,8 @@ class Expected(Frozen):
 class Display(Frozen):
     '''presentation metadata: the printed margin is scale * (A - S)'''
 
-    def __init__(self, scale: Fraction, beta_text: Optional[str] = None,
-                 curve: Optional[str] = None, weights: tuple[int, ...] = ()):
-        vars(self).update(scale=scale, beta_text=beta_text, curve=curve, weights=weights)
+    def __init__(self, scale: Fraction, beta_text: Optional[str] = None):
+        vars(self).update(scale=scale, beta_text=beta_text)
 
 
 class Fixture(Frozen):
@@ -95,11 +101,12 @@ class WallTable(Frozen):
 
 
 class Catalog(Frozen):
-    '''a decoded catalog resource'''
+    '''a decoded catalog resource and the sha256 of the bytes it was decoded from'''
 
     def __init__(self, surfaces: tuple[SurfaceModel, ...], fixtures: tuple[Fixture, ...],
-                 wall_table: WallTable):
-        vars(self).update(surfaces=surfaces, fixtures=fixtures, wall_table=wall_table)
+                 wall_table: WallTable, sha256: str):
+        vars(self).update(surfaces=surfaces, fixtures=fixtures, wall_table=wall_table,
+                          sha256=sha256)
 
     @cached_property
     def _surface_index(self) -> dict:
@@ -188,20 +195,24 @@ def _decode_expected(doc) -> Expected:
         return _decode_affine(sub)
 
     wall = doc.get('wall')
+    trust = _string('trust', doc.get('trust', 'frozen'))
+    if trust not in ('golden', 'frozen'):
+        raise ValueError(f'unknown trust {trust!r}')
     return Expected(
         log_discrepancy=_decode_affine(doc['A']),
         vanishing_order=affine_or_none('S'),
         margin=affine_or_none('beta'),
         wall=None if wall is None else rational(wall),
-        trust=_string('trust', doc.get('trust', 'frozen')))
+        trust=trust)
 
 
 def _decode_display(doc) -> Display:
+    # no command prints curve or weights, but they are checked as input
+    _string('display curve', doc.get('curve', ''))
+    _list_of(doc, 'weights', int)
     return Display(
         scale=rational(doc.get('scale', 1)),
-        beta_text=_string('display beta', doc['beta']) if 'beta' in doc else None,
-        curve=_string('display curve', doc['curve']) if 'curve' in doc else None,
-        weights=_list_of(doc, 'weights', int))
+        beta_text=_string('display beta', doc['beta']) if 'beta' in doc else None)
 
 
 def _decode_fixture(surfaces: dict, doc) -> Fixture:
@@ -268,11 +279,12 @@ def catalog_path() -> Path:
     return Path(override) if override else DATA_PATH
 
 
-def read_document(path: Path, what: str):
-    '''the JSON document in the UTF-8 file at ``path``, refused under
-    ``what`` and the path when it cannot be read or parsed'''
+def read_document(path: Path, what: str) -> tuple:
+    '''the bytes of the UTF-8 file at ``path`` and the JSON document they
+    hold, refused under ``what`` and the path when it cannot be read or parsed'''
     try:
-        return json.loads(path.read_text(encoding='utf-8'))
+        data = path.read_bytes()
+        return data, json.loads(data.decode('utf-8'))
     except OSError as exc:
         raise CatalogError(f'{what} {path} is not readable: {exc}') from None
     except ValueError as exc:
@@ -283,7 +295,7 @@ def read_document(path: Path, what: str):
 
 @lru_cache(maxsize=None)
 def _load_resolved(path_str: str) -> Catalog:
-    doc = read_document(Path(path_str), 'catalog resource')
+    data, doc = read_document(Path(path_str), 'catalog resource')
     missing = [k for k in ('surfaces', 'fixtures', 'walls')
                if not isinstance(doc, dict) or k not in doc]
     if missing:
@@ -291,6 +303,9 @@ def _load_resolved(path_str: str) -> Catalog:
     if type(doc.get('version', 0)) is not int:
         raise CatalogError(f'catalog version {doc["version"]!r} is not an integer')
     surfaces = _decode_each('surface', doc['surfaces'], surface_from_doc)
+    twice = _repeated([m.name for m in surfaces])
+    if twice is not None:
+        raise CatalogError(f'duplicate surface name {twice!r}')
     index = {m.name: m for m in surfaces}
     fixtures = _decode_each('fixture', doc['fixtures'], lambda d: _decode_fixture(index, d))
     twice = _repeated([f.id for f in fixtures])
@@ -300,7 +315,8 @@ def _load_resolved(path_str: str) -> Catalog:
     values = [e.value for e in entries]
     if values != sorted(values):
         raise CatalogError('wall table is not sorted')
-    return Catalog(surfaces=surfaces, fixtures=fixtures, wall_table=WallTable(entries))
+    return Catalog(surfaces=surfaces, fixtures=fixtures, wall_table=WallTable(entries),
+                   sha256=sha256(data).hexdigest())
 
 
 def load_catalog(path=None) -> Catalog:

@@ -2,11 +2,11 @@
 command line front end over the shipped fixture catalog
 
 Every run prints a single report: markdown by default, json with --json.  A
-report carries the command line, the catalog path with a sha256 of its bytes,
-the results, and a status.  Nothing else goes in, so two runs over the same
-catalog produce byte-identical output.  A command computes only its results;
-the markdown body is rendered from them alone, and the status and exit code
-follow from them.
+report carries the command line, the catalog path with the sha256 of the
+bytes the command decoded, the results, and a status.  Nothing else goes
+in, so two runs over the same catalog produce byte-identical output.  A
+command computes only its results; the markdown body is rendered from them
+alone, and the status and exit code follow from them.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 the engine refused
 (a class outside the pseudo-effective cone, say), 4 a recomputation
@@ -27,7 +27,6 @@ from .catalog import (
     CatalogError,
     catalog_path,
     load_catalog,
-    load_fixture,
     named,
     pair_from_doc,
     read_document,
@@ -53,13 +52,6 @@ from .stability import (
     vgit_slope,
 )
 from .surface import ConfigurationError, SurfaceModel
-
-try:
-    # CPython's built-in hash, as random takes it, since importing hashlib
-    # loads OpenSSL; CPython 3.12 renamed the module _sha2
-    from _sha256 import sha256
-except ImportError:
-    from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,15 +109,6 @@ def _quad_text(coeffs) -> str:
     return ' '.join(parts) if parts else '0'
 
 
-def _catalog_input() -> dict:
-    p = catalog_path()
-    try:
-        digest = sha256(p.read_bytes()).hexdigest()
-    except OSError as exc:
-        raise CatalogError(f'catalog resource {p} is not readable: {exc}') from None
-    return {'catalog': str(p), 'sha256': digest}
-
-
 def parse_divisor(model: SurfaceModel, text: str) -> DivClass:
     '''divisor spec: comma separated coordinates, a generator name, or the
     shorthands "ac" / "2ac" for the anticanonical pullback and its double'''
@@ -175,8 +158,8 @@ def _family_ids(cat, family: str | None) -> tuple[str, ...]:
     return ids
 
 
-def cmd_surface_show(args) -> dict:
-    model = load_catalog().surface(args.name)
+def cmd_surface_show(cat, args) -> dict:
+    model = cat.surface(args.name)
     lat = model.lattice
     return {
         'name': model.name,
@@ -206,8 +189,8 @@ def _render_surface_show(r: dict) -> list[str]:
             '', f'contracted: {contracted or "none"}']
 
 
-def cmd_zariski(args) -> dict:
-    model = load_catalog().surface(args.surface)
+def cmd_zariski(cat, args) -> dict:
+    model = cat.surface(args.surface)
     d = parse_divisor(model, args.divisor)
     if args.ray is None:
         z = zariski_decompose(model, d)
@@ -230,8 +213,8 @@ def _render_zariski(r: dict) -> list[str]:
             f'P = {_tuple_text(r["positive"])}', f'N = {neg or "0"}']
 
 
-def cmd_profile(args) -> dict:
-    f = load_fixture(args.fixture)
+def cmd_profile(cat, args) -> dict:
+    f = cat.fixture(args.fixture)
     base = f.valuation.base
     with _naming(f):
         profile = valuation_profile(f.valuation)
@@ -247,15 +230,15 @@ def _render_profile(r: dict) -> list[str]:
             f'expected vanishing order at c = 0: {r["vanishing_order_at_zero"]}']
 
 
-def cmd_beta(args) -> dict:
+def cmd_beta(cat, args) -> dict:
     target = Path(args.target)
     if target.is_file():
         if args.valuation is None:
             raise ConfigurationError(
                 'pair file input needs a valuation file or generator name')
-        p = pair_from_doc(read_document(target, 'pair file'))
+        p = pair_from_doc(read_document(target, 'pair file')[1])
         vpath = Path(args.valuation)
-        vdoc = (read_document(vpath, 'valuation file') if vpath.is_file()
+        vdoc = (read_document(vpath, 'valuation file')[1] if vpath.is_file()
                 else {'kind': 'surface', 'name': args.valuation})
         v = valuation_from_doc(p, vdoc)
         f = None
@@ -263,7 +246,7 @@ def cmd_beta(args) -> dict:
         if args.valuation is not None:
             raise ConfigurationError(
                 'a valuation argument only applies to pair file input')
-        f = load_fixture(args.target)
+        f = cat.fixture(args.target)
         p, v = f.pair, f.valuation
     with _naming(f) if f else nullcontext():
         a, s = log_discrepancy(p, v), s_invariant(p, v)
@@ -324,8 +307,7 @@ def _render_beta(r: dict) -> list[str]:
     return body
 
 
-def cmd_walls(args) -> dict:
-    cat = load_catalog()
+def cmd_walls(cat, args) -> dict:
     rows = []
     for fid in _family_ids(cat, args.family):
         f = cat.fixture(fid)
@@ -378,7 +360,7 @@ def _render_walls(r: dict) -> list[str]:
     return body
 
 
-def cmd_bounds(args) -> dict:
+def cmd_bounds(cat, args) -> dict:
     if (args.c is None) == (args.degree is None):
         raise ConfigurationError('give exactly one of --c and --degree')
     c = None if args.c is None else rational(args.c)
@@ -426,8 +408,7 @@ def _render_bounds(r: dict) -> list[str]:
     return body
 
 
-def cmd_fixtures_list(args) -> dict:
-    cat = load_catalog()
+def cmd_fixtures_list(cat, args) -> dict:
     fixtures = [cat.fixture(fid) for fid in _family_ids(cat, args.family)]
     return {'count': len(fixtures), 'fixtures': [
         {'id': f.id, 'surface': f.pair.surface.name, 'wall': _opt(f.expected.wall),
@@ -560,8 +541,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        inputs = _catalog_input()
-        results = args.handler(args)
+        cat = load_catalog()  # every command decodes the catalog first
+        results = args.handler(cat, args)
     except CatalogError as exc:
         print(f'catalog error: {exc}', file=sys.stderr)
         return EXIT_USAGE
@@ -579,6 +560,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ENGINE
     status, code = _status(results)
     command = ['kwall', *raw]
+    inputs = {'catalog': str(catalog_path()), 'sha256': cat.sha256}
     if getattr(args, 'json', False):
         report = {'command': command, 'inputs': inputs,
                   'results': results, 'status': status}

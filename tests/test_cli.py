@@ -189,14 +189,14 @@ def test_pair_and_valuation_files_that_cannot_be_read_are_usage_errors(
     val.write_text(json.dumps({'kind': 'surface', 'name': 'line12'}))
     path = tmp_path / f'{which}.json'
     if unreadable:
-        real = Path.read_text
+        real = Path.read_bytes
 
-        def read_text(self, *args, **kwargs):
+        def read_bytes(self):
             if self == path:
                 raise PermissionError(13, 'Permission denied', str(self))
-            return real(self, *args, **kwargs)
+            return real(self)
 
-        monkeypatch.setattr(Path, 'read_text', read_text)
+        monkeypatch.setattr(Path, 'read_bytes', read_bytes)
         message = 'is not readable: '
     else:
         path.write_bytes(b'\xff' + path.read_bytes())
@@ -289,6 +289,13 @@ def _trust_is_a_number(doc):
     doc['fixtures'][0]['expected']['trust'] = 5
 
 
+def _second_sigma5(doc):
+    '''catalog edit: a second surface named sigma5, its generators reversed'''
+    twin = copy.deepcopy(next(s for s in doc['surfaces'] if s['name'] == 'sigma5'))
+    twin['mori'].reverse()
+    doc['surfaces'].append(twin)
+
+
 def _one_blowup_weight(doc):
     v = next(f['valuation'] for f in doc['fixtures']
              if f['valuation']['kind'] == 'blowup')
@@ -360,6 +367,11 @@ def _blowup(**center):
     (_edit('walls', 'families', 'Xn'), None,
      "catalog error: wall 0 is malformed: 'families' is not a list of strings"),
     (_trust_is_a_number, None, 'catalog error: fixture 0 is malformed: trust 5 is not a string'),
+    (lambda doc: doc['fixtures'][0]['expected'].__setitem__('trust', 'gold'), None,
+     "catalog error: fixture 0 is malformed: unknown trust 'gold'\n"),
+    (_second_sigma5, ('walls', '--diff'), "catalog error: duplicate surface name 'sigma5'\n"),
+    (lambda doc: doc['surfaces'][3].__setitem__('name', 'sigma5'), None,
+     "catalog error: duplicate surface name 'sigma5'\n"),
     (_edit('walls', 'description', ['x']), None,
      "catalog error: wall 0 is malformed: description ['x'] is not a string"),
     (_edit('fixtures', 'surface'), None, "catalog error: fixture 0 is missing field 'surface'"),
@@ -444,7 +456,8 @@ def _blowup(**center):
         'k-discrepancies-is-a-number', 'fixture-id-is-a-list', 'gram-is-empty',
         'one-blowup-weight', 'blowup-center-is-a-number', 'version-is-a-list',
         'notes-is-a-string', 'notes-holds-a-number', 'families-is-a-string',
-        'trust-is-a-number', 'description-is-a-list', 'fixture-without-surface',
+        'trust-is-a-number', 'trust-is-unknown', 'surface-name-repeats-with-other-generators',
+        'surface-name-repeats', 'description-is-a-list', 'fixture-without-surface',
         'fixture-names-an-unknown-surface',
         'wall-value-has-an-exponent', 'multiplicity-has-an-exponent',
         'gram-entry-has-an-exponent', 'pair-multiplicity-has-an-exponent',
@@ -887,6 +900,68 @@ def test_the_hashlib_digest_prints_what_main_prints(monkeypatch, capsys):
                                "sys.argv = ['kwall', 'fixtures', 'list']; "
                                "runpy.run_module('kwall.cli', run_name='__main__')")
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, 'fixtures', 'list')
+
+
+# a cold kwall command under an audit hook that counts the opens of the
+# shipped catalog; the count goes to stderr after the command's own output
+COUNT_OPENS = """
+import os, sys
+from kwall.catalog import DATA_PATH
+from kwall.cli import main
+opens = []
+sys.addaudithook(lambda event, args: event == 'open' and isinstance(args[0], (str, os.PathLike))
+                 and os.fspath(args[0]) == str(DATA_PATH) and opens.append(args[0]))
+code = main(sys.argv[1:])
+print('opens', len(opens), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize('argv', [['fixtures', 'list'], ['beta', 'Sigma5/D_1_17/L1'],
+                                  ['bounds', '--c', '1/4']])
+def test_every_command_reads_the_catalog_once(argv, monkeypatch):
+    monkeypatch.delenv('KWALL_CATALOG', raising=False)
+    proc = _cold_process('-c', COUNT_OPENS, *argv)
+    assert proc.returncode == 0
+    assert proc.stderr == 'opens 1\n'
+
+
+def test_the_report_names_the_digest_of_the_bytes_it_decoded(tmp_path, monkeypatch, capsys):
+    '''the digest and the content come from one decode: a rewrite of the
+    file shows in neither until the cached decode is dropped'''
+    path = tmp_path / 'catalog.json'
+    first = DATA_PATH.read_bytes()
+    path.write_bytes(first)
+    monkeypatch.setenv('KWALL_CATALOG', str(path))
+    kwall.catalog._load_resolved.cache_clear()
+
+    def report():
+        code, r = run_json(capsys, 'fixtures', 'list')
+        assert code == 0
+        trust = {f['id']: f['trust'] for f in r['results']['fixtures']}['Sigma5/D_1_17/L1']
+        return r['inputs']['sha256'], trust
+
+    assert report() == (hashlib.sha256(first).hexdigest(), 'golden')
+    doc = json.loads(first)
+    next(f for f in doc['fixtures'] if f['id'] == 'Sigma5/D_1_17/L1')['expected']['trust'] = 'frozen'
+    second = json.dumps(doc).encode()
+    path.write_bytes(second)
+    assert report() == (hashlib.sha256(first).hexdigest(), 'golden')
+    kwall.catalog._load_resolved.cache_clear()
+    assert report() == (hashlib.sha256(second).hexdigest(), 'frozen')
+
+
+def test_bounds_decodes_the_catalog_first(tmp_path, monkeypatch, capsys):
+    '''bounds reads no fixture, but a catalog that does not decode is
+    refused before the command's own arguments are looked at'''
+    doc = json.loads(DATA_PATH.read_text())
+    del doc['surfaces']
+    bad = tmp_path / 'catalog.json'
+    bad.write_text(json.dumps(doc))
+    monkeypatch.setenv('KWALL_CATALOG', str(bad))
+    for argv in (['bounds', '--c', '1/4'], ['bounds', '--c', '2']):
+        assert run(capsys, *argv) == (
+            2, '', f"catalog error: catalog resource {bad} has no 'surfaces' section\n")
 
 
 def _parse(parser, argv):
