@@ -22,13 +22,12 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
-from .lattice import EngineError, Frozen, cached_property, rational
+from .lattice import EngineError, Frozen, rational
 from .stability import AffineRatFn, LogPair, ValuationSpec
 from .surface import (
     BlowupCenter,
     ConfigurationError,
     SurfaceModel,
-    _repeated,
     _string,
     surface_from_doc,
 )
@@ -101,43 +100,35 @@ class WallTable(Frozen):
 
 
 class Catalog(Frozen):
-    '''a decoded catalog resource and the sha256 of the bytes it was decoded from'''
+    '''a decoded catalog resource: the resolved path it was read from, the
+    sha256 of the bytes it was decoded from, and its surfaces by name and
+    fixtures by id, in catalog order'''
 
-    def __init__(self, surfaces: tuple[SurfaceModel, ...], fixtures: tuple[Fixture, ...],
-                 wall_table: WallTable, sha256: str):
-        vars(self).update(surfaces=surfaces, fixtures=fixtures, wall_table=wall_table,
-                          sha256=sha256)
-
-    @cached_property
-    def _surface_index(self) -> dict:
-        return {m.name: m for m in self.surfaces}
-
-    @cached_property
-    def _fixture_index(self) -> dict:
-        return {f.id: f for f in self.fixtures}
+    def __init__(self, path: Path, surfaces: dict[str, SurfaceModel],
+                 fixtures: dict[str, Fixture], wall_table: WallTable, sha256: str):
+        vars(self).update(path=path, _surfaces=surfaces, _fixtures=fixtures,
+                          surfaces=tuple(surfaces.values()), fixtures=tuple(fixtures.values()),
+                          wall_table=wall_table, sha256=sha256)
 
     def surface(self, name: str) -> SurfaceModel:
         try:
-            return self._surface_index[name]
+            return self._surfaces[name]
         except (KeyError, TypeError):
-            known = ', '.join(sorted(self._surface_index))
+            known = ', '.join(sorted(self._surfaces))
             raise CatalogError(
                 f'unknown surface {name!r}; available: {known}') from None
 
     def fixture(self, fixture_id: str) -> Fixture:
         try:
-            return self._fixture_index[fixture_id]
+            return self._fixtures[fixture_id]
         except KeyError:
-            known = ', '.join(f.id for f in self.fixtures)
-            raise CatalogError(
-                f'unknown fixture id {fixture_id!r}; '
-                f'available: {known}') from None
+            raise CatalogError(f'unknown fixture id {fixture_id!r}; '
+                               f'available: {", ".join(self._fixtures)}') from None
 
     def ids(self, family: Optional[str] = None) -> tuple[str, ...]:
         if family is None:
-            return tuple(f.id for f in self.fixtures)
-        return tuple(f.id for f in self.fixtures
-                     if f.family.startswith(family))
+            return tuple(self._fixtures)
+        return tuple(f.id for f in self.fixtures if f.family.startswith(family))
 
 
 def _list_of(doc, key: str, kind: type) -> tuple:
@@ -262,6 +253,16 @@ def named(what: str, exc: Exception) -> EngineError:
     return CatalogError(f'{what} is malformed: {exc}')
 
 
+def _index(what: str, items) -> dict:
+    '''a dict of the (key, item) pairs, refusing the first key given twice'''
+    index = {}
+    for key, item in items:
+        if key in index:
+            raise CatalogError(f'duplicate {what} {key!r}')
+        index[key] = item
+    return index
+
+
 def _decode_each(what: str, docs, decode) -> tuple:
     '''decode a list of JSON objects, naming the one refused by its place'''
     out = []
@@ -271,12 +272,6 @@ def _decode_each(what: str, docs, decode) -> tuple:
     except _REFUSED as exc:
         raise named(f'{what} {len(out)}', exc) from None
     return tuple(out)
-
-
-def catalog_path() -> Path:
-    '''embedded resource path, or the KWALL_CATALOG override'''
-    override = os.environ.get(ENV_VAR)
-    return Path(override) if override else DATA_PATH
 
 
 def read_document(path: Path, what: str) -> tuple:
@@ -294,53 +289,46 @@ def read_document(path: Path, what: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _load_resolved(path_str: str) -> Catalog:
-    data, doc = read_document(Path(path_str), 'catalog resource')
+def _load_resolved(path: Path) -> Catalog:
+    data, doc = read_document(path, 'catalog resource')
     missing = [k for k in ('surfaces', 'fixtures', 'walls')
                if not isinstance(doc, dict) or k not in doc]
     if missing:
-        raise CatalogError(f'catalog resource {path_str} has no {missing[0]!r} section')
+        raise CatalogError(f'catalog resource {path} has no {missing[0]!r} section')
     if type(doc.get('version', 0)) is not int:
         raise CatalogError(f'catalog version {doc["version"]!r} is not an integer')
-    surfaces = _decode_each('surface', doc['surfaces'], surface_from_doc)
-    twice = _repeated([m.name for m in surfaces])
-    if twice is not None:
-        raise CatalogError(f'duplicate surface name {twice!r}')
-    index = {m.name: m for m in surfaces}
-    fixtures = _decode_each('fixture', doc['fixtures'], lambda d: _decode_fixture(index, d))
-    twice = _repeated([f.id for f in fixtures])
-    if twice is not None:
-        raise CatalogError(f'duplicate fixture id {twice!r}')
+    decoded = _decode_each('surface', doc['surfaces'], surface_from_doc)
+    surfaces = _index('surface name', [(m.name, m) for m in decoded])
+    decoded = _decode_each('fixture', doc['fixtures'], lambda d: _decode_fixture(surfaces, d))
+    fixtures = _index('fixture id', [(f.id, f) for f in decoded])
     entries = _decode_each('wall', doc['walls'], _decode_wall)
     values = [e.value for e in entries]
     if values != sorted(values):
         raise CatalogError('wall table is not sorted')
-    return Catalog(surfaces=surfaces, fixtures=fixtures, wall_table=WallTable(entries),
-                   sha256=sha256(data).hexdigest())
+    return Catalog(path=path, surfaces=surfaces, fixtures=fixtures,
+                   wall_table=WallTable(entries), sha256=sha256(data).hexdigest())
 
 
 def load_catalog(path=None) -> Catalog:
-    '''load and cache the catalog at ``path`` (default: catalog_path())'''
-    p = Path(path) if path is not None else catalog_path()
-    return _load_resolved(str(p.resolve()))
-
-
-def load_fixture(fixture_id: str) -> Fixture:
     '''
-    one validated fixture by id
+    load and cache the catalog at ``path``, by default the file that
+    KWALL_CATALOG names or else the embedded resource; the catalog keeps
+    the resolved path
 
     TESTS:
         >>> load_catalog().ids('Sigma5')
         ('Sigma5/D_1_17/L1',)
-        >>> load_fixture('Sigma5/D_1_17/L1').expected.wall
+        >>> load_catalog().fixture('Sigma5/D_1_17/L1').expected.wall
         Fraction(1, 17)
     '''
-    return load_catalog().fixture(fixture_id)
+    if path is None:
+        path = os.environ.get(ENV_VAR) or DATA_PATH
+    return _load_resolved(Path(path).resolve())
 
 
-def pair_from_doc(doc) -> LogPair:
+def pair_from_doc(cat: Catalog, doc) -> LogPair:
     '''
-    validated pair from a standalone document
+    validated pair from a standalone document, its surface looked up in cat
 
     Schema: {"surface": catalog name, "boundary": [part, ...]} where a part
     is {"mult": p/q} plus either {"gen": name} or {"class": [...]} with an
@@ -350,7 +338,7 @@ def pair_from_doc(doc) -> LogPair:
         raise CatalogError('pair document must be a json object')
     if 'surface' not in doc:
         raise CatalogError("pair document has no 'surface' field")
-    model = load_catalog().surface(doc['surface'])
+    model = cat.surface(doc['surface'])
     parts = _decode_each('boundary part', doc.get('boundary', ()),
                          lambda p: _decode_part(model, p))
     return LogPair.make(model, parts)

@@ -2,11 +2,11 @@
 command line front end over the shipped fixture catalog
 
 Every run prints a single report: markdown by default, json with --json.  A
-report carries the command line, the catalog path with the sha256 of the
-bytes the command decoded, the results, and a status.  Nothing else goes
-in, so two runs over the same catalog produce byte-identical output.  A
-command computes only its results; the markdown body is rendered from them
-alone, and the status and exit code follow from them.
+report carries the command line, the resolved catalog path with the sha256
+of the bytes the command decoded, the results, and a status.  Nothing else
+goes in, so two runs over the same catalog produce byte-identical output.
+A command computes only its results; the markdown body is rendered from
+them alone, and the status and exit code follow from them.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 the engine refused
 (a class outside the pseudo-effective cone, say), 4 a recomputation
@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .catalog import (
     CatalogError,
-    catalog_path,
     load_catalog,
     named,
     pair_from_doc,
@@ -236,7 +235,7 @@ def cmd_beta(cat, args) -> dict:
         if args.valuation is None:
             raise ConfigurationError(
                 'pair file input needs a valuation file or generator name')
-        p = pair_from_doc(read_document(target, 'pair file')[1])
+        p = pair_from_doc(cat, read_document(target, 'pair file')[1])
         vpath = Path(args.valuation)
         vdoc = (read_document(vpath, 'valuation file')[1] if vpath.is_file()
                 else {'kind': 'surface', 'name': args.valuation})
@@ -560,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ENGINE
     status, code = _status(results)
     command = ['kwall', *raw]
-    inputs = {'catalog': str(catalog_path()), 'sha256': cat.sha256}
+    inputs = {'catalog': str(cat.path), 'sha256': cat.sha256}
     if getattr(args, 'json', False):
         report = {'command': command, 'inputs': inputs,
                   'results': results, 'status': status}

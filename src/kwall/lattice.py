@@ -450,9 +450,7 @@ def pivot(a: list[list[int]], scales: list[int], rows: Iterable[int], prev: int 
     other row j.  A step on r with last pivot ``prev`` brings row r to
     prev (x * prev // scales[r]), takes p = a[r][r], and rewrites each row
     i with f = a[i][r] != 0 as (p * x - f * y) // scales[i] at scale p.
-    While a row's scale is still 1 both steps skip the division, which
-    would change nothing.  A row with f = 0 keeps its value, so it is left
-    as it is: the same list.
+    A row with f = 0 keeps its value, so it is left as it is: the same list.
 
     The k-th pivot is the k-th leading principal minor of S in pivot order,
     so S_PP is negative definite iff the pivots alternate in sign from a
@@ -472,7 +470,7 @@ def pivot(a: list[list[int]], scales: list[int], rows: Iterable[int], prev: int 
         top = a[r]
         if scales[r] != prev:
             d = scales[r]
-            top = a[r] = [x * prev for x in top] if d == 1 else [x * prev // d for x in top]
+            top = a[r] = [x * prev // d for x in top]
         p = top[r]
         if p == 0 or (p < 0) == (prev < 0):
             return 0
@@ -480,10 +478,7 @@ def pivot(a: list[list[int]], scales: list[int], rows: Iterable[int], prev: int 
             f = row[r]
             if f and i != r:
                 d = scales[i]
-                if d == 1:
-                    a[i] = [p * x - f * y for x, y in zip(row, top)]
-                else:
-                    a[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+                a[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
                 scales[i] = p
         scales[r] = prev = p
     return prev

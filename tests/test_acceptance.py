@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import builders
 from oracle import ZariskiOracle, printed_margin, profile_failures
-from kwall.catalog import load_catalog, load_fixture
+from kwall.catalog import load_catalog
 from kwall.lattice import pair
 from kwall.positivity import integrate_profile, zariski_decompose
 from kwall.stability import (
@@ -97,7 +97,7 @@ def test_criterion_01_wall_table_rederived_quickly():
 
 def test_criterion_02_expected_vanishing_prefactors():
     for fid, want in PREFACTORS.items():
-        f = load_fixture(fid)
+        f = load_catalog().fixture(fid)
         s = s_invariant(f.pair, f.valuation)
         assert s.const == F(want), fid
         assert s.slope == -2 * s.const, fid
@@ -131,7 +131,7 @@ def test_criterion_03_printed_margins_match_their_cells():
 
 def test_criterion_04_displayed_profiles_piece_by_piece():
     for fid, (tau, pieces, integral) in PROFILES.items():
-        prof = valuation_profile(load_fixture(fid).valuation)
+        prof = valuation_profile(load_catalog().fixture(fid).valuation)
         assert prof.tau == F(tau), fid
         assert len(prof.pieces) == len(pieces), fid
         for got, (lo, hi, coeffs) in zip(prof.pieces, pieces):
@@ -140,7 +140,7 @@ def test_criterion_04_displayed_profiles_piece_by_piece():
         assert integrate_profile(prof) == F(integral), fid
     # the recorded closing piece (8t^2-32t+50)/3 does not close: it leaves
     # volume 12 at tau, where the derived (2/3)(2t-7)^2 piece reaches zero
-    prof = valuation_profile(load_fixture('Xprime/D_13_41/E').valuation)
+    prof = valuation_profile(load_catalog().fixture('Xprime/D_13_41/E').valuation)
     tau = F(7, 2)
     recorded = (8 * tau ** 2 - 32 * tau + 50) / 3
     assert recorded == 12
@@ -242,7 +242,7 @@ def test_criterion_07_degree_bounds_pin_the_singularities():
 def test_criterion_08_anchors_polystable_only_on_the_wall():
     eps = F(1, 1000)
     for fid, driver in ANCHORS.items():
-        f = load_fixture(fid)
+        f = load_catalog().fixture(fid)
         wall = f.expected.wall
         on = polystability_check(f.pair, f.equivariant, wall)
         assert on.verdict is Verdict.POLYSTABLE, fid
@@ -255,7 +255,7 @@ def test_criterion_08_anchors_polystable_only_on_the_wall():
 
 
 def test_criterion_09_plane_margin_identically_zero():
-    f = load_fixture('P2/sanity/line')
+    f = load_catalog().fixture('P2/sanity/line')
     sol = solve_wall(beta(f.pair, f.valuation), f.pair.c_lo, f.pair.c_hi)
     assert sol.identically_zero
     assert sol.root is None

@@ -13,10 +13,9 @@ import kwall.positivity
 import kwall.stability
 import kwall.surface
 from kwall.catalog import (
+    DATA_PATH,
     CatalogError,
-    catalog_path,
     load_catalog,
-    load_fixture,
     pair_from_doc,
     valuation_from_doc,
 )
@@ -124,7 +123,7 @@ def test_family_filters_prefix_match():
 
 def test_unknown_fixture_id_lists_available_ids():
     with pytest.raises(CatalogError) as err:
-        load_fixture('Xq/D_0_1/ghost')
+        CATALOG.fixture('Xq/D_0_1/ghost')
     assert 'Xq/D_0_1/ghost' in str(err.value)
     assert 'Sigma5/D_1_17/L1' in str(err.value)
 
@@ -187,14 +186,15 @@ def test_polystability_at_the_divisorial_anchor():
 
 
 def test_env_override_points_at_a_different_catalog(tmp_path, monkeypatch):
-    doc = json.loads(catalog_path().read_text())
+    doc = json.loads(DATA_PATH.read_text())
     doc['walls'][0]['value'] = '1/16'
     alt = tmp_path / 'alt.json'
     alt.write_text(json.dumps(doc))
     monkeypatch.setenv('KWALL_CATALOG', str(alt))
-    assert catalog_path() == alt
+    assert load_catalog().path == alt.resolve()
     assert load_catalog().wall_table.walls[0] == F(1, 16)
     monkeypatch.delenv('KWALL_CATALOG')
+    assert load_catalog().path == DATA_PATH
     assert load_catalog().wall_table.walls[0] == F(1, 17)
 
 
@@ -204,21 +204,41 @@ def test_a_missing_catalog_file_is_refused(tmp_path):
 
 
 def test_standalone_documents_decode_to_the_fixture_pair():
-    f = load_fixture('Sigma5/D_1_17/L1')
-    p = pair_from_doc({'surface': 'sigma5',
-                       'boundary': [{'gen': 'line12', 'mult': '4'},
-                                    {'gen': 'line34', 'mult': '2'},
-                                    {'gen': 'exc1', 'mult': '2'},
-                                    {'gen': 'exc2', 'mult': '2'}]})
+    f = CATALOG.fixture('Sigma5/D_1_17/L1')
+    p = pair_from_doc(CATALOG, {'surface': 'sigma5',
+                                'boundary': [{'gen': 'line12', 'mult': '4'},
+                                             {'gen': 'line34', 'mult': '2'},
+                                             {'gen': 'exc1', 'mult': '2'},
+                                             {'gen': 'exc2', 'mult': '2'}]})
     assert p.surface is f.pair.surface
     assert p.boundary == f.pair.boundary
     v = valuation_from_doc(p, {'kind': 'surface', 'name': 'line12'})
     assert v.e_class == f.valuation.e_class
     assert v.a_x == f.valuation.a_x and v.ord_b == f.valuation.ord_b
     with pytest.raises(CatalogError):
-        pair_from_doc({'boundary': []})
+        pair_from_doc(CATALOG, {'boundary': []})
     with pytest.raises(CatalogError):
         valuation_from_doc(p, {'kind': 'class', 'name': 'x'})
+
+
+def test_a_pair_document_resolves_its_surface_in_the_given_catalog(tmp_path):
+    '''the surface a pair document names is looked up in the catalog passed
+    in, here a copy in which sigma5 is renamed, not in the default one'''
+    doc = json.loads(DATA_PATH.read_text())
+    for entry in (*doc['surfaces'], *doc['fixtures']):
+        for key in ('name', 'surface'):
+            if entry.get(key) == 'sigma5':
+                entry[key] = 'renamed'
+    path = tmp_path / 'catalog.json'
+    path.write_text(json.dumps(doc))
+    cat = load_catalog(path)
+    boundary = {'boundary': [{'gen': 'line12', 'mult': '4'}, {'gen': 'line34', 'mult': '2'},
+                             {'gen': 'exc1', 'mult': '2'}, {'gen': 'exc2', 'mult': '2'}]}
+    assert pair_from_doc(cat, {'surface': 'renamed', **boundary}).surface is cat.surface('renamed')
+    with pytest.raises(CatalogError, match="unknown surface 'sigma5'; available: .*renamed"):
+        pair_from_doc(cat, {'surface': 'sigma5', **boundary})
+    assert pair_from_doc(CATALOG, {'surface': 'sigma5', **boundary}).surface \
+        is CATALOG.surface('sigma5')
 
 
 def _cache_state(cat):
@@ -409,7 +429,7 @@ def test_each_extension_is_built_once_per_decode(monkeypatch):
     real = kwall.surface.build_blowup_extension
     monkeypatch.setattr(kwall.surface, 'build_blowup_extension',
                         lambda base, center: built.append(center) or real(base, center))
-    doc = json.loads(catalog_path().read_text())
+    doc = json.loads(DATA_PATH.read_text())
     centers = {(f['surface'], json.dumps(v['center'], sort_keys=True))
                for f in doc['fixtures'] for v in (f['valuation'], *f.get('equivariant', ()))
                if v['kind'] == 'blowup'}

@@ -858,12 +858,12 @@ def test_json_report_carries_the_catalog_digest(capsys):
     assert report['status'] == 'ok'
 
 
-def _cold_process(*args):
+def _cold_process(*args, cwd=None):
     '''a fresh python process that imports this kwall, with these arguments'''
     src = str(Path(kwall.cli.__file__).parents[1])
     env = {**os.environ,
            'PYTHONPATH': os.pathsep.join(filter(None, [src, os.environ.get('PYTHONPATH')]))}
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -876,6 +876,23 @@ def test_a_cold_process_prints_what_main_prints(argv, code, monkeypatch, capsys)
     proc = _cold_process('-m', 'kwall.cli', *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
     assert proc.returncode == code
+
+
+@pytest.mark.parametrize('flags', [[], ['--json']])
+def test_a_relative_catalog_is_named_by_its_resolved_path(flags, monkeypatch):
+    '''KWALL_CATALOG relative to the working directory: the report names the
+    absolute path of the file whose bytes its sha256 line digests'''
+    here = Path(kwall.cli.__file__).parent
+    monkeypatch.setenv('KWALL_CATALOG', 'data/catalog.json')
+    proc = _cold_process('-m', 'kwall.cli', 'fixtures', 'list', *flags, cwd=here)
+    assert proc.returncode == 0
+    inputs = {'catalog': str((here / 'data' / 'catalog.json').resolve()),
+              'sha256': hashlib.sha256(DATA_PATH.read_bytes()).hexdigest()}
+    if flags:
+        assert json.loads(proc.stdout)['inputs'] == inputs
+    else:
+        assert proc.stdout.splitlines()[2:4] == [
+            f'catalog: {inputs["catalog"]}', f'sha256: {inputs["sha256"]}']
 
 
 def test_documents_are_read_as_utf_8_whatever_the_locale(tmp_path, monkeypatch, capsys):
