@@ -4,10 +4,16 @@ brute-force Zariski oracle
 Independent of the chamber walk in kwall.positivity and of kwall's compiled
 integer tables: pairings, negative definiteness and inverses are computed
 here with plain Fraction arithmetic over the model's Gram matrix.  The oracle
-enumerates every negative definite subset of the declared generators, solves
-the orthogonality system with a precomputed inverse, and keeps the subsets
-whose candidate P clears all invariants.  All surviving subsets must share
-one P.
+enumerates every negative definite subset of the declared generators that
+span extremal rays, solves the orthogonality system with a precomputed
+inverse, and keeps the subsets whose candidate P clears all invariants.  All
+surviving subsets must share one P.
+
+A negative part lives on irreducible curves of negative square, and each of
+those spans an extremal ray of the Mori cone.  A declared class that is a
+non-negative combination of the other generators is not such a curve
+(``conic123`` of ``xprime_deg`` is ``l3 + s3 + exc-g + free-fiber``), and
+letting it carry a negative part would admit a second, false decomposition.
 
 ``profile_failures`` is the matching reference check on a volume profile,
 in plain Fraction arithmetic over its pieces, and ``printed_margin`` the
@@ -56,6 +62,37 @@ def _inverse(m):
     return [row[k:] for row in a]
 
 
+def _combination(cols, target):
+    '''the coefficients writing target in the columns cols, or None when the
+    columns are linearly dependent or do not reach target'''
+    k = len(cols)
+    a = [[Fraction(c[i]) for c in cols] + [Fraction(t)] for i, t in enumerate(target)]
+    for col in range(k):
+        piv = next((r for r in range(col, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(len(a)):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    if any(row[k] != 0 for row in a[k:]):
+        return None
+    return [row[k] for row in a[:k]]
+
+
+def _in_cone(target, others):
+    '''is target a non-negative combination of others?  By Caratheodory it
+    is one of some linearly independent subset, so every subset is tried'''
+    for k in range(1, len(target.coords) + 1):
+        for sub in combinations(others, k):
+            x = _combination([c.coords for c in sub], target.coords)
+            if x is not None and all(v >= 0 for v in x):
+                return True
+    return False
+
+
 class ZariskiOracle:
     def __init__(self, model):
         self.model = model
@@ -64,9 +101,17 @@ class ZariskiOracle:
         n = len(self.classes)
         self.lattice_gram = model.lattice.gram
         self.gram = [[self._pair(a, b) for b in self.classes] for a in self.classes]
+        # a negative generator in the cone of the others meets one of them
+        # negatively (its square is a sum of its pairings with them), so
+        # only those are tested for membership
+        self.support = [
+            i for i in range(n) if self.gram[i][i] < 0
+            and not (any(self.gram[i][j] < 0 for j in range(n) if j != i)
+                     and _in_cone(self.classes[i],
+                                  [c for j, c in enumerate(self.classes) if j != i]))]
         self.subsets = []
         for k in range(model.lattice.rank):
-            for idx in combinations(range(n), k):
+            for idx in combinations(self.support, k):
                 sub = [[self.gram[i][j] for j in idx] for i in idx]
                 if _negative_definite(sub):
                     self.subsets.append((idx, _inverse(sub) if idx else []))

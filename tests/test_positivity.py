@@ -308,6 +308,28 @@ def test_profile_values_match_the_subset_oracle(name, data):
             assert prof.value(t) == reference_pair(m.lattice.gram, p.coords, p.coords)
 
 
+def test_a_generator_inside_the_cone_carries_no_negative_part():
+    '''conic123 of xprime_deg is l3 + s3 + exc-g + free-fiber, not an
+    irreducible curve, so the oracle leaves it out of every support: the
+    class of conic123, which the ray from -K along exc3 - conic12 moves
+    towards for ever, has the one nef part with N = 4/5 l3 + 2/5 s3 +
+    2/5 exc-g, not also the false P = 0 with N = conic123'''
+    m, oracle = CATALOG_SURFACES['xprime_deg'], ORACLES['xprime_deg']
+    assert [oracle.names[i] for i in oracle.support] == [
+        'l3', 's3', 'ech1', 'ech2', 'exc3', 'exc-g', 'fiber-g']
+    direction = m.gen('exc3') - m.gen('conic12')
+    with pytest.raises(EngineError, match='never vanishes'):
+        volume_profile(m, m.anticanonical_pullback, direction)
+    d = -1 * direction
+    assert d == m.gen('conic123')
+    negative = {'l3': F(4, 5), 's3': F(2, 5), 'exc-g': F(2, 5)}
+    assert {(tuple(n.items()), p) for n, p in oracle.decompose(d)} == {
+        (tuple(negative.items()), d - sum((c * m.gen(g) for g, c in negative.items()),
+                                          m.lattice.zero()))}
+    assert oracle.positive_part(d) == m.lattice.div((F(3, 5), F(6, 5), F(-1, 5),
+                                                     F(-1, 5), F(-1, 5), 0))
+
+
 def test_catalog_extension_rays_match_the_subset_oracle():
     '''the walk on the 10 catalog blow-up extensions, whose tables are
     bordered from their bases', against the oracle: at both ends and the
