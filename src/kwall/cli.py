@@ -5,8 +5,11 @@ Every run prints a single report: markdown by default, json with --json.  A
 report carries the command line, the resolved catalog path with the sha256
 of the bytes the command decoded, the results, and a status.  Nothing else
 goes in, so two runs over the same catalog produce byte-identical output.
-A command computes only its results; the markdown body is rendered from
-them alone, and the status and exit code follow from them.
+A command computes only its results and returns them as exact values:
+Fractions, affine functions of c, integers, booleans and None, with text
+only for names, labels and prose.  main() alone turns them into text, with
+str for the json report and in the markdown renderers' f-strings, and the
+status and exit code follow from them.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 the engine refused
 (a class outside the pseudo-effective cone, say), 4 a recomputation
@@ -58,16 +61,8 @@ EXIT_ENGINE = 3
 EXIT_MISMATCH = 4
 
 
-def _coords(d: DivClass) -> list[str]:
-    return [str(x) for x in d.coords]
-
-
-def _opt(x: Fraction | None) -> str | None:
-    return None if x is None else str(x)
-
-
-def _tuple_text(xs: list[str]) -> str:
-    return '(' + ', '.join(xs) + ')'
+def _tuple_text(xs) -> str:
+    return '(' + ', '.join(map(str, xs)) + ')'
 
 
 def _affine_text(f) -> str:
@@ -127,14 +122,14 @@ def parse_divisor(model: SurfaceModel, text: str) -> DivClass:
 
 def _profile_results(profile) -> dict:
     '''tau, pieces and integral of a volume profile'''
-    return {**profile_to_doc(profile), 'integral': str(integrate_profile(profile))}
+    return {**profile_to_doc(profile), 'integral': integrate_profile(profile)}
 
 
 def _profile_lines(head: str, r: dict) -> list[str]:
     '''a head line, then the piece table and integral of _profile_results'''
     lines = [head, '', '| range | volume | negative support |', '| --- | --- | --- |']
     for pc in r['pieces']:
-        poly = _quad_text([rational(x) for x in pc['coeffs']])
+        poly = _quad_text(pc['coeffs'])
         supp = ', '.join(pc['support']) or '-'
         lines.append(f'| [{pc["t_lo"]}, {pc["t_hi"]}] | {poly} | {supp} |')
     return [*lines, '', f'integral over [0, tau]: {r["integral"]}']
@@ -164,14 +159,13 @@ def cmd_surface_show(cat, args) -> dict:
         'name': model.name,
         'rank': lat.rank,
         'basis': list(lat.names),
-        'degree': str(model.degree),
-        'canonical': _coords(model.canonical),
-        'anticanonical_pullback': _coords(model.anticanonical_pullback),
-        'mori': [{'name': n, 'class': _coords(c),
-                  'self_intersection': str(pair(c, c)),
-                  'canonical_degree': str(pair(model.canonical, c))}
+        'degree': model.degree,
+        'canonical': model.canonical.coords,
+        'anticanonical_pullback': model.anticanonical_pullback.coords,
+        'mori': [{'name': n, 'class': c.coords, 'self_intersection': pair(c, c),
+                  'canonical_degree': pair(model.canonical, c)}
                  for n, c in model.mori_gens],
-        'contracted': [{'name': n, 'discrepancy': str(model.discrepancy[n])}
+        'contracted': [{'name': n, 'discrepancy': model.discrepancy[n]}
                        for n in model.contracted],
     }
 
@@ -193,11 +187,10 @@ def cmd_zariski(cat, args) -> dict:
     d = parse_divisor(model, args.divisor)
     if args.ray is None:
         z = zariski_decompose(model, d)
-        return {'surface': model.name, 'divisor': _coords(d), 'positive': _coords(z.positive),
-                'negative': [{'name': n, 'mult': str(m)}
-                             for n, m in z.negative_support]}
+        return {'surface': model.name, 'divisor': d.coords, 'positive': z.positive.coords,
+                'negative': [{'name': n, 'mult': m} for n, m in z.negative_support]}
     ray = parse_divisor(model, args.ray)
-    return {'surface': model.name, 'origin': _coords(d), 'ray': _coords(ray),
+    return {'surface': model.name, 'origin': d.coords, 'ray': ray.coords,
             **_profile_results(volume_profile(model, d, ray))}
 
 
@@ -219,8 +212,7 @@ def cmd_profile(cat, args) -> dict:
         profile = valuation_profile(f.valuation)
     results = {'fixture': f.id, 'surface': base.name, 'valuation': f.valuation.name,
                **_profile_results(profile)}
-    s0 = rational(results['integral']) / base.degree
-    return {**results, 'vanishing_order_at_zero': str(s0)}
+    return {**results, 'vanishing_order_at_zero': results['integral'] / base.degree}
 
 
 def _render_profile(r: dict) -> list[str]:
@@ -254,20 +246,20 @@ def cmd_beta(cat, args) -> dict:
     results = {
         'surface': p.surface.name,
         'valuation': {'name': v.name, 'tag': v.tag,
-                      'a_x': str(v.a_x), 'ord_b': str(v.ord_b)},
-        'log_discrepancy': str(a),
+                      'a_x': v.a_x, 'ord_b': v.ord_b},
+        'log_discrepancy': a,
         'expected_vanishing': _affine_text(s),
-        'beta': 'identically zero' if sol.identically_zero else str(b),
-        'margin': {'const': str(b.const), 'slope': str(b.slope)},
-        'wall': _opt(sol.root),
+        'beta': 'identically zero' if sol.identically_zero else b,
+        'margin': {'const': b.const, 'slope': b.slope},
+        'wall': sol.root,
     }
     if f is None:
         results['pair_file'] = str(target)
     else:
-        results.update(fixture=f.id, stored_wall=_opt(f.expected.wall),
+        results.update(fixture=f.id, stored_wall=f.expected.wall,
                        match=sol.root == f.expected.wall)
         if f.display is not None and f.display.beta_text:
-            results['printed'] = {'scale': str(f.display.scale),
+            results['printed'] = {'scale': f.display.scale,
                                   'beta': f.display.beta_text}
     if args.c is not None:
         c = rational(args.c)
@@ -275,10 +267,10 @@ def cmd_beta(cat, args) -> dict:
             raise ConfigurationError(f'coefficient {c} outside [{p.c_lo}, {p.c_hi}]')
         bc = b.value(c)
         results['at'] = {
-            'c': str(c),
-            'log_discrepancy': str(a.value(c)),
-            'expected_vanishing': str(s.value(c)),
-            'beta': str(bc),
+            'c': c,
+            'log_discrepancy': a.value(c),
+            'expected_vanishing': s.value(c),
+            'beta': bc,
             'sign': 'zero' if bc == 0 else ('positive' if bc > 0 else 'negative'),
         }
     return results
@@ -317,10 +309,10 @@ def cmd_walls(cat, args) -> dict:
     found = {root for _, root, _ in rows if root is not None}
     results = {
         'count': len(rows),
-        'fixtures': [{'id': fid, 'wall': _opt(root), 'stored': _opt(stored),
-                      'match': root == stored} for fid, root, stored in rows],
-        'walls': [str(w) for w in sorted(found)],
-        'mismatches': [{'id': fid, 'computed': _opt(root), 'stored': _opt(stored)}
+        'fixtures': [{'id': fid, 'wall': root, 'stored': stored, 'match': root == stored}
+                     for fid, root, stored in rows],
+        'walls': sorted(found),
+        'mismatches': [{'id': fid, 'computed': root, 'stored': stored}
                        for fid, root, stored in rows if root != stored],
     }
     if args.diff:
@@ -328,11 +320,11 @@ def cmd_walls(cat, args) -> dict:
                    or any(fam.startswith(args.family) for fam in e.families)]
         stored = {e.value for e in entries}
         results['diff'] = {
-            'stored': [str(e.value) for e in entries],
+            'stored': [e.value for e in entries],
             'matched': len(stored & found),
-            'missing': [str(w) for w in sorted(stored - found)],
-            'extra': [str(w) for w in sorted(found - stored)],
-            'divisorial': [str(e.value) for e in entries if e.divisorial],
+            'missing': sorted(stored - found),
+            'extra': sorted(found - stored),
+            'divisorial': [e.value for e in entries if e.divisorial],
         }
     return results
 
@@ -343,7 +335,8 @@ def _render_walls(r: dict) -> list[str]:
         groups.setdefault(row['wall'], []).append(row['id'])
     body = [f'{len(r["walls"])} distinct walls from {r["count"]} fixtures', '',
             '| wall | fixtures |', '| --- | --- |',
-            *(f'| {wall or "-"} | {", ".join(ids)} |' for wall, ids in groups.items())]
+            *(f'| {"-" if wall is None else wall} | {", ".join(ids)} |'
+              for wall, ids in groups.items())]
     if r['mismatches']:
         body += ['', 'fixture mismatches:']
         body += [f'- {m["id"]}: computed {m["computed"]}, stored {m["stored"]}'
@@ -355,7 +348,7 @@ def _render_walls(r: dict) -> list[str]:
         for label, key in (('divisorial', 'divisorial'), ('missing from run', 'missing'),
                            ('not in stored table', 'extra')):
             if diff[key]:
-                body.append(f'{label}: ' + ', '.join(diff[key]))
+                body.append(f'{label}: ' + ', '.join(map(str, diff[key])))
     return body
 
 
@@ -377,10 +370,9 @@ def cmd_bounds(cat, args) -> dict:
         note = 'at most A1 singular points'
     else:
         note = f'quotient singularities of order up to {int(bound)}'
-    results = {'pair_degree': str(degree), 'quotient_order_bound': str(bound),
-               'note': note}
+    results = {'pair_degree': degree, 'quotient_order_bound': bound, 'note': note}
     if c is not None:
-        results['c'] = str(c)
+        results['c'] = c
     index = (args.d, args.n, args.ord_lower)
     if any(x is not None for x in index):
         if any(x is None for x in index):
@@ -388,15 +380,15 @@ def cmd_bounds(cat, args) -> dict:
         if c is None:
             raise ConfigurationError('the index test needs --c')
         ord_lower = rational(args.ord_lower)
-        results['index'] = {'d': args.d, 'n': args.n, 'ord_lower': str(ord_lower),
+        results['index'] = {'d': args.d, 'n': args.n, 'ord_lower': ord_lower,
                             'feasible': index_feasibility(args.d, args.n, c, ord_lower)}
     if c is not None and Fraction(1, 4) <= c < HALF:
-        results['vgit_slope'] = str(vgit_slope(c))
+        results['vgit_slope'] = vgit_slope(c)
     return results
 
 
 def _render_bounds(r: dict) -> list[str]:
-    head = ('pair degree 5 (1 - 2c)^2 = ' if 'c' in r else 'pair degree ') + r['pair_degree']
+    head = f'pair degree {"5 (1 - 2c)^2 = " if "c" in r else ""}{r["pair_degree"]}'
     body = [head, f'largest local quotient order: {r["quotient_order_bound"]} ({r["note"]})']
     if 'index' in r:
         ix = r['index']
@@ -410,14 +402,15 @@ def _render_bounds(r: dict) -> list[str]:
 def cmd_fixtures_list(cat, args) -> dict:
     fixtures = [cat.fixture(fid) for fid in _family_ids(cat, args.family)]
     return {'count': len(fixtures), 'fixtures': [
-        {'id': f.id, 'surface': f.pair.surface.name, 'wall': _opt(f.expected.wall),
+        {'id': f.id, 'surface': f.pair.surface.name, 'wall': f.expected.wall,
          'trust': f.expected.trust} for f in fixtures]}
 
 
 def _render_fixtures_list(r: dict) -> list[str]:
     return [f'{r["count"]} fixtures', '', '| id | surface | wall | trust |',
             '| --- | --- | --- | --- |',
-            *(f'| {f["id"]} | {f["surface"]} | {f["wall"] or "-"} | {f["trust"]} |'
+            *(f'| {f["id"]} | {f["surface"]} | {"-" if f["wall"] is None else f["wall"]} '
+              f'| {f["trust"]} |'
               for f in r['fixtures'])]
 
 
@@ -563,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, 'json', False):
         report = {'command': command, 'inputs': inputs,
                   'results': results, 'status': status}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, default=str))
     else:
         print('\n'.join([f'# {" ".join(command)}', '',
                          f'catalog: {inputs["catalog"]}',

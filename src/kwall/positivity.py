@@ -399,13 +399,10 @@ def integrate_profile(profile: VolumeProfile) -> Fraction:
 
 
 def profile_to_doc(profile: VolumeProfile) -> dict:
-    '''JSON document for a profile (rationals as "p/q" strings)'''
+    '''a profile as plain values: tau, and per piece its ends t_lo, t_hi,
+    its coefficients c0, c1, c2 and its negative support; numbers as Fractions'''
     return {
-        'tau': str(profile.tau),
-        'pieces': [{
-            't_lo': str(p.t_lo),
-            't_hi': str(p.t_hi),
-            'coeffs': [str(x) for x in p.coeffs],
-            'support': list(p.chamber_support),
-        } for p in profile.pieces],
+        'tau': profile.tau,
+        'pieces': [{'t_lo': p.t_lo, 't_hi': p.t_hi, 'coeffs': list(p.coeffs),
+                    'support': list(p.chamber_support)} for p in profile.pieces],
     }

@@ -506,7 +506,6 @@ def surface_from_doc(doc: Mapping) -> SurfaceModel:
     lat = IntersectionLattice.from_rows([_string('basis entry', x) for x in doc['basis']],
                                         doc['gram'])
     return SurfaceModel(
-        name=_string('name', doc.get('name', 'surface')),
         lattice=lat,
         canonical=lat.div(doc['canonical']),
         mori_gens=tuple((_string('generator name', g['name']), lat.div(g['class']))
@@ -514,4 +513,5 @@ def surface_from_doc(doc: Mapping) -> SurfaceModel:
         contracted=tuple(_string('contracted curve', n) for n in doc.get('contracted', ())),
         k_discrepancies=tuple((n, rational(x))
                               for n, x in doc.get('k_discrepancies', {}).items()),
+        name=_string('name', doc['name']),
     ).validate()

@@ -9,6 +9,7 @@ import builders
 from builders import surface_to_doc
 from oracle import printed_margin
 import kwall.catalog
+import kwall.cli
 import kwall.positivity
 import kwall.stability
 import kwall.surface
@@ -20,7 +21,7 @@ from kwall.catalog import (
     valuation_from_doc,
 )
 from kwall.lattice import pair
-from kwall.positivity import volume_profile
+from kwall.positivity import NotPseudoEffective, volume_profile, zariski_decompose
 from kwall.stability import (
     LogPair,
     Verdict,
@@ -29,6 +30,7 @@ from kwall.stability import (
     polystability_check,
     s_invariant,
     solve_wall,
+    valuation_profile,
 )
 from kwall.surface import SurfaceModel
 
@@ -239,6 +241,49 @@ def test_a_pair_document_resolves_its_surface_in_the_given_catalog(tmp_path):
         pair_from_doc(cat, {'surface': 'sigma5', **boundary})
     assert pair_from_doc(CATALOG, {'surface': 'sigma5', **boundary}).surface \
         is CATALOG.surface('sigma5')
+
+
+def test_reversed_generator_lists_change_no_answer(tmp_path, monkeypatch, capsys):
+    '''the engine's pivots follow the declared generator order, its answers
+    do not: with every surface's mori list reversed, each fixture keeps its
+    A, S, beta, wall and profile (supports as sets), each -K + C keeps its
+    Zariski decomposition, and walls --diff still matches the stored table'''
+    doc = json.loads(DATA_PATH.read_text())
+    for s in doc['surfaces']:
+        s['mori'].reverse()
+    path = tmp_path / 'catalog.json'
+    path.write_text(json.dumps(doc))
+    rev = load_catalog(path)
+
+    def answers(f):
+        p, v = f.pair, f.valuation
+        b = beta(p, v)
+        prof = valuation_profile(v)
+        return (log_discrepancy(p, v), s_invariant(p, v), b,
+                solve_wall(b, p.c_lo, p.c_hi).root, prof.tau,
+                [(q.t_lo, q.t_hi, q.coeffs, set(q.chamber_support)) for q in prof.pieces])
+
+    def decomposition(x, g):
+        try:
+            z = zariski_decompose(x, x.gen(g) - x.canonical)
+        except NotPseudoEffective:
+            # a refusal must not depend on the order either; -K + l3 on
+            # xprime_deg is refused under both (ROADMAP item 7)
+            return None
+        return z.positive.coords, dict(z.negative_support)
+
+    assert len(CATALOG.fixtures) == 45
+    for f in CATALOG.fixtures:
+        assert answers(rev.fixture(f.id)) == answers(f), f.id
+    for m in CATALOG.surfaces:
+        n = rev.surface(m.name)
+        assert [g for g, _ in n.mori_gens] == [g for g, _ in reversed(m.mori_gens)]
+        for g, _ in m.mori_gens:
+            assert decomposition(n, g) == decomposition(m, g), (m.name, g)
+    monkeypatch.setenv('KWALL_CATALOG', str(path))
+    assert kwall.cli.main(['--json', 'walls', '--diff']) == 0
+    diff = json.loads(capsys.readouterr().out)['results']['diff']
+    assert (diff['matched'], len(diff['stored'])) == (24, 24)
 
 
 def _cache_state(cat):

@@ -391,6 +391,8 @@ def _blowup(**center):
      'integer digit limit (4300 digits)\n'),
     (lambda doc: doc['surfaces'][3].pop('canonical'), None,
      "catalog error: surface 3 is missing field 'canonical'\n"),
+    (lambda doc: doc['surfaces'][3].pop('name'), None,
+     "catalog error: surface 3 is missing field 'name'\n"),
     (None, _blowup(weights=[1.9, 1]),
      'configuration error: valuation document: weights [1.9, 1] are not two integers\n'),
     (None, _blowup(weights=['1', '1']),
@@ -462,6 +464,7 @@ def _blowup(**center):
         'wall-value-has-an-exponent', 'multiplicity-has-an-exponent',
         'gram-entry-has-an-exponent', 'pair-multiplicity-has-an-exponent',
         'multiplicity-exceeds-the-digit-limit', 'surface-without-canonical',
+        'surface-without-name',
         'blowup-weight-is-a-float', 'blowup-weights-are-strings', 'blowup-weight-is-a-boolean',
         'blowup-exc-name-is-a-number', 'display-weight-is-a-string', 'basis-holds-a-number',
         'generator-name-is-a-number', 'extra-mori-name-is-a-number',
@@ -1095,6 +1098,40 @@ def test_reports_are_pinned(command, markdown, as_json, capsys):
                 if not ln.strip().startswith(('catalog: ', '"catalog": '))]
         assert len(keep) == len(lines) - 1, argv
         assert hashlib.sha256('\n'.join(keep).encode()).hexdigest() == digest, argv
+
+
+RESULT_LEAVES = (str, int, bool, type(None), Fraction, kwall.stability.AffineRatFn)
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        assert all(isinstance(k, str) for k in value)
+        for v in value.values():
+            yield from _leaves(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize('argv', [
+    'surface show xq', 'zariski sigma5 3/2,1/2,1/2,-1,-1', 'zariski sigma5 ac --ray line12',
+    'profile Xprime/D_13_41/E', 'beta X11/D_2_19/line-pq', 'beta Sigma5/D_1_17/L1 --c 1/4',
+    'beta PAIR line12', 'walls', 'walls --diff', 'bounds --c 1/4', 'bounds --degree 2',
+    'bounds --c 1/10 --d 1 --n 3 --ord 0', 'fixtures list'])
+def test_results_hold_exact_values_or_text(argv, tmp_path):
+    '''a command returns Fractions, affine functions, integers, booleans,
+    None and text, which main writes out with str; a DivClass or a Path
+    there would reach the report as its repr'''
+    pair = tmp_path / 'pair.json'
+    pair.write_text(json.dumps(PAIR_DOC))
+    argv = [str(pair) if a == 'PAIR' else a for a in argv.split()]
+    args = build_parser(argv[0]).parse_args(argv)
+    leaves = list(_leaves(args.handler(load_catalog(), args)))
+    assert leaves
+    for leaf in leaves:
+        assert isinstance(leaf, RESULT_LEAVES), (argv, type(leaf))
 
 
 SURFACES = {s['name']: len(s['basis']) for s in SHIPPED['surfaces']}

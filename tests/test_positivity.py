@@ -224,9 +224,8 @@ def test_profile_value_and_doc():
     with pytest.raises(ValueError):
         prof.value(3)
     doc = profile_to_doc(prof)
-    assert doc['tau'] == '2'
-    assert [p['coeffs'] for p in doc['pieces']] == [['5', '-2', '-1'],
-                                                    ['8', '-8', '2']]
+    assert doc['tau'] == 2
+    assert [p['coeffs'] for p in doc['pieces']] == [[5, -2, -1], [8, -8, 2]]
 
 
 def test_chamber_supports_nested():
@@ -512,5 +511,5 @@ def test_every_catalog_profile_is_pinned():
     cat = load_catalog()
     docs = [[f.id, profile_to_doc(valuation_profile(f.valuation))] for f in cat.fixtures]
     assert len(docs) == 45
-    blob = json.dumps(docs, sort_keys=True).encode()
+    blob = json.dumps(docs, sort_keys=True, default=str).encode()
     assert hashlib.sha256(blob).hexdigest() == PROFILES_DIGEST
