@@ -193,13 +193,21 @@ class SurfaceModel(Value):
         return GeneratorTable(den, cs, tuple(rows), tuple(_products(rows, cs)))
 
     @cached_property
-    def _contracted_gram(self) -> list[list[int]] | None:
-        '''the contracted curves' rows of the generator pairing matrix, or
-        None when they are not negative definite'''
+    def _contracted_inverse(self) -> tuple[int, list[list[int]]] | None:
+        '''(det, adj) with det > 0 and adj / det = S^-1, for S the contracted
+        curves' block of the generator pairing matrix, or None when S is not
+        negative definite: one fraction-free elimination of (S | I) decides
+        that and leaves row i of S^-1 at scale scales[i], which det brings
+        to the integers adj'''
         m = self.gen_table.pairing
         idx = [self.gen_index[n] for n in self.contracted]
-        gram = [[m[i][j] for j in idx] for i in idx]
-        return gram if pivot([list(row) for row in gram], [1] * len(idx), range(len(idx))) else None
+        k = len(idx)
+        a = [[*[m[i][j] for j in idx], *[int(i == j) for j in idx]] for i in idx]
+        scales = [1] * k
+        det = abs(pivot(a, scales, range(k)))
+        if not det:
+            return None
+        return det, [[det * x // d for x in row[k:]] for row, d in zip(a, scales)]
 
     @cached_property
     def _extensions(self) -> dict:
@@ -259,7 +267,7 @@ class SurfaceModel(Value):
             out.append(f'{self.name}: discrepancy given for a non-contracted curve')
         if out:
             return tuple(out)
-        if self.contracted and self._contracted_gram is None:
+        if self.contracted and self._contracted_inverse is None:
             out.append(f'{self.name}: contracted curves are not negative definite')
         # every intersection number below is an integer product over a
         # positive denominator: with table = (den, C, R, M) and G / dg the
@@ -331,22 +339,6 @@ class ExtensionModel(SurfaceModel):
         return self.base_table.bordered(lam, self.lattice, self.mori_gens)
 
 
-def _contraction_solve(model: SurfaceModel, dx: int, xs: Sequence[int]):
-    '''(det, ys) with det > 0: the contracted curve s has coefficient
-    den ys[s] / (det dx) in the Weil pullback of the class xs / dx; the
-    contracted curves must be negative definite (ConfigurationError)'''
-    gram = model._contracted_gram
-    if gram is None:
-        raise ConfigurationError(
-            f'{model.name}: support {list(model.contracted)} is not negative definite')
-    ps = model.gen_table.pairings(xs)
-    a = [[*row, -ps[model.gen_index[n]]] for row, n in zip(gram, model.contracted)]
-    scales = [1] * len(a)
-    det = abs(pivot(a, scales, range(len(a))))
-    # each row brought to det: row s holds scales[s] times its solution
-    return det, [det * row[-1] // d for row, d in zip(a, scales)]
-
-
 def contraction_orders(model: SurfaceModel, d: DivClass) -> Mapping[str, Fraction]:
     '''coefficient of each contracted curve in the Weil pullback of d'''
     pd, _, os = pullback_numerators(model, *d.numerators)
@@ -358,20 +350,26 @@ def pullback_numerators(model: SurfaceModel, dx: int, xs: Sequence[int]
     '''
     (d, ns, os): the Weil pullback of the class xs / dx as integer
     numerators ns over a positive denominator d, not always the least one,
-    and the coefficient os[s] / d of each contracted curve s in it, from
-    one solve
+    and the coefficient os[s] / d of each contracted curve s in it
 
-    The contracted curve s, with numerators C[s] / den in the generator
-    table, enters with coefficient den ys[s] / (det dx), so the pullback is
-    (det xs + sum_s ys[s] C[s]) / (det dx).
+    With C[s] / den and R[s] the contracted curves' numerators and rows in
+    the generator table and (det, adj) the model's ``_contracted_inverse``,
+    ys = -adj (R[s] . xs)_s makes det xs + sum_s ys[s] C[s] orthogonal to
+    every C[s], so that over det dx is the pullback, and the curve s enters
+    it with coefficient den ys[s] / (det dx).  The contracted curves must be
+    negative definite (ConfigurationError).
     '''
     if not model.contracted:
         return dx, tuple(xs), ()
-    det, ys = _contraction_solve(model, dx, xs)
-    out = [det * x for x in xs]
-    table = model.gen_table
-    for y, n in zip(ys, model.contracted):
-        out = [o + y * c for o, c in zip(out, table.gens[model.gen_index[n]])]
+    if model._contracted_inverse is None:
+        raise ConfigurationError(
+            f'{model.name}: support {list(model.contracted)} is not negative definite')
+    (det, adj), table = model._contracted_inverse, model.gen_table
+    idx = [model.gen_index[n] for n in model.contracted]
+    ps = [sum(map(mul, table.rows[i], xs)) for i in idx]
+    ys = [-sum(map(mul, row, ps)) for row in adj]
+    cols = zip(*[table.gens[i] for i in idx])
+    out = [det * x + sum(map(mul, ys, col)) for x, col in zip(xs, cols)]
     return det * dx, tuple(out), tuple([table.den * y for y in ys])
 
 

@@ -307,10 +307,16 @@ def test_a_fresh_decode_starts_cold(monkeypatch):
         return real(a, scales, rows, prev)
 
     monkeypatch.setattr(kwall.positivity, 'pivot', counted)
+    eliminations = []
+    real_surface = kwall.surface.pivot
+    monkeypatch.setattr(kwall.surface, 'pivot',
+                        lambda *args: eliminations.append(args) or real_surface(*args))
 
     def decode_and_walk():
         kwall.catalog._load_resolved.cache_clear()
+        del eliminations[:]
         cat = load_catalog()
+        decoded = len(eliminations)
         state = _cache_state(cat)
         # an extension's generator table is bordered on its first use
         extensions = {id(v.model): v.model for f in cat.fixtures
@@ -322,13 +328,16 @@ def test_a_fresh_decode_starts_cold(monkeypatch):
         for f in cat.fixtures:
             beta(f.pair, f.valuation)
         assert _cache_state(cat) != state
+        # one elimination per model with contracted curves, at decode, and
+        # every Weil pullback is a product against its inverse
+        assert (decoded, len(eliminations)) == (16, 16)
         return cat, state, len(calls) - before
 
     first, cold, walked = decode_and_walk()
     # decoding only decides the definiteness of the contracted curves, which
     # its pullbacks need
     for m in first.surfaces:
-        assert ('_contracted_gram' in cold[m.name]) == bool(m.contracted), m.name
+        assert ('_contracted_inverse' in cold[m.name]) == bool(m.contracted), m.name
     second, state, rewalked = decode_and_walk()
     assert state == cold
     assert rewalked == walked > 0

@@ -235,6 +235,20 @@ def test_exponent_notation_is_a_usage_error(capsys):
         assert "bad input: not a rational: '1" in err, argv
 
 
+@pytest.mark.parametrize('argv, code, message', [
+    (['zariski', 'sigma5', '-1,0,0,0,0'], 2, 'the following arguments are required: divisor'),
+    (['zariski', 'sigma5', 'ac', '--ray', '-1,1,1,1,1'], 2, 'expected one argument'),
+    (['bounds', '--degree', '-1/2'], 2, 'expected one argument'),
+    (['zariski', 'sigma5', '--', '-1,0,0,0,0'], 3, 'not pseudo-effective: sigma5'),
+    (['zariski', 'sigma5', 'ac', '--ray=-1,1,1,1,1'], 0, ''),
+    (['bounds', '--degree=-1/2'], 2, 'degree -1/2 is not positive')])
+def test_a_leading_minus_is_read_after_double_dash_or_equals(argv, code, message, capsys):
+    '''argparse reads a leading -1,... as an option; after -- a positional,
+    and in --opt=value an option value, is read as given'''
+    got, _, err = run(capsys, *argv)
+    assert got == code and message in err
+
+
 def test_bounds_leaves_a_non_positive_degree_to_the_engine(capsys):
     for degree in ('0', '-1/2'):
         code, out, err = run(capsys, 'bounds', f'--degree={degree}')

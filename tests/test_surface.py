@@ -142,6 +142,22 @@ def test_pullback_weil_orthogonality_random():
             assert pair(pb, m.gen(n)) == 0
 
 
+@pytest.mark.parametrize('name', [m.name for m in load_catalog().surfaces if m.contracted])
+def test_pullback_weil_on_every_catalog_contraction(name):
+    '''the 16 catalog surfaces with contracted curves have 1 to 5 of them,
+    and their A2 chains have a non-diagonal inverse: the pullback meets
+    every contracted curve in 0 and adds to the class its contraction
+    orders times the curves'''
+    m = load_catalog().surface(name)
+    rng = random.Random(7)
+    for _ in range(20):
+        d = m.lattice.div([F(rng.randint(-6, 6), rng.randint(1, 4))
+                           for _ in range(m.lattice.rank)])
+        pb, orders = pullback_weil(m, d), contraction_orders(m, d)
+        assert all(pair(pb, m.gen(n)) == 0 for n in m.contracted)
+        assert pb - d == combination(m.lattice, [(orders[n], m.gen(n)) for n in m.contracted])
+
+
 def test_contraction_orders():
     m = make_xq()
     # a line through one of the five collinear points misses the contracted axis
