@@ -22,7 +22,7 @@ import argparse
 import gc
 import json
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,7 +104,8 @@ def _quad_text(coeffs) -> str:
 
 
 def parse_divisor(model: SurfaceModel, text: str) -> DivClass:
-    '''divisor spec: comma separated coordinates, a generator name, or the
+    '''divisor spec: comma separated coordinates (on a rank-1 lattice, one
+    number that is not a generator name), a generator name, or the
     shorthands "ac" / "2ac" for the anticanonical pullback and its double'''
     if text == 'ac':
         return model.anticanonical_pullback
@@ -115,6 +116,9 @@ def parse_divisor(model: SurfaceModel, text: str) -> DivClass:
     try:
         return model.gen(text)
     except KeyError:
+        if model.lattice.rank == 1:
+            with suppress(ValueError):
+                return model.lattice.div([text])
         raise ConfigurationError(
             f'unknown divisor {text!r} on {model.name}; give a generator '
             f'name, coordinates, "ac" or "2ac"') from None

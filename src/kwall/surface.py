@@ -11,9 +11,9 @@ config author's obligation and every consumer treats it as such.
 Two pullback mechanisms live here: the numerical pullback of a Weil divisor
 through a contraction (orthogonality against the contracted curves), and the
 lattice extension of a weight-(a, b) blow-up at a smooth point.  One
-blow-up is one ExtensionModel: a SurfaceModel on the extended lattice that
-also keeps its center, its exceptional class and the pullback from the base.
-Each base model builds it once per center and keeps it (``extension``).
+blow-up is one ExtensionModel: the blown-up surface, a SurfaceModel with no
+contracted curve that keeps its center, its exceptional class and the
+pullback from the base, built once per center by its base (``extension``).
 '''
 from __future__ import annotations
 
@@ -304,8 +304,8 @@ class SurfaceModel(Value):
 
 class ExtensionModel(SurfaceModel):
     '''
-    a one-step blow-up of a base model (``build_blowup_extension``), viewed
-    as a SurfaceModel with the base's contracted set
+    a one-step blow-up X' of a base model (``build_blowup_extension``), a
+    SurfaceModel with no contracted curve and K_X' = pull(K_X) + (a+b-1) e
 
     Besides the SurfaceModel fields it keeps its ``center``, the class
     ``e_class`` of the new exceptional divisor, with e.e = -1/(a b), and the
@@ -493,8 +493,6 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> Extensio
         lattice=lat,
         canonical=canonical,
         mori_gens=tuple(gens),
-        contracted=base.contracted,
-        k_discrepancies=base.k_discrepancies,
     )
 
 

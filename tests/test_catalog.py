@@ -345,6 +345,33 @@ def test_a_fresh_decode_starts_cold(monkeypatch):
         assert a is not b and a.lattice is not b.lattice
 
 
+def _extensions(cat) -> dict:
+    '''the catalog's blow-up extension models, each keyed by the id of the
+    first fixture with a valuation on it'''
+    found = {}
+    for f in cat.fixtures:
+        for v in (f.valuation, *f.equivariant):
+            if v.model is not v.base:
+                found.setdefault(id(v.model), (f.id, v.model))
+    return dict(found.values())
+
+
+@pytest.mark.parametrize('fid', list(_extensions(CATALOG)))
+def test_every_catalog_extension_passes_its_own_checks(fid):
+    '''a blow-up extension is the blown-up surface itself, with no
+    contracted curve, so it passes every check of a surface model and its
+    degree is K.K of its own canonical class; run on a decode of its own,
+    so that no other test sees the tables the checks build'''
+    kwall.catalog._load_resolved.cache_clear()
+    extensions = _extensions(load_catalog())
+    kwall.catalog._load_resolved.cache_clear()
+    assert len(extensions) == 10
+    m = extensions[fid]
+    assert m.contracted == ()
+    assert m.failures() == ()
+    assert m.degree == pair(m.canonical, m.canonical)
+
+
 def test_a_decode_and_walk_pass_walks_each_ray_once(monkeypatch):
     '''the 45 fixtures walk 37 distinct rays of their models, and each
     ray is walked once per decode'''

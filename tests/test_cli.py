@@ -87,6 +87,23 @@ def test_bad_divisor_inputs_are_usage_errors(capsys):
     assert run(capsys, 'zariski', 'no-such-surface', 'ac')[0] == 2
 
 
+@pytest.mark.parametrize('argv, code, shown', [
+    (['p2', '2'], 0, ('P = (2)', 'N = 0')),
+    (['p2', '3/2'], 0, ('P = (3/2)', 'N = 0')),
+    (['p2', 'ac', '--ray=1'], 0, ('| [0, 3] | 9 - 6 t + t^2 | - |',)),
+    (['p2', '--', '-1'], 3, ('not pseudo-effective: p2',)),
+    (['p2', 'nope'], 2, ("unknown divisor 'nope' on p2",)),
+    (['sigma5', '2'], 2, ("unknown divisor '2' on sigma5",))],
+    ids=['p2-2', 'p2-3/2', 'p2-ray', 'p2-minus-1', 'p2-nope', 'sigma5-2'])
+def test_a_rank_one_surface_takes_one_coordinate_without_a_comma(argv, code, shown, capsys):
+    '''on p2 a number that names no generator is the class's one
+    coordinate; on a lattice of higher rank it stays an unknown divisor'''
+    got, out, err = run(capsys, 'zariski', *argv)
+    assert got == code
+    for text in shown:
+        assert text in (out if code == 0 else err)
+
+
 def test_beta_report_for_the_quintic_line(capsys):
     code, out, _ = run(capsys, 'beta', 'Sigma5/D_1_17/L1')
     assert code == 0
