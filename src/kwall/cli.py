@@ -43,8 +43,9 @@ from .positivity import (
     zariski_decompose,
 )
 from .stability import (
-    HALF,
+    VGIT_LO,
     beta,
+    coefficient,
     index_feasibility,
     log_discrepancy,
     quotient_order_bound,
@@ -246,7 +247,7 @@ def cmd_beta(cat, args) -> dict:
     with _naming(f) if f else nullcontext():
         a, s = log_discrepancy(p, v), s_invariant(p, v)
     b = a - s
-    sol = solve_wall(b, p.c_lo, p.c_hi)
+    sol = solve_wall(b)
     results = {
         'surface': p.surface.name,
         'valuation': {'name': v.name, 'tag': v.tag,
@@ -266,9 +267,7 @@ def cmd_beta(cat, args) -> dict:
             results['printed'] = {'scale': f.display.scale,
                                   'beta': f.display.beta_text}
     if args.c is not None:
-        c = rational(args.c)
-        if not p.c_lo <= c <= p.c_hi:
-            raise ConfigurationError(f'coefficient {c} outside [{p.c_lo}, {p.c_hi}]')
+        c = coefficient(args.c)
         bc = b.value(c)
         results['at'] = {
             'c': c,
@@ -307,7 +306,7 @@ def cmd_walls(cat, args) -> dict:
     for fid in _family_ids(cat, args.family):
         f = cat.fixture(fid)
         with _naming(f):
-            sol = solve_wall(beta(f.pair, f.valuation), f.pair.c_lo, f.pair.c_hi)
+            sol = solve_wall(beta(f.pair, f.valuation))
         rows.append((fid, sol.root, f.expected.wall))
     rows.sort(key=lambda r: (r[1] is None, r[1] or Fraction(0), r[0]))
     found = {root for _, root, _ in rows if root is not None}
@@ -359,14 +358,8 @@ def _render_walls(r: dict) -> list[str]:
 def cmd_bounds(cat, args) -> dict:
     if (args.c is None) == (args.degree is None):
         raise ConfigurationError('give exactly one of --c and --degree')
-    c = None if args.c is None else rational(args.c)
-    if c is not None:
-        if not 0 < c < HALF:
-            raise ConfigurationError(
-                f'coefficient {c} outside the open interval (0, 1/2)')
-        degree = 5 * (1 - 2 * c) ** 2
-    else:
-        degree = rational(args.degree)
+    c = None if args.c is None else coefficient(args.c)
+    degree = rational(args.degree) if c is None else 5 * (1 - 2 * c) ** 2
     bound = quotient_order_bound(degree)
     if bound < 2:
         note = 'forces smooth surfaces'
@@ -386,7 +379,7 @@ def cmd_bounds(cat, args) -> dict:
         ord_lower = rational(args.ord_lower)
         results['index'] = {'d': args.d, 'n': args.n, 'ord_lower': ord_lower,
                             'feasible': index_feasibility(args.d, args.n, c, ord_lower)}
-    if c is not None and Fraction(1, 4) <= c < HALF:
+    if c is not None and c >= VGIT_LO:
         results['vgit_slope'] = vgit_slope(c)
     return results
 
@@ -451,7 +444,7 @@ def _add_beta(sub, common):
                    help='catalog fixture id, or a json pair document')
     p.add_argument('valuation', nargs='?',
                    help='valuation document or generator name; pair file input only')
-    p.add_argument('--c', help='also evaluate the invariants at this coefficient')
+    p.add_argument('--c', help='boundary coefficient in (0, 1/2)')
     p.set_defaults(handler=cmd_beta, render=_render_beta)
 
 

@@ -34,7 +34,7 @@ from .surface import (
     pullback_numerators,
 )
 
-HALF = Fraction(1, 2)
+VGIT_LO = Fraction(1, 4)
 
 TAGS = frozenset({'plain', 'vertical', 'horizontal'})
 
@@ -125,8 +125,8 @@ class LogPair(Frozen):
     curve comes from the pullback solve, never from raw coordinates.
     '''
 
-    # every pair's coefficient range: -(K + cC) = (1 - 2c)(-K) is ample there
-    c_lo, c_hi = Fraction(0), HALF
+    # open coefficient range: -(K + cC) = (1 - 2c)(-K) is ample for c < 1/2, 0 at 1/2
+    c_lo, c_hi = Fraction(0), Fraction(1, 2)
 
     def __init__(self, surface: SurfaceModel,
                  boundary: tuple[tuple[str | None, DivClass, Fraction], ...]):
@@ -228,6 +228,16 @@ class LogPair(Frozen):
             raise ConfigurationError(
                 f'{self.surface.name}: ' + '; '.join(problems))
         return self
+
+
+def coefficient(c) -> Fraction:
+    '''c read by ``rational``; every statement at a coefficient refuses one
+    outside the open range (LogPair.c_lo, LogPair.c_hi)'''
+    c = rational(c)
+    if not LogPair.c_lo < c < LogPair.c_hi:
+        raise ConfigurationError(f'coefficient {c} outside the admissible range '
+                                 f'({LogPair.c_lo}, {LogPair.c_hi})')
+    return c
 
 
 class ValuationSpec(Frozen):
@@ -373,7 +383,7 @@ class WallSolve(Frozen):
         vars(self).update(root=root, identically_zero=identically_zero)
 
 
-def solve_wall(b: AffineRatFn, lo=0, hi=HALF) -> WallSolve:
+def solve_wall(b: AffineRatFn, lo=LogPair.c_lo, hi=LogPair.c_hi) -> WallSolve:
     '''
     unique root of b inside the open interval (lo, hi)
 
@@ -426,10 +436,7 @@ def polystability_check(p: LogPair, vs, c) -> StabilityReport:
     '''
     if not vs:
         raise ConfigurationError('polystability needs the equivariant valuation list')
-    c = rational(c)
-    if not p.c_lo < c < p.c_hi:
-        raise ConfigurationError(
-            f'coefficient {c} outside the admissible range ({p.c_lo}, {p.c_hi})')
+    c = coefficient(c)
     values = [(v, beta(p, v).value(c)) for v in vs]
     margins = tuple((v.name, x) for v, x in values)
     negative = tuple((v.name, x) for v, x in values if x < 0)
@@ -473,9 +480,7 @@ def index_feasibility(d: int, n: int, c, ord_lower) -> bool:
     '''
     if d < 1 or n < 1:
         raise ConfigurationError(f'index data d={d}, n={n} must be positive integers')
-    c = rational(c)
-    if not 0 < c < HALF:
-        raise ConfigurationError(f'coefficient {c} outside (0, 1/2)')
+    c = coefficient(c)
     ord_lower = rational(ord_lower)
     if ord_lower < 0:
         raise ConfigurationError(f'negative boundary order bound {ord_lower}')
@@ -485,7 +490,8 @@ def index_feasibility(d: int, n: int, c, ord_lower) -> bool:
 
 def vgit_slope(c) -> Fraction:
     '''
-    slope matching the quartic-curve variation of GIT at coefficient c
+    slope matching the quartic-curve variation of GIT at coefficient c, on
+    the VGIT range [VGIT_LO, LogPair.c_hi)
 
     TESTS:
         >>> vgit_slope(Fraction(1, 4))
@@ -493,7 +499,7 @@ def vgit_slope(c) -> Fraction:
         >>> vgit_slope(Fraction(11, 28))
         Fraction(10, 7)
     '''
-    c = rational(c)
-    if not Fraction(1, 4) <= c < HALF:
-        raise ConfigurationError(f'coefficient {c} outside [1/4, 1/2)')
+    c = coefficient(c)
+    if c < VGIT_LO:
+        raise ConfigurationError(f'coefficient {c} outside [{VGIT_LO}, {LogPair.c_hi})')
     return (25 - 20 * c) / (28 * c + 1)

@@ -487,9 +487,11 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> Extensio
             raise ConfigurationError(f'extra generator {n} has wrong length')
         gens.append((n, lat.div(v)))
 
+    # the through-curves tell apart the extensions of one base at one weight
+    at = ','.join(n if m == 1 else f'{n}:{m}' for n, m in center.through)
     return ExtensionModel(
         base.lattice, table, center, e,
-        name=f'{base.name}^{center.exc_name}({a},{b})',
+        name=f'{base.name}^{center.exc_name}({a},{b})' + (f'[{at}]' if at else ''),
         lattice=lat,
         canonical=canonical,
         mori_gens=tuple(gens),

@@ -372,6 +372,16 @@ def test_every_catalog_extension_passes_its_own_checks(fid):
     assert m.degree == pair(m.canonical, m.canonical)
 
 
+def test_the_catalog_extensions_have_distinct_names():
+    '''an extension is named by its base, its weights and its centre's
+    through-curves, so the three weight-(1, 1) blow-ups of x12 differ'''
+    names = [m.name for m in _extensions(CATALOG).values()]
+    assert len(set(names)) == len(names) == 10
+    assert {n for n in names if n.startswith('x12^')} == {
+        'x12^e(1,1)[a1,exc-a1]', 'x12^e(1,1)[a2-head,a2-tail]',
+        'x12^e(1,1)[a2-head,exc-a1]', 'x12^e(2,1)[a1:2,exc-a1]'}
+
+
 def test_a_decode_and_walk_pass_walks_each_ray_once(monkeypatch):
     '''the 45 fixtures walk 37 distinct rays of their models, and each
     ray is walked once per decode'''

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import kwall.catalog
 import kwall.cli
 import kwall.stability
+import kwall.surface
 from kwall.catalog import DATA_PATH, load_catalog
 from kwall.cli import build_parser, main
 
@@ -841,6 +842,45 @@ def test_bounds_reports_the_vgit_slope_late_in_the_range(capsys):
 def test_bounds_rejects_coefficients_outside_the_open_interval(capsys):
     assert run(capsys, 'bounds', '--c', '1/2')[0] == 2
     assert run(capsys, 'bounds', '--c', '0')[0] == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.fractions(min_value=-1, max_value=1, max_denominator=50))
+@example(c=Fraction(0))
+@example(c=Fraction(1, 2))
+@example(c=Fraction(1, 4))
+@example(c=Fraction(13, 41))
+@example(c=Fraction(-1, 7))
+@example(c=Fraction(3, 4))
+def test_every_entry_point_takes_the_open_coefficient_range(c):
+    '''beta --c, bounds --c, polystability_check and index_feasibility take
+    exactly 0 < c < 1/2 and refuse any other c with one line; the vgit
+    slope is defined on exactly [1/4, 1/2)'''
+    inside = 0 < c < Fraction(1, 2)
+    refusal = f'coefficient {c} outside the admissible range (0, 1/2)'
+    for argv in (['beta', 'Sigma5/D_1_17/L1', f'--c={c}'], ['bounds', f'--c={c}']):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if inside:
+            assert (code, err.getvalue()) == (0, '')
+        else:
+            assert (code, err.getvalue()) == (2, f'configuration error: {refusal}\n')
+    assert ('vgit slope' in out.getvalue()) == (inside and c >= Fraction(1, 4))
+    f = load_catalog().fixture('Xn/D_1_17/E')
+    for check in (lambda: kwall.stability.polystability_check(f.pair, f.equivariant, c),
+                  lambda: kwall.stability.index_feasibility(1, 1, c, 0)):
+        if inside:
+            check()
+        else:
+            with pytest.raises(kwall.surface.ConfigurationError) as refused:
+                check()
+            assert str(refused.value) == refusal
+    if Fraction(1, 4) <= c < Fraction(1, 2):
+        assert kwall.stability.vgit_slope(c) > 0
+    else:
+        with pytest.raises(kwall.surface.ConfigurationError):
+            kwall.stability.vgit_slope(c)
 
 
 def test_bounds_accepts_an_explicit_degree(capsys):

@@ -197,6 +197,17 @@ def test_weighted_blowup_extension():
     assert pair(lt, ext.e_class) == 1
 
 
+def test_an_extension_is_named_by_its_weights_and_through_curves():
+    '''each through-curve is listed in the centre's order, with its ord
+    along the exceptional divisor where that is not 1'''
+    base = make_sigma5()
+    plain = build_blowup_extension(base, BlowupCenter.make(exc_name='g'))
+    assert plain.name == f'{base.name}^g(1,1)'
+    through = BlowupCenter.make(weights=(1, 2), exc_name='w',
+                                through=(('line12', 2), ('line34', 1)))
+    assert build_blowup_extension(base, through).name == f'{base.name}^w(1,2)[line12:2,line34]'
+
+
 def test_extension_pullback_is_isometry():
     base = make_sigma5()
     ext = build_blowup_extension(base, BlowupCenter.make(weights=(2, 3), exc_name='w'))
