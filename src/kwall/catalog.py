@@ -37,7 +37,7 @@ try:
     # loads OpenSSL; CPython 3.12 renamed the module _sha2
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    from _sha2 import sha256
 
 DATA_PATH = Path(__file__).resolve().parent / 'data' / 'catalog.json'
 ENV_VAR = 'KWALL_CATALOG'
@@ -148,10 +148,7 @@ def _decode_affine(doc) -> AffineRatFn:
 def _decode_part(model: SurfaceModel, doc):
     mult = rational(doc['mult'])
     if 'gen' in doc:
-        if doc['gen'] not in model.gen_names:
-            raise ValueError(f'unknown generator {doc["gen"]!r} on {model.name}; '
-                             f'have {list(model.gen_names)}')
-        return doc['gen'], mult
+        return (doc['gen'], model.gen(doc['gen'])), mult
     cls = model.lattice.div(doc['class'])
     if 'label' in doc:
         return (_string('boundary label', doc['label']), cls), mult

@@ -116,7 +116,7 @@ def parse_divisor(model: SurfaceModel, text: str) -> DivClass:
         return model.lattice.div(text.split(','))
     try:
         return model.gen(text)
-    except KeyError:
+    except ValueError:
         if model.lattice.rank == 1:
             with suppress(ValueError):
                 return model.lattice.div([text])

@@ -135,8 +135,9 @@ class LogPair(Frozen):
     @classmethod
     def make(cls, surface: SurfaceModel, parts) -> 'LogPair':
         '''parts: iterable of (component, mult); a component is a generator
-        name, a DivClass, or a (label, DivClass) pair for a curve that is
-        not a declared generator'''
+        name, a DivClass, or a (label, DivClass) pair.  A label names one
+        class: it may not repeat with another class, nor take a generator's
+        name unless it carries that generator's class (``failures``)'''
         rows = []
         for comp, mult in parts:
             if isinstance(comp, str):
@@ -191,27 +192,32 @@ class LogPair(Frozen):
         if name in self.surface.contracted:
             db, _, os, _, _ = self._boundary_pullback
             return Fraction(os[self.surface.contracted.index(name)], db)
-        if name not in self.surface.gen_names and \
-                all(n != name for n, _, _ in self.boundary):
-            raise ConfigurationError(
-                f'{self.surface.name}: {name!r} is neither a generator nor a '
-                'boundary component label')
+        self.curve(name)
         return sum((mult for n, _, mult in self.boundary if n == name),
                    Fraction(0))
 
-    def component_class(self, label: str) -> DivClass:
+    def curve(self, name: str) -> DivClass:
+        '''the class of the boundary part labelled name, or else of the
+        generator called name, the one lookup of a curve name on the pair'''
         for n, cl, _ in self.boundary:
-            if n == label:
+            if n == name:
                 return cl
-        raise ConfigurationError(f'no boundary component labelled {label!r}')
+        if name not in self.surface.gen_index:
+            raise ConfigurationError(
+                f'{self.surface.name}: {name!r} is neither a generator nor a '
+                'boundary component label')
+        return self.surface.gen(name)
 
     def failures(self) -> tuple[str, ...]:
         problems = []
-        for n, _, mult in self.boundary:
+        classes = dict(self.surface.mori_gens)
+        for n, cl, mult in self.boundary:
             if mult < 0:
                 problems.append(f'component {n or "?"} has negative multiplicity {mult}')
             if n is not None and n in self.surface.contracted:
                 problems.append(f'component {n} is a contracted curve, not a curve downstairs')
+            if n is not None and classes.setdefault(n, cl) != cl:
+                problems.append(f'label {n!r} names two classes')
         db, bs, _, kn, kd = self._boundary_pullback
         _, xs = self.surface.anticanonical_pullback.numerators
         if kn * kd < 0 or any(b * kd != kn * x for b, x in zip(bs, xs)):
@@ -276,11 +282,7 @@ class ValuationSpec(Frozen):
         stored discrepancy when the curve is contracted'''
         m = p.surface
         a_x = Fraction(1) + m.discrepancy.get(name, Fraction(0))
-        try:
-            cl = m.gen(name)
-        except KeyError:
-            cl = p.component_class(name)
-        return cls(name, m, cl, a_x, p.boundary_order(name), tag)
+        return cls(name, m, p.curve(name), a_x, p.boundary_order(name), tag)
 
     @classmethod
     def on_extension(cls, p: LogPair, center: BlowupCenter, name: str = '',
@@ -300,14 +302,15 @@ class ValuationSpec(Frozen):
         through = dict(center.through)
         a_x = ext.a_over_base + sum([m.discrepancy[n] * through.get(n, 0)
                                      for n in m.contracted])
-        labelled = [n for n, _, _ in p.boundary if n not in m.gen_names]
-        lower = sum([mult * through.get(n, 0) for n, _, mult in p.boundary if n in m.gen_names]
+        labelled = [n for n, _, _ in p.boundary if n not in m.gen_index]
+        lower = sum([mult * through.get(n, 0) for n, _, mult in p.boundary if n in m.gen_index]
                     + [p.boundary_order(n) * through[n] for n in m.contracted if n in through],
                     Fraction(0))
         if ord_b is None and labelled:
+            n = labelled[0]
             raise ConfigurationError(
-                f'component {labelled[0]!r} has no centre data on the '
-                'extension; pass ord_b explicitly')
+                f'component {"without a label" if n is None else repr(n)} has no centre '
+                'data on the extension; pass ord_b explicitly')
         ord_b = lower if ord_b is None else rational(ord_b)
         if ord_b < lower:
             raise ConfigurationError(

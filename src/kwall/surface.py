@@ -175,10 +175,12 @@ class SurfaceModel(Value):
         return tuple([n for n, _ in self.mori_gens])
 
     def gen(self, name: str) -> DivClass:
-        for n, c in self.mori_gens:
-            if n == name:
-                return c
-        raise KeyError(f'{self.name}: no generator {name!r}; have {list(self.gen_names)}')
+        '''the class of the generator called name, the one generator lookup'''
+        try:
+            return self.mori_gens[self.gen_index[name]][1]
+        except (KeyError, TypeError):
+            raise ValueError(f'unknown generator {name!r} on {self.name}; '
+                             f'have {list(self.gen_names)}') from None
 
     @cached_property
     def gen_index(self) -> Mapping[str, int]:
@@ -256,12 +258,11 @@ class SurfaceModel(Value):
         '''all validation failures, empty when the model is consistent'''
         out: list[str] = []
         out.extend(f'{self.name}: {f}' for f in validate_lattice(self.lattice))
-        known = set(self.gen_names)
         twice = _repeated(self.gen_names)
         if twice is not None:
             out.append(f'{self.name}: generator name {twice!r} is used twice')
         for n in self.contracted:
-            if n not in known:
+            if n not in self.gen_index:
                 out.append(f'{self.name}: contracted curve {n!r} is not a declared generator')
         if set(dict(self.k_discrepancies)) - set(self.contracted):
             out.append(f'{self.name}: discrepancy given for a non-contracted curve')

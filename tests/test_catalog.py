@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import weakref
@@ -32,7 +33,7 @@ from kwall.stability import (
     solve_wall,
     valuation_profile,
 )
-from kwall.surface import SurfaceModel
+from kwall.surface import ConfigurationError, SurfaceModel
 
 F = Fraction
 
@@ -241,6 +242,36 @@ def test_a_pair_document_resolves_its_surface_in_the_given_catalog(tmp_path):
         pair_from_doc(cat, {'surface': 'sigma5', **boundary})
     assert pair_from_doc(CATALOG, {'surface': 'sigma5', **boundary}).surface \
         is CATALOG.surface('sigma5')
+
+
+SHIPPED = json.loads(DATA_PATH.read_text())
+BOUNDARY_PARTS = [(f['id'], i) for f in SHIPPED['fixtures'] for i in range(len(f['boundary']))]
+
+
+def _answers(p, v):
+    b = beta(p, v)
+    return log_discrepancy(p, v), s_invariant(p, v), b, solve_wall(b).root
+
+
+@pytest.mark.parametrize('fid, i', BOUNDARY_PARTS, ids=[f'{f}:{i}' for f, i in BOUNDARY_PARTS])
+def test_a_boundary_name_denotes_one_class(fid, i):
+    '''a generator part written as a label with the generator's own name and
+    class is that generator, so A, S, beta and the wall stay; a class part
+    labelled with the name of a generator of another class is refused'''
+    doc = copy.deepcopy(SHIPPED['fixtures'][CATALOG.ids().index(fid)])
+    f, part = CATALOG.fixture(fid), doc['boundary'][i]
+    m = f.pair.surface
+    if 'gen' in part:
+        part['label'] = part.pop('gen')
+        part['class'] = [str(x) for x in m.gen(part['label']).coords]
+        p = pair_from_doc(CATALOG, doc)
+        assert _answers(p, valuation_from_doc(p, doc['valuation'])) == _answers(f.pair, f.valuation)
+    else:
+        cl = m.lattice.div(part['class'])
+        part['label'] = next(n for n, c in m.mori_gens if c != cl and n not in m.contracted)
+        with pytest.raises(ConfigurationError) as exc:
+            pair_from_doc(CATALOG, doc)
+        assert str(exc.value) == f"{m.name}: label '{part['label']}' names two classes"
 
 
 def test_reversed_generator_lists_change_no_answer(tmp_path, monkeypatch, capsys):

@@ -149,6 +149,17 @@ PAIR_DOC = {'surface': 'sigma5',
                          {'gen': 'exc2', 'mult': '2'}]}
 
 
+# X11/D_4_23/cusp-blowup's boundary with its cubic labelled by the name of
+# the generator line-pq, and Xn/D_2_19/node's with one label on two classes
+X11_SHADOW = {'surface': 'x11', 'boundary': [
+    {'gen': 'tang-p', 'mult': '1'}, {'gen': 'tang-q', 'mult': '2'},
+    {'label': 'line-pq', 'class': ['3', '-2', '0', '0', '0'], 'mult': '1'}]}
+XN_TWICE = {'surface': 'xn', 'boundary': [
+    {'gen': 'line12', 'mult': '2'}, {'gen': 'line34', 'mult': '1'},
+    {'label': 'lfree', 'class': ['1', '0', '0', '0', '0'], 'mult': '1'},
+    {'label': 'lfree', 'class': ['1', '0', '0', '-1', '0'], 'mult': '2'}]}
+
+
 def test_beta_accepts_a_pair_file_with_a_named_valuation(tmp_path, capsys):
     pair = tmp_path / 'pair.json'
     pair.write_text(json.dumps(PAIR_DOC))
@@ -234,6 +245,18 @@ def test_beta_pair_file_naming_an_unknown_generator_is_a_usage_error(tmp_path, c
     assert out == ''
     assert err.startswith("catalog error: boundary part 0 is malformed: unknown generator "
                           "'nosuch' on sigma5; have ['exc1', ")
+
+
+def test_a_generator_name_past_an_honest_label_names_the_generator(tmp_path, capsys):
+    '''with X11_SHADOW's cubic labelled cusp-cubic, line-pq is the generator,
+    which the boundary does not contain'''
+    honest = copy.deepcopy(X11_SHADOW)
+    honest['boundary'][2]['label'] = 'cusp-cubic'
+    pair = tmp_path / 'pair.json'
+    pair.write_text(json.dumps(honest))
+    code, out, err = run(capsys, 'beta', str(pair), 'line-pq')
+    assert (code, err) == (0, '')
+    assert 'A = 1\n' in out and 'wall at c = 2/19\n' in out
 
 
 def test_zero_denominators_are_usage_errors(capsys):
@@ -361,6 +384,14 @@ def _stated_ord_b(fixture_id, value):
     return edit
 
 
+def _relabel(fixture_id, old, new):
+    '''catalog edit: rename a fixture's boundary label'''
+    def edit(doc):
+        f = next(f for f in doc['fixtures'] if f['id'] == fixture_id)
+        next(p for p in f['boundary'] if p.get('label') == old)['label'] = new
+    return edit
+
+
 def _blowup(**center):
     '''the pair PAIR_DOC and a blow-up valuation with the given center'''
     return PAIR_DOC, {'kind': 'blowup', 'center': center}
@@ -483,6 +514,12 @@ def _blowup(**center):
      'catalog error: valuation document is malformed: BlowupCenter.make() got an unexpected '
      "keyword argument 'exc_nme'\n"),
     (None, ([], 'exc1'), 'catalog error: pair document must be a json object'),
+    (_relabel('X11/D_4_23/cusp-blowup', 'cusp-cubic', 'line-pq'), None,
+     "configuration error: fixture 5: x11: label 'line-pq' names two classes\n"),
+    (_relabel('Xn/D_2_19/node', 'l3gen', 'lfree'), None,
+     "configuration error: fixture 2: xn: label 'lfree' names two classes\n"),
+    (None, (X11_SHADOW, 'line-pq'), "configuration error: x11: label 'line-pq' names two classes\n"),
+    (None, (XN_TWICE, 'lfree'), "configuration error: xn: label 'lfree' names two classes\n"),
     (None, (PAIR_DOC, []), 'catalog error: valuation document must be a json object'),
 ], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
         'boundary-is-a-string', 'boundary-part-is-a-number',
@@ -507,7 +544,9 @@ def _blowup(**center):
         'stated-ord-b-is-above-k-tau', 'fixture-id-repeats', 'walls-are-unsorted',
         'wall-kind-is-unknown', 'display-beta-is-a-number', 'display-curve-is-a-list',
         'blowup-states-a-x', 'blowup-center-has-an-unknown-key',
-        'pair-document-is-a-list', 'valuation-document-is-a-list'])
+        'pair-document-is-a-list', 'boundary-label-is-a-generator-name',
+        'boundary-label-names-two-classes', 'pair-label-is-a-generator-name',
+        'pair-label-names-two-classes', 'valuation-document-is-a-list'])
 def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,
                                             monkeypatch, capsys):
     if edit is not None:
@@ -983,13 +1022,30 @@ def test_documents_are_read_as_utf_8_whatever_the_locale(tmp_path, monkeypatch, 
         assert proc.returncode == 0
 
 
-def test_the_hashlib_digest_prints_what_main_prints(monkeypatch, capsys):
-    '''without the built-in _sha256 (CPython 3.12 renamed it) the catalog
-    digest comes from hashlib'''
+# a cold kwall command with the built-in _sha256 hidden, as on CPython 3.12
+# and later, which renamed it _sha2; where there is no _sha2, a stand-in
+# holds _sha256's function.  Importing kwall.catalog must not load OpenSSL
+SHA2_ONLY = """
+import sys, types
+try:
+    import _sha2
+except ImportError:
+    import _sha256
+    sys.modules['_sha2'] = types.SimpleNamespace(sha256=_sha256.sha256)
+sys.modules['_sha256'] = None
+import kwall.catalog
+assert '_hashlib' not in sys.modules, 'kwall.catalog loaded _hashlib'
+import runpy
+sys.argv = ['kwall', 'fixtures', 'list']
+runpy.run_module('kwall.cli', run_name='__main__')
+"""
+
+
+def test_the_sha2_digest_prints_what_main_prints(monkeypatch, capsys):
+    '''without the built-in _sha256 the catalog digest comes from _sha2,
+    never from hashlib, and prints what main prints'''
     monkeypatch.delenv('KWALL_CATALOG', raising=False)
-    proc = _cold_process('-c', "import sys; sys.modules['_sha256'] = None; import runpy; "
-                               "sys.argv = ['kwall', 'fixtures', 'list']; "
-                               "runpy.run_module('kwall.cli', run_name='__main__')")
+    proc = _cold_process('-c', SHA2_ONLY)
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, 'fixtures', 'list')
 
 

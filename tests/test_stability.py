@@ -433,6 +433,56 @@ def test_extension_ord_b_is_bounded_below_by_the_centre_data():
     assert ValuationSpec.on_extension(d_1_17(m), center).ord_b == 6
 
 
+def _x11_cusp(m, cubic):
+    '''X11/D_4_23/cusp-blowup's boundary with the cubic given as ``cubic``,
+    a function of its class'''
+    return LogPair.make(m, [('tang-p', 1), ('tang-q', 2),
+                            (cubic(m.lattice.div([3, -2, 0, 0, 0])), 1)])
+
+
+def test_an_unlabelled_component_is_named_as_such_when_it_needs_ord_b():
+    m = builders.x11()
+    p = _x11_cusp(m, lambda cl: cl)
+    center = BlowupCenter.make(weights=(1, 2), through=(('line-pq', 1), ('a1p', 2)))
+    with pytest.raises(ConfigurationError) as exc:
+        ValuationSpec.on_extension(p, center)
+    assert str(exc.value) == ('component without a label has no centre data on the '
+                              'extension; pass ord_b explicitly')
+    assert ValuationSpec.on_extension(p, center, ord_b=4).ord_b == 4
+
+
+def test_a_curve_name_denotes_one_class():
+    '''a label may carry a generator's name only with that generator's
+    class, and may not repeat with another class; every name on a pair is
+    resolved by LogPair.curve'''
+    m = builders.x11()
+    with pytest.raises(ConfigurationError) as exc:
+        _x11_cusp(m, lambda cl: ('line-pq', cl))
+    assert str(exc.value) == "x11: label 'line-pq' names two classes"
+    honest = _x11_cusp(m, lambda cl: ('cusp-cubic', cl))
+    assert honest.curve('cusp-cubic') == m.lattice.div([3, -2, 0, 0, 0])
+    assert honest.curve('line-pq') == m.gen('line-pq')
+    v = ValuationSpec.on_surface(honest, 'line-pq')
+    assert (v.a_x, v.ord_b) == (1, 0)
+    with pytest.raises(ConfigurationError) as exc:
+        ValuationSpec.on_surface(honest, 'foo')
+    assert str(exc.value) == "x11: 'foo' is neither a generator nor a boundary component label"
+    with pytest.raises(ValueError, match=r"^unknown generator 'foo' on x11; have \['a1p', "):
+        m.gen('foo')
+    # a generator given as a label with its own class is that generator
+    p = LogPair.make(m, [('tang-p', 1), (('tang-q', m.gen('tang-q')), 2),
+                         (m.lattice.div([3, -2, 0, 0, 0]), 1)])
+    assert p.boundary == _x11_cusp(m, lambda cl: cl).boundary
+    # one label on two classes
+    n = builders.xn()
+    lfree, l3 = n.lattice.div([1, 0, 0, 0, 0]), n.lattice.div([1, 0, 0, -1, 0])
+    with pytest.raises(ConfigurationError) as exc:
+        LogPair.make(n, [('line12', 2), ('line34', 1), (('lfree', lfree), 1), (('lfree', l3), 2)])
+    assert str(exc.value) == "xn: label 'lfree' names two classes"
+    p = LogPair.make(n, [('line12', 2), ('line34', 1), (('lfree', lfree), 1), (('l3gen', l3), 2)])
+    assert p.boundary_order('lfree') == 1 and p.curve('l3gen') == l3
+
+
 def test_quotient_order_bound():
     assert quotient_order_bound(9) == 1
     eps = F(1, 100)
