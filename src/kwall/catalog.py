@@ -147,6 +147,8 @@ def _decode_affine(doc) -> AffineRatFn:
 
 def _decode_part(model: SurfaceModel, doc):
     mult = rational(doc['mult'])
+    if set(doc) - {'mult'} not in ({'gen'}, {'class'}, {'class', 'label'}):
+        raise ValueError(f'keys {sorted(doc)} are not gen+mult, class+mult or class+label+mult')
     if 'gen' in doc:
         return (doc['gen'], model.gen(doc['gen'])), mult
     cls = model.lattice.div(doc['class'])
@@ -169,7 +171,14 @@ def _decode_valuation(pair: LogPair, doc) -> ValuationSpec:
     if kind == 'blowup':
         if 'a_x' in doc:
             raise ValueError("a blow-up derives 'a_x' from its centre; remove the key")
-        center = BlowupCenter.make(**doc['center'])
+        given = doc['center']
+        if not isinstance(given, dict):
+            raise TypeError(f'centre {given!r} is not an object')
+        # the constructor's keywords are the fields it keeps
+        unknown = sorted(set(given).difference(BlowupCenter._value))
+        if unknown:
+            raise ValueError(f'unknown centre key {unknown[0]!r}')
+        center = BlowupCenter(**given)
         ord_b = rational(doc['ord_b']) if 'ord_b' in doc else None
         return ValuationSpec.on_extension(pair, center, name=name, tag=tag, ord_b=ord_b)
     raise ValueError(f'unknown valuation kind {kind!r}')
@@ -209,8 +218,8 @@ def _decode_fixture(surfaces: dict, doc) -> Fixture:
     if name not in surfaces:
         raise ValueError(f'unknown surface {name!r}')
     model = surfaces[name]
-    pair = LogPair.make(model, _decode_each('boundary part', doc.get('boundary', ()),
-                                            lambda p: _decode_part(model, p)))
+    pair = LogPair(model, _decode_each('boundary part', doc.get('boundary', ()),
+                                       lambda p: _decode_part(model, p)))
     valuation = _decode_valuation(pair, doc['valuation'])
     equivariant = _decode_each('equivariant valuation', doc.get('equivariant', ()),
                                lambda v: _decode_valuation(pair, v))
@@ -328,17 +337,16 @@ def pair_from_doc(cat: Catalog, doc) -> LogPair:
     validated pair from a standalone document, its surface looked up in cat
 
     Schema: {"surface": catalog name, "boundary": [part, ...]} where a part
-    is {"mult": p/q} plus either {"gen": name} or {"class": [...]} with an
-    optional "label".
+    is {"mult": p/q} plus exactly one of {"gen": name}, {"class": [...]} or
+    {"class": [...], "label": name}.
     '''
     if not isinstance(doc, dict):
         raise CatalogError('pair document must be a json object')
     if 'surface' not in doc:
         raise CatalogError("pair document has no 'surface' field")
     model = cat.surface(doc['surface'])
-    parts = _decode_each('boundary part', doc.get('boundary', ()),
-                         lambda p: _decode_part(model, p))
-    return LogPair.make(model, parts)
+    return LogPair(model, _decode_each('boundary part', doc.get('boundary', ()),
+                                       lambda p: _decode_part(model, p)))
 
 
 def valuation_from_doc(pair: LogPair, doc) -> ValuationSpec:

@@ -119,25 +119,20 @@ class LogPair(Frozen):
     '''
     boundary divisor on a resolution, scaled by the symbol c
 
-    ``boundary`` holds (component name or None, class on the resolution,
-    multiplicity); the component classes are the proper transforms of the
-    honest curves downstairs, so the cycle-level order along a contracted
-    curve comes from the pullback solve, never from raw coordinates.
+    The constructor takes (component, mult) parts, where a component is a
+    generator name, a DivClass or a (label, DivClass) pair, and validates
+    the pair (``failures``): a label names one class, and a generator's name
+    only with that generator's class.  ``boundary`` holds (component name or
+    None, class on the resolution, multiplicity); the component classes are
+    the proper transforms of the honest curves downstairs, so the
+    cycle-level order along a contracted curve comes from the pullback
+    solve, never from raw coordinates.
     '''
 
     # open coefficient range: -(K + cC) = (1 - 2c)(-K) is ample for c < 1/2, 0 at 1/2
     c_lo, c_hi = Fraction(0), Fraction(1, 2)
 
-    def __init__(self, surface: SurfaceModel,
-                 boundary: tuple[tuple[str | None, DivClass, Fraction], ...]):
-        vars(self).update(surface=surface, boundary=boundary)
-
-    @classmethod
-    def make(cls, surface: SurfaceModel, parts) -> 'LogPair':
-        '''parts: iterable of (component, mult); a component is a generator
-        name, a DivClass, or a (label, DivClass) pair.  A label names one
-        class: it may not repeat with another class, nor take a generator's
-        name unless it carries that generator's class (``failures``)'''
+    def __init__(self, surface: SurfaceModel, parts):
         rows = []
         for comp, mult in parts:
             if isinstance(comp, str):
@@ -147,7 +142,8 @@ class LogPair(Frozen):
             else:
                 label, cl = comp
             rows.append((label, cl, rational(mult)))
-        return cls(surface, tuple(rows)).validate()
+        vars(self).update(surface=surface, boundary=tuple(rows))
+        self.validate()
 
     @cached_property
     def proper_transform(self) -> DivClass:
@@ -228,12 +224,11 @@ class LogPair(Frozen):
             problems.append('degree is not positive, the scaled polarisation cannot be ample')
         return tuple(problems)
 
-    def validate(self) -> 'LogPair':
+    def validate(self) -> None:
         problems = self.failures()
         if problems:
             raise ConfigurationError(
                 f'{self.surface.name}: ' + '; '.join(problems))
-        return self
 
 
 def coefficient(c) -> Fraction:

@@ -402,24 +402,20 @@ class BlowupCenter(Value):
     ``through`` lists (generator name, ord of that curve along the new
     exceptional divisor); generators not listed miss the center.
     ``extra_mori`` declares curves that only become extremal on the
-    extension, with coordinates on the extended basis.
+    extension, with coordinates on the extended basis.  The constructor
+    checks types; ``build_blowup_extension`` checks the rest against a base.
     '''
     _value = ('weights', 'exc_name', 'through', 'extra_mori')
 
-    def __init__(self, weights: tuple[int, int] = (1, 1), exc_name: str = 'e',
-                 through: tuple[tuple[str, Fraction], ...] = (),
-                 extra_mori: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()):
-        vars(self).update(weights=weights, exc_name=exc_name, through=through,
-                          extra_mori=extra_mori)
-
-    @classmethod
-    def make(cls, weights=(1, 1), exc_name='e', through=(), extra_mori=()) -> 'BlowupCenter':
+    def __init__(self, weights=(1, 1), exc_name='e', through=(), extra_mori=()):
         if len(weights) != 2 or any(type(w) is not int for w in weights):
             raise ConfigurationError(f'weights {list(weights)} are not two integers')
-        exc_name = _string('exceptional divisor name', exc_name)
-        extra = tuple((_string('extra generator name', n), tuple([rational(x) for x in v]))
-                      for n, v in extra_mori)
-        return cls(tuple(weights), exc_name, tuple((n, rational(m)) for n, m in through), extra)
+        vars(self).update(
+            weights=tuple(weights),
+            exc_name=_string('exceptional divisor name', exc_name),
+            through=tuple((n, rational(m)) for n, m in through),
+            extra_mori=tuple((_string('extra generator name', n), tuple([rational(x) for x in v]))
+                             for n, v in extra_mori))
 
 
 def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> ExtensionModel:

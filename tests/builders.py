@@ -371,23 +371,23 @@ def xprime() -> SurfaceModel:
 def x11_ext():
     '''x11 blown up in the point where exc-p meets tang-p'''
     return build_blowup_extension(
-        x11(), BlowupCenter.make(exc_name='e', through=(('exc-p', 1), ('tang-p', 1))))
+        x11(), BlowupCenter(exc_name='e', through=(('exc-p', 1), ('tang-p', 1))))
 
 
 def xq_ext_r():
     '''xq blown up in the common point of the five moving rays'''
     return build_blowup_extension(
-        xq(), BlowupCenter.make(exc_name='e',
-                                through=tuple((f'ray{i}', 1) for i in range(1, 6))))
+        xq(), BlowupCenter(exc_name='e',
+                           through=tuple((f'ray{i}', 1) for i in range(1, 6))))
 
 
 def xprime_ext_p():
     '''weight-(1, 2) blow-up of xprime in the point of fiber-g where the
     three conics touch it'''
     return build_blowup_extension(
-        xprime(), BlowupCenter.make(weights=(1, 2), exc_name='e',
-                                    through=(('fiber-g', 1), ('conic1', 2),
-                                             ('conic2', 2), ('conic3', 2))))
+        xprime(), BlowupCenter(weights=(1, 2), exc_name='e',
+                               through=(('fiber-g', 1), ('conic1', 2),
+                                        ('conic2', 2), ('conic3', 2))))
 
 
 def sigma5_ext_p():
@@ -395,7 +395,7 @@ def sigma5_ext_p():
     direction transverse to it; strict transforms of the curves with
     second-order contact at the point come in as extra generators'''
     return build_blowup_extension(
-        sigma5(), BlowupCenter.make(
+        sigma5(), BlowupCenter(
             weights=(1, 2), exc_name='e', through=(('line34', 1),),
             extra_mori=(('l1-strict', (1, 0, 0, 0, 0, -2)),
                         ('c1-strict', (2, -1, -1, -1, 0, -2)),

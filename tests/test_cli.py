@@ -392,6 +392,21 @@ def _relabel(fixture_id, old, new):
     return edit
 
 
+def _first_part(extra):
+    '''catalog edit: add the extra keys to the first boundary part of
+    fixture 0, a gen part'''
+    def edit(doc):
+        doc['fixtures'][0]['boundary'][0].update(extra)
+    return edit
+
+
+def _mixed_pair(extra):
+    '''PAIR_DOC with the extra keys added to its first part, a gen part'''
+    doc = copy.deepcopy(PAIR_DOC)
+    doc['boundary'][0].update(extra)
+    return doc
+
+
 def _blowup(**center):
     '''the pair PAIR_DOC and a blow-up valuation with the given center'''
     return PAIR_DOC, {'kind': 'blowup', 'center': center}
@@ -511,9 +526,22 @@ def _blowup(**center):
      "catalog error: valuation document is malformed: a blow-up derives 'a_x' from its "
      'centre; remove the key\n'),
     (None, _blowup(exc_nme='w'),
-     'catalog error: valuation document is malformed: BlowupCenter.make() got an unexpected '
-     "keyword argument 'exc_nme'\n"),
+     "catalog error: valuation document is malformed: unknown centre key 'exc_nme'\n"),
+    (None, (PAIR_DOC, {'kind': 'blowup', 'center': 'ab'}),
+     "catalog error: valuation document is malformed: centre 'ab' is not an object\n"),
     (None, ([], 'exc1'), 'catalog error: pair document must be a json object'),
+    (_first_part({'class': [0, 0, 0, 0, 1]}), None,
+     "catalog error: fixture 0: boundary part 0 is malformed: keys ['class', 'gen', 'mult'] "
+     'are not gen+mult, class+mult or class+label+mult\n'),
+    (None, (_mixed_pair({'class': [0, 0, 0, 0, 1]}), 'exc1'),
+     "catalog error: boundary part 0 is malformed: keys ['class', 'gen', 'mult'] are not "
+     'gen+mult, class+mult or class+label+mult\n'),
+    (_first_part({'label': 'quad'}), None,
+     "catalog error: fixture 0: boundary part 0 is malformed: keys ['gen', 'label', 'mult'] "
+     'are not gen+mult, class+mult or class+label+mult\n'),
+    (None, (_mixed_pair({'label': 'quad'}), 'quad'),
+     "catalog error: boundary part 0 is malformed: keys ['gen', 'label', 'mult'] are not "
+     'gen+mult, class+mult or class+label+mult\n'),
     (_relabel('X11/D_4_23/cusp-blowup', 'cusp-cubic', 'line-pq'), None,
      "configuration error: fixture 5: x11: label 'line-pq' names two classes\n"),
     (_relabel('Xn/D_2_19/node', 'l3gen', 'lfree'), None,
@@ -543,8 +571,10 @@ def _blowup(**center):
         'boundary-multiplicity-is-negative', 'stated-ord-b-is-below-the-centre-data',
         'stated-ord-b-is-above-k-tau', 'fixture-id-repeats', 'walls-are-unsorted',
         'wall-kind-is-unknown', 'display-beta-is-a-number', 'display-curve-is-a-list',
-        'blowup-states-a-x', 'blowup-center-has-an-unknown-key',
-        'pair-document-is-a-list', 'boundary-label-is-a-generator-name',
+        'blowup-states-a-x', 'blowup-center-has-an-unknown-key', 'blowup-center-is-a-string',
+        'pair-document-is-a-list', 'boundary-gen-part-has-a-class',
+        'pair-gen-part-has-a-class', 'boundary-gen-part-has-a-label',
+        'pair-gen-part-has-a-label', 'boundary-label-is-a-generator-name',
         'boundary-label-names-two-classes', 'pair-label-is-a-generator-name',
         'pair-label-names-two-classes', 'valuation-document-is-a-list'])
 def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,

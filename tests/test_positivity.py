@@ -388,7 +388,7 @@ def test_a_missing_generator_shows_as_an_irrational_threshold():
     h - e_i - e, which would end a chamber at t = 1 on the extension's own
     -K walked along e; without them the last volume quadratic has
     discriminant 20'''
-    ext = build_blowup_extension(load_catalog().surface('sigma5'), BlowupCenter.make(exc_name='g'))
+    ext = build_blowup_extension(load_catalog().surface('sigma5'), BlowupCenter(exc_name='g'))
     assert _refusal(volume_profile, ext, ext.anticanonical_pullback, ext.e_class) == (
         EngineError, 'irrational volume threshold (disc 20)')
 

@@ -29,12 +29,12 @@ F = Fraction
 
 def d_1_17(m):
     '''quadruple line plus the residual conic-degenerate part'''
-    return LogPair.make(m, [('line12', 4), ('line34', 2), ('exc1', 2), ('exc2', 2)])
+    return LogPair(m, [('line12', 4), ('line34', 2), ('exc1', 2), ('exc2', 2)])
 
 
 def d_nodal(m):
     '''same component pattern on the one-node degeneration'''
-    return LogPair.make(m, [('line12', 4), ('line34', 2), ('exc1', 2), ('exc2', 2)])
+    return LogPair(m, [('line12', 4), ('line34', 2), ('exc1', 2), ('exc2', 2)])
 
 
 def test_affine_algebra():
@@ -55,14 +55,14 @@ def test_pair_validation():
     assert p.failures() == ()
     assert p.anticanonical_factor == 2
     with pytest.raises(ConfigurationError, match='multiple of the anticanonical'):
-        LogPair.make(m, [('line12', 3), ('line34', 2), ('exc1', 2), ('exc2', 2)])
+        LogPair(m, [('line12', 3), ('line34', 2), ('exc1', 2), ('exc2', 2)])
     with pytest.raises(ConfigurationError, match='negative multiplicity'):
-        LogPair.make(m, [('line12', -4), ('line34', 2)])
+        LogPair(m, [('line12', -4), ('line34', 2)])
     assert (LogPair.c_lo, LogPair.c_hi) == (0, F(1, 2))
     xn = builders.xn()
     with pytest.raises(ConfigurationError, match='contracted curve'):
-        LogPair.make(xn, [('node', 2), ('line12', 4), ('line34', 2),
-                          ('exc1', 2), ('exc2', 2)])
+        LogPair(xn, [('node', 2), ('line12', 4), ('line34', 2),
+                     ('exc1', 2), ('exc2', 2)])
 
 
 def _not_a_multiple(coords) -> str:
@@ -110,7 +110,7 @@ def test_pair_refusals_are_pinned(surface, parts, message):
     parts = [((comp[0], m.lattice.div(comp[1])) if isinstance(comp, tuple) else comp, mult)
              for comp, mult in parts]
     with pytest.raises(ConfigurationError) as err:
-        LogPair.make(m, parts)
+        LogPair(m, parts)
     assert str(err.value) == f'{m.name}: {message}'
 
 
@@ -128,8 +128,8 @@ def test_boundary_order_through_singular_point():
     # a line through the blown-up cluster meets the contracted curve, so the
     # cycle-level order is forced by the pullback solve, not a coordinate
     xn = builders.xn()
-    generic = LogPair.make(xn, [(('q3-line', xn.lattice.div((1, 0, 0, -1, 0))), 2),
-                                ('line13', 2), ('line23', 2), ('exc4', 2)])
+    generic = LogPair(xn, [(('q3-line', xn.lattice.div((1, 0, 0, -1, 0))), 2),
+                           ('line13', 2), ('line23', 2), ('exc4', 2)])
     assert generic.failures() == ()
     assert generic.boundary_order('node') == 4
     assert generic.boundary_order('q3-line') == 2
@@ -143,8 +143,8 @@ def test_tangent_boundary_on_quartic_cone_degeneration():
     # boundary of the cone-like model: triple section plus the four
     # exceptional marks; it misses the contracted curve entirely
     xt = builders.xt()
-    p = LogPair.make(xt, [(('Cprime', xt.lattice.div((1, 4, -1, -1, -1, -1))), 3),
-                          ('exc1', 1), ('exc2', 1), ('exc3', 1), ('exc4', 1)])
+    p = LogPair(xt, [(('Cprime', xt.lattice.div((1, 4, -1, -1, -1, -1))), 3),
+                     ('exc1', 1), ('exc2', 1), ('exc3', 1), ('exc4', 1)])
     assert p.failures() == ()
     assert p.boundary_order('sigma') == 0
     assert p.boundary_order('Cprime') == 3
@@ -182,7 +182,7 @@ def test_each_ray_of_a_model_is_integrated_once(monkeypatch):
     the same ray, on a second pair over the model, does not walk again'''
     walks = _counting_walks(monkeypatch)
     m = builders.sigma5()
-    p, other = d_1_17(m), LogPair.make(m, [])
+    p, other = d_1_17(m), LogPair(m, [])
     first = s_invariant(p, ValuationSpec.on_surface(p, 'line12'))
     assert s_invariant(p, ValuationSpec.on_surface(p, 'line12')) == first
     assert s_invariant(other, ValuationSpec.on_surface(other, 'line12')) == AffineRatFn(
@@ -200,9 +200,9 @@ def test_rays_are_told_apart_by_origin_and_direction(monkeypatch):
     # the point where line12 meets exc1
     p = d_1_17(m)
     over_base = ValuationSpec.on_extension(
-        p, BlowupCenter.make(exc_name='e', through=(('line12', 1), ('exc1', 1))))
+        p, BlowupCenter(exc_name='e', through=(('line12', 1), ('exc1', 1))))
     ext = over_base.model
-    q = LogPair.make(ext, [])
+    q = LogPair(ext, [])
     on_model = ValuationSpec('e', ext, ext.e_class, F(1), F(0))
     s, t = s_invariant(p, over_base), s_invariant(q, on_model)
     assert len(walks) == 2 and len(ext.ray_integrals) == 2
@@ -239,7 +239,7 @@ def test_beta_horizontal_line_on_node_model():
 
 def test_empty_boundary_sanity():
     m = builders.p2()
-    p = LogPair.make(m, [])
+    p = LogPair(m, [])
     assert p.anticanonical_factor == 0
     b = beta(p, ValuationSpec.on_surface(p, 'line'))
     assert b.is_zero
@@ -404,7 +404,7 @@ def test_valuation_tags_and_klt_guard():
 def test_extension_valuation_defaults():
     m = builders.sigma5()
     p = d_1_17(m)
-    center = BlowupCenter.make(exc_name='e', through=(('line12', 1),))
+    center = BlowupCenter(exc_name='e', through=(('line12', 1),))
     v = ValuationSpec.on_extension(p, center, tag='plain')
     assert v.model is m.extension(center) and v.base is m
     assert v.name == 'e'
@@ -421,9 +421,9 @@ def test_extension_ord_b_is_bounded_below_by_the_centre_data():
     the generator components through the centre bound it from below'''
     m = builders.sigma5()
     # d_1_17 with its quadruple line given by a label instead of a name
-    p = LogPair.make(m, [(('quad', m.gen('line12')), 4), ('line34', 2), ('exc1', 2),
-                         ('exc2', 2)])
-    center = BlowupCenter.make(exc_name='e', through=(('line12', 1), ('exc1', 1)))
+    p = LogPair(m, [(('quad', m.gen('line12')), 4), ('line34', 2), ('exc1', 2),
+                    ('exc2', 2)])
+    center = BlowupCenter(exc_name='e', through=(('line12', 1), ('exc1', 1)))
     with pytest.raises(ConfigurationError, match="component 'quad' has no centre data"):
         ValuationSpec.on_extension(p, center)
     with pytest.raises(ConfigurationError, match='stated ord_b 3/2 is below 2'):
@@ -436,14 +436,14 @@ def test_extension_ord_b_is_bounded_below_by_the_centre_data():
 def _x11_cusp(m, cubic):
     '''X11/D_4_23/cusp-blowup's boundary with the cubic given as ``cubic``,
     a function of its class'''
-    return LogPair.make(m, [('tang-p', 1), ('tang-q', 2),
-                            (cubic(m.lattice.div([3, -2, 0, 0, 0])), 1)])
+    return LogPair(m, [('tang-p', 1), ('tang-q', 2),
+                       (cubic(m.lattice.div([3, -2, 0, 0, 0])), 1)])
 
 
 def test_an_unlabelled_component_is_named_as_such_when_it_needs_ord_b():
     m = builders.x11()
     p = _x11_cusp(m, lambda cl: cl)
-    center = BlowupCenter.make(weights=(1, 2), through=(('line-pq', 1), ('a1p', 2)))
+    center = BlowupCenter(weights=(1, 2), through=(('line-pq', 1), ('a1p', 2)))
     with pytest.raises(ConfigurationError) as exc:
         ValuationSpec.on_extension(p, center)
     assert str(exc.value) == ('component without a label has no centre data on the '
@@ -470,16 +470,16 @@ def test_a_curve_name_denotes_one_class():
     with pytest.raises(ValueError, match=r"^unknown generator 'foo' on x11; have \['a1p', "):
         m.gen('foo')
     # a generator given as a label with its own class is that generator
-    p = LogPair.make(m, [('tang-p', 1), (('tang-q', m.gen('tang-q')), 2),
-                         (m.lattice.div([3, -2, 0, 0, 0]), 1)])
+    p = LogPair(m, [('tang-p', 1), (('tang-q', m.gen('tang-q')), 2),
+                    (m.lattice.div([3, -2, 0, 0, 0]), 1)])
     assert p.boundary == _x11_cusp(m, lambda cl: cl).boundary
     # one label on two classes
     n = builders.xn()
     lfree, l3 = n.lattice.div([1, 0, 0, 0, 0]), n.lattice.div([1, 0, 0, -1, 0])
     with pytest.raises(ConfigurationError) as exc:
-        LogPair.make(n, [('line12', 2), ('line34', 1), (('lfree', lfree), 1), (('lfree', l3), 2)])
+        LogPair(n, [('line12', 2), ('line34', 1), (('lfree', lfree), 1), (('lfree', l3), 2)])
     assert str(exc.value) == "xn: label 'lfree' names two classes"
-    p = LogPair.make(n, [('line12', 2), ('line34', 1), (('lfree', lfree), 1), (('l3gen', l3), 2)])
+    p = LogPair(n, [('line12', 2), ('line34', 1), (('lfree', lfree), 1), (('l3gen', l3), 2)])
     assert p.boundary_order('lfree') == 1 and p.curve('l3gen') == l3
 
 

@@ -176,7 +176,7 @@ def test_pullback_weil_identity_without_contraction():
 
 def test_ordinary_blowup_extension():
     base = make_sigma5()
-    ext = build_blowup_extension(base, BlowupCenter.make(weights=(1, 1), exc_name='e5'))
+    ext = build_blowup_extension(base, BlowupCenter(weights=(1, 1), exc_name='e5'))
     assert pair(ext.e_class, ext.e_class) == -1
     assert ext.a_over_base == 2
     k = ext.canonical
@@ -187,8 +187,8 @@ def test_weighted_blowup_extension():
     base = make_sigma5()
     ext = build_blowup_extension(
         base,
-        BlowupCenter.make(weights=(1, 2), exc_name='w',
-                          through=(('line12', 2), ('line34', 1))),
+        BlowupCenter(weights=(1, 2), exc_name='w',
+                     through=(('line12', 2), ('line34', 1))),
     )
     assert pair(ext.e_class, ext.e_class) == F(-1, 2)
     assert ext.a_over_base == 3
@@ -201,16 +201,16 @@ def test_an_extension_is_named_by_its_weights_and_through_curves():
     '''each through-curve is listed in the centre's order, with its ord
     along the exceptional divisor where that is not 1'''
     base = make_sigma5()
-    plain = build_blowup_extension(base, BlowupCenter.make(exc_name='g'))
+    plain = build_blowup_extension(base, BlowupCenter(exc_name='g'))
     assert plain.name == f'{base.name}^g(1,1)'
-    through = BlowupCenter.make(weights=(1, 2), exc_name='w',
-                                through=(('line12', 2), ('line34', 1)))
+    through = BlowupCenter(weights=(1, 2), exc_name='w',
+                           through=(('line12', 2), ('line34', 1)))
     assert build_blowup_extension(base, through).name == f'{base.name}^w(1,2)[line12:2,line34]'
 
 
 def test_extension_pullback_is_isometry():
     base = make_sigma5()
-    ext = build_blowup_extension(base, BlowupCenter.make(weights=(2, 3), exc_name='w'))
+    ext = build_blowup_extension(base, BlowupCenter(weights=(2, 3), exc_name='w'))
     rng = random.Random(11)
     for _ in range(100):
         a = base.lattice.div([F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(5)])
@@ -221,7 +221,7 @@ def test_extension_pullback_is_isometry():
 
 def test_p2_blowup_preserves_hyperplane_square():
     base = make_p2()
-    ext = build_blowup_extension(base, BlowupCenter.make(weights=(1, 1), exc_name='e1'))
+    ext = build_blowup_extension(base, BlowupCenter(weights=(1, 1), exc_name='e1'))
     h = ext.pullback(base.lattice.basis('h'))
     assert pair(h, h) == 1
 
@@ -229,24 +229,24 @@ def test_p2_blowup_preserves_hyperplane_square():
 def test_extension_rejects_bad_input():
     base = make_sigma5()
     for center, message in [
-            (BlowupCenter.make(weights=(2, 4)), 'weights (2, 4) are not coprime positive integers'),
-            (BlowupCenter.make(weights=(0, 1)), 'weights (0, 1) are not coprime positive integers'),
-            (BlowupCenter.make(exc_name='h'), "name 'h' already used in the base lattice"),
-            (BlowupCenter.make(through=(('nope', 1),)),
+            (BlowupCenter(weights=(2, 4)), 'weights (2, 4) are not coprime positive integers'),
+            (BlowupCenter(weights=(0, 1)), 'weights (0, 1) are not coprime positive integers'),
+            (BlowupCenter(exc_name='h'), "name 'h' already used in the base lattice"),
+            (BlowupCenter(through=(('nope', 1),)),
              "through-curves ['nope'] are not declared generators"),
-            (BlowupCenter.make(through=(('line12', -1),)), 'negative multiplicity in center data'),
-            (BlowupCenter.make(through=(('line12', 1), ('line12', F(1, 2)))),
+            (BlowupCenter(through=(('line12', -1),)), 'negative multiplicity in center data'),
+            (BlowupCenter(through=(('line12', 1), ('line12', F(1, 2)))),
              "through-curve 'line12' is listed twice"),
             # a (-1)-curve cannot have a triple point
-            (BlowupCenter.make(through=(('line12', 3),)),
+            (BlowupCenter(through=(('line12', 3),)),
              'ord 3 along e is inconsistent for curve line12'),
-            (BlowupCenter.make(extra_mori=(('x', (1, 0)),)), 'extra generator x has wrong length'),
+            (BlowupCenter(extra_mori=(('x', (1, 0)),)), 'extra generator x has wrong length'),
             # a generator's name is its row in the generator table
-            (BlowupCenter.make(extra_mori=(('line12', (0,) * 6),)),
+            (BlowupCenter(extra_mori=(('line12', (0,) * 6),)),
              "generator name 'line12' is used twice on the extension"),
-            (BlowupCenter.make(exc_name='exc1'),
+            (BlowupCenter(exc_name='exc1'),
              "generator name 'exc1' is used twice on the extension"),
-            (BlowupCenter.make(extra_mori=(('x', (0,) * 6),) * 2),
+            (BlowupCenter(extra_mori=(('x', (0,) * 6),) * 2),
              "generator name 'x' is used twice on the extension")]:
         with pytest.raises(ConfigurationError) as err:
             build_blowup_extension(base, center)
@@ -294,9 +294,9 @@ def centers(draw):
     r = base.lattice.rank + 1
     coord = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
     extra = draw(st.lists(st.lists(coord, min_size=r, max_size=r), max_size=2))
-    return base, BlowupCenter.make(weights=draw(st.sampled_from(WEIGHTS)), exc_name='new-e',
-                                   through=tuple(through.items()),
-                                   extra_mori=[(f'new-{i}', v) for i, v in enumerate(extra)])
+    return base, BlowupCenter(weights=draw(st.sampled_from(WEIGHTS)), exc_name='new-e',
+                              through=tuple(through.items()),
+                              extra_mori=[(f'new-{i}', v) for i, v in enumerate(extra)])
 
 
 SIGMA5 = load_catalog().surface('sigma5')
@@ -306,10 +306,10 @@ SIGMA5 = load_catalog().surface('sigma5')
 @given(centers())
 # kappa lam = 1 and every base generator but exc1 misses the center, so
 # those rows are passed through
-@example((SIGMA5, BlowupCenter.make(exc_name='new-e', through=(('exc1', 1),))))
+@example((SIGMA5, BlowupCenter(exc_name='new-e', through=(('exc1', 1),))))
 # kappa lam = 4: weights (1, 2) give lam = 2, a half multiplicity kappa = 2
-@example((SIGMA5, BlowupCenter.make(weights=(1, 2), exc_name='new-e',
-                                    through=(('exc1', F(1, 2)),))))
+@example((SIGMA5, BlowupCenter(weights=(1, 2), exc_name='new-e',
+                               through=(('exc1', F(1, 2)),))))
 def test_bordered_extension_tables_equal_the_dense_products(drawn):
     '''an extension's table, bordered from its base's, is the table the
     dense products give on the extension's own lattice and generators'''
@@ -327,7 +327,7 @@ def test_extension_center_on_contracted_curve():
     # blowing up a point of the contracted axis is allowed; the valuation
     # layer owns the discrepancy correction for such centers
     xq = make_xq()
-    ext = build_blowup_extension(xq, BlowupCenter.make(through=(('axis', 1),), exc_name='e'))
+    ext = build_blowup_extension(xq, BlowupCenter(through=(('axis', 1),), exc_name='e'))
     assert pair(ext.gen('axis'), ext.e_class) == 1
     assert ext.a_over_base == 2
 
@@ -416,7 +416,7 @@ REFUSED_INPUTS = [
     (lambda: zariski_decompose(make_sigma5(), _elsewhere()), ValueError, ON_SIGMA5),
     (lambda: volume_profile(make_sigma5(), _elsewhere(), make_sigma5().lattice.basis('e1')),
      ValueError, ON_SIGMA5),
-    (lambda: build_blowup_extension(make_sigma5(), BlowupCenter.make(exc_name='w'))
+    (lambda: build_blowup_extension(make_sigma5(), BlowupCenter(exc_name='w'))
      .pullback(_elsewhere()),
      ValueError, ON_SIGMA5),
     (lambda: pullback_weil(make_xq(), _elsewhere()),
