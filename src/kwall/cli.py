@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from fractions import Fraction
@@ -228,13 +229,14 @@ def _render_profile(r: dict) -> list[str]:
 
 def cmd_beta(cat, args) -> dict:
     target = Path(args.target)
-    if target.is_file():
+    # os.path.isfile is False for a name it cannot stat, too long ones included
+    if os.path.isfile(target):
         if args.valuation is None:
             raise ConfigurationError(
                 'pair file input needs a valuation file or generator name')
         p = pair_from_doc(cat, read_document(target, 'pair file')[1])
-        vpath = Path(args.valuation)
-        vdoc = (read_document(vpath, 'valuation file')[1] if vpath.is_file()
+        vdoc = (read_document(Path(args.valuation), 'valuation file')[1]
+                if os.path.isfile(args.valuation)
                 else {'kind': 'surface', 'name': args.valuation})
         v = valuation_from_doc(p, vdoc)
         f = None

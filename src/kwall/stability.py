@@ -260,6 +260,8 @@ class ValuationSpec(Frozen):
             raise ConfigurationError(f'unknown equivariance tag {tag!r}')
         if a_x < 0:
             raise ConfigurationError(f'{name}: log discrepancy {a_x} < 0 over the surface')
+        if ord_b < 0:
+            raise ConfigurationError(f'{name}: boundary order {ord_b} < 0')
         vars(self).update(name=name, model=model, base=model if base is None else base,
                           e_class=e_class, a_x=a_x, ord_b=ord_b, tag=tag)
 
@@ -285,7 +287,7 @@ class ValuationSpec(Frozen):
         '''the exceptional divisor of the pair surface's blow-up at ``center``
 
         The centre order of a base generator is its ord in
-        ``center.through``, 0 when it is not listed.  ``a_x`` is the
+        ``center.orders``, 0 when it is not listed.  ``a_x`` is the
         discrepancy over the base corrected by any contracted curves
         through the centre.  ``ord_b`` defaults to the boundary
         multiplicities pushed through their centre orders; that sum is a
@@ -293,13 +295,12 @@ class ValuationSpec(Frozen):
         the centre data does not give, and a stated ``ord_b`` below it is a
         ConfigurationError.
         '''
-        m, ext = p.surface, p.surface.extension(center)
-        through = dict(center.through)
-        a_x = ext.a_over_base + sum([m.discrepancy[n] * through.get(n, 0)
+        m, ext, orders = p.surface, p.surface.extension(center), center.orders
+        a_x = ext.a_over_base + sum([m.discrepancy[n] * orders.get(n, 0)
                                      for n in m.contracted])
         labelled = [n for n, _, _ in p.boundary if n not in m.gen_index]
-        lower = sum([mult * through.get(n, 0) for n, _, mult in p.boundary if n in m.gen_index]
-                    + [p.boundary_order(n) * through[n] for n in m.contracted if n in through],
+        lower = sum([mult * orders.get(n, 0) for n, _, mult in p.boundary if n in m.gen_index]
+                    + [p.boundary_order(n) * orders[n] for n in m.contracted if n in orders],
                     Fraction(0))
         if ord_b is None and labelled:
             n = labelled[0]

@@ -400,20 +400,29 @@ class BlowupCenter(Value):
     description of a weight-(a, b) blow-up at a smooth point of a model
 
     ``through`` lists (generator name, ord of that curve along the new
-    exceptional divisor); generators not listed miss the center.
-    ``extra_mori`` declares curves that only become extremal on the
-    extension, with coordinates on the extended basis.  The constructor
-    checks types; ``build_blowup_extension`` checks the rest against a base.
+    exceptional divisor), ``orders`` maps each name to its ord, and a
+    generator not listed misses the center.  ``extra_mori`` declares curves
+    extremal only on the extension, on the extended basis.  The constructor
+    makes every check that needs no base; ``build_blowup_extension`` checks
+    the rest against one.
     '''
     _value = ('weights', 'exc_name', 'through', 'extra_mori')
 
     def __init__(self, weights=(1, 1), exc_name='e', through=(), extra_mori=()):
         if len(weights) != 2 or any(type(w) is not int for w in weights):
             raise ConfigurationError(f'weights {list(weights)} are not two integers')
+        if min(weights) < 1 or gcd(*weights) != 1:
+            raise ConfigurationError(f'weights {tuple(weights)} are not coprime positive integers')
+        through = tuple((n, rational(m)) for n, m in through)
+        twice = _repeated([n for n, _ in through])
+        if twice is not None:
+            raise ConfigurationError(f'through-curve {twice!r} is listed twice')
+        if any(m < 0 for _, m in through):
+            raise ConfigurationError('negative multiplicity in center data')
         vars(self).update(
             weights=tuple(weights),
             exc_name=_string('exceptional divisor name', exc_name),
-            through=tuple((n, rational(m)) for n, m in through),
+            through=through, orders=dict(through),
             extra_mori=tuple((_string('extra generator name', n), tuple([rational(x) for x in v]))
                              for n, v in extra_mori))
 
@@ -431,19 +440,11 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> Extensio
     base's on first use, reads its rows by position.
     '''
     a, b = center.weights
-    if a < 1 or b < 1 or gcd(a, b) != 1:
-        raise ConfigurationError(f'weights {center.weights} are not coprime positive integers')
     if center.exc_name in base.lattice.names:
         raise ConfigurationError(f'name {center.exc_name!r} already used in the base lattice')
-    twice = _repeated([n for n, _ in center.through])
-    if twice is not None:
-        raise ConfigurationError(f'through-curve {twice!r} is listed twice')
-    through = dict(center.through)
-    unknown = set(through) - set(base.gen_names)
+    unknown = set(center.orders) - set(base.gen_names)
     if unknown:
         raise ConfigurationError(f'through-curves {sorted(unknown)} are not declared generators')
-    if any(m < 0 for m in through.values()):
-        raise ConfigurationError('negative multiplicity in center data')
     twice = _repeated([*base.gen_names, center.exc_name, *[n for n, _ in center.extra_mori]])
     if twice is not None:
         raise ConfigurationError(f'generator name {twice!r} is used twice on the extension')
@@ -467,7 +468,7 @@ def build_blowup_extension(base: SurfaceModel, center: BlowupCenter) -> Extensio
     kcs = table.pairings(ks)
     gens: list[tuple[str, DivClass]] = []
     for i, (n, c) in enumerate(base.mori_gens):
-        m = through.get(n, 0)
+        m = center.orders.get(n, 0)
         dc, cs = c.numerators
         if (a, b) == (1, 1) and m.denominator == 1 and dc == 1:
             g, q = table.adjunction_sum(i, kcs[i], dk, dg)

@@ -549,6 +549,13 @@ def _blowup(**center):
     (None, (X11_SHADOW, 'line-pq'), "configuration error: x11: label 'line-pq' names two classes\n"),
     (None, (XN_TWICE, 'lfree'), "configuration error: xn: label 'lfree' names two classes\n"),
     (None, (PAIR_DOC, []), 'catalog error: valuation document must be a json object'),
+    (None, (PAIR_DOC, {'kind': 'class', 'name': 'v', 'class': [1, 0, 0, 0, 0],
+                       'a_x': '1', 'ord_b': '-1'}),
+     'configuration error: valuation document: v: boundary order -1 < 0\n'),
+    # a name too long for the file system to stat is a generator name, not a file
+    (None, (PAIR_DOC, 'x' * 256),
+     f"configuration error: valuation document: sigma5: '{'x' * 256}' is neither a "
+     'generator nor a boundary component label\n'),
 ], ids=['fixture-without-expected', 'wall-without-value', 'fixture-is-a-list',
         'boundary-is-a-string', 'boundary-part-is-a-number',
         'expected-is-a-string', 'valuation-is-a-number', 'display-is-a-boolean',
@@ -576,7 +583,8 @@ def _blowup(**center):
         'pair-gen-part-has-a-class', 'boundary-gen-part-has-a-label',
         'pair-gen-part-has-a-label', 'boundary-label-is-a-generator-name',
         'boundary-label-names-two-classes', 'pair-label-is-a-generator-name',
-        'pair-label-names-two-classes', 'valuation-document-is-a-list'])
+        'pair-label-names-two-classes', 'valuation-document-is-a-list',
+        'stated-ord-b-is-negative', 'valuation-name-is-too-long-for-a-file'])
 def test_malformed_entries_are_usage_errors(edit, inputs, message, tmp_path,
                                             monkeypatch, capsys):
     if edit is not None:
@@ -1361,6 +1369,8 @@ def test_the_named_command_parses_as_the_full_tree(argv):
 
 @settings(max_examples=300, deadline=None)
 @given(argv=command_lines())
+# a fixture id too long for the file system to stat
+@example(argv=['beta', 'x' * 256])
 def test_fuzzed_command_lines_keep_the_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

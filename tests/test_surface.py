@@ -227,30 +227,44 @@ def test_p2_blowup_preserves_hyperplane_square():
 
 
 def test_extension_rejects_bad_input():
+    # each centre is built inside its pytest.raises, since the constructor
+    # makes the checks that need no base
     base = make_sigma5()
-    for center, message in [
-            (BlowupCenter(weights=(2, 4)), 'weights (2, 4) are not coprime positive integers'),
-            (BlowupCenter(weights=(0, 1)), 'weights (0, 1) are not coprime positive integers'),
-            (BlowupCenter(exc_name='h'), "name 'h' already used in the base lattice"),
-            (BlowupCenter(through=(('nope', 1),)),
-             "through-curves ['nope'] are not declared generators"),
-            (BlowupCenter(through=(('line12', -1),)), 'negative multiplicity in center data'),
-            (BlowupCenter(through=(('line12', 1), ('line12', F(1, 2)))),
+    for kwargs, message in [
+            (dict(weights=(2, 4)), 'weights (2, 4) are not coprime positive integers'),
+            (dict(weights=(0, 1)), 'weights (0, 1) are not coprime positive integers'),
+            (dict(exc_name='h'), "name 'h' already used in the base lattice"),
+            (dict(through=(('nope', 1),)), "through-curves ['nope'] are not declared generators"),
+            (dict(through=(('line12', -1),)), 'negative multiplicity in center data'),
+            (dict(through=(('line12', 1), ('line12', F(1, 2)))),
              "through-curve 'line12' is listed twice"),
             # a (-1)-curve cannot have a triple point
-            (BlowupCenter(through=(('line12', 3),)),
-             'ord 3 along e is inconsistent for curve line12'),
-            (BlowupCenter(extra_mori=(('x', (1, 0)),)), 'extra generator x has wrong length'),
+            (dict(through=(('line12', 3),)), 'ord 3 along e is inconsistent for curve line12'),
+            (dict(extra_mori=(('x', (1, 0)),)), 'extra generator x has wrong length'),
             # a generator's name is its row in the generator table
-            (BlowupCenter(extra_mori=(('line12', (0,) * 6),)),
+            (dict(extra_mori=(('line12', (0,) * 6),)),
              "generator name 'line12' is used twice on the extension"),
-            (BlowupCenter(exc_name='exc1'),
-             "generator name 'exc1' is used twice on the extension"),
-            (BlowupCenter(extra_mori=(('x', (0,) * 6),) * 2),
+            (dict(exc_name='exc1'), "generator name 'exc1' is used twice on the extension"),
+            (dict(extra_mori=(('x', (0,) * 6),) * 2),
              "generator name 'x' is used twice on the extension")]:
         with pytest.raises(ConfigurationError) as err:
-            build_blowup_extension(base, center)
+            build_blowup_extension(base, BlowupCenter(**kwargs))
         assert str(err.value) == message
+
+
+def test_a_centre_refuses_what_needs_no_base_when_made():
+    for kwargs, message in [
+            (dict(weights=(2, 4)), 'weights (2, 4) are not coprime positive integers'),
+            (dict(weights=(-1, 1)), 'weights (-1, 1) are not coprime positive integers'),
+            (dict(through=(('a', 1), ('a', 2))), "through-curve 'a' is listed twice"),
+            (dict(through=(('a', F(-1, 2)),)), 'negative multiplicity in center data')]:
+        with pytest.raises(ConfigurationError) as err:
+            BlowupCenter(**kwargs)
+        assert str(err.value) == message
+    center = BlowupCenter(through=(('a', 2), ('b', '1/2')))
+    assert center.orders == {'a': 2, 'b': F(1, 2)}
+    # orders is derived from through, so it takes no part in equality
+    assert center == BlowupCenter(through=(('a', 2), ('b', F(1, 2))))
 
 
 def _dense(model):
@@ -277,6 +291,21 @@ def test_catalog_extension_tables_equal_the_dense_products():
     for m in models.values():
         assert isinstance(m, ExtensionModel)
         assert _table(m) == _dense(m), m.name
+
+
+def test_catalog_centre_orders_give_the_strict_transforms():
+    '''on every catalog blow-up valuation's extension, a base generator C
+    is pull(C) - ord e, with ord its centre order, 0 off the centre'''
+    cat = load_catalog()
+    vals = {id(v): v for f in cat.fixtures for v in (f.valuation, *f.equivariant)
+            if v.model is not v.base}
+    # the 12 fixture valuations and one equivariant valuation
+    assert len(vals) == 13
+    for v in vals.values():
+        ext = v.model
+        for n, c in v.base.mori_gens:
+            strict = ext.pullback(c) - ext.center.orders.get(n, 0) * ext.e_class
+            assert ext.gen(n) == strict, (ext.name, n)
 
 
 WEIGHTS = [(a, b) for a in range(1, 4) for b in range(1, 4) if gcd(a, b) == 1]
